@@ -240,14 +240,6 @@ class LevelArena {
     slot->size += count;
   }
 
-  // Removes the first `count` items of slot s, sliding the remainder down.
-  void EraseFront(uint32_t s, size_t count) {
-    Slot& slot = slots_[s];
-    T* base = data_.data() + slot.offset;
-    std::move(base + count, base + slot.size, base);
-    slot.size -= count;
-  }
-
   void Truncate(uint32_t s, size_t new_size) { slots_[s].size = new_size; }
   void ClearSlot(uint32_t s) { slots_[s].size = 0; }
 

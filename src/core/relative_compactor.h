@@ -23,13 +23,25 @@
 // the states of two sketches with bitwise OR, and "special" compactions
 // (parameter regrowth) compact everything above the protected half.
 //
-// Hot-path structure: the buffer maintains a *sorted-prefix invariant* --
-// items [0, sorted_prefix_) are sorted ascending, everything after is the
-// unsorted insert tail. Every compaction leaves the surviving buffer fully
-// sorted, so between compactions the tail is only the items inserted since.
-// Sort() therefore sorts just the tail and runs std::inplace_merge
+// Hot-path structure: the buffer maintains a *sorted-prefix invariant* in
+// *compaction order* -- ascending under comp_ for LRA, descending for HRA
+// -- so the most-compactible items always sit at the back of the buffer.
+// Items [0, sorted_prefix_) are sorted in that order, everything after is
+// the unsorted insert tail. Every compaction leaves the surviving buffer
+// fully sorted, so between compactions the tail is only the items inserted
+// since. Sort() therefore sorts just the tail and runs std::inplace_merge
 // (O(u log u + B) for tail length u instead of O(B log B)), and CountRank
 // binary-searches the prefix and linearly scans only the tail.
+//
+// Both orientations share one compaction path: promote every other item of
+// the sorted suffix, then truncate. HRA is not a mirror image of LRA (no
+// compaction at the front, no slide of the survivors), and because the
+// survivors are the least-compactible items a level has seen, new items
+// mostly sort in behind them, so the backward merge moves little more than
+// the tail. The promoted and surviving multisets are those of the former
+// ascending HRA layout; only the storage order of HRA levels differs, and
+// items that compare equal but are distinguishable (e.g. -0.0 and +0.0
+// under std::less) may sit in a different relative order.
 //
 // Storage: items live in a LevelArena slot, NOT in a per-compactor
 // std::vector. A standalone compactor (unit tests, ablation harnesses)
@@ -359,19 +371,27 @@ class RelativeCompactor {
   // tail: O(log B + u) instead of O(B).
   uint64_t CountRank(const T& y, Criterion criterion) const {
     const T* first = begin();
-    const T* prefix_end = first + sorted_prefix_;
+    const T* mid = first + sorted_prefix_;
     const T* last = end();
+    const bool inclusive = criterion == Criterion::kInclusive;
     uint64_t count;
-    if (criterion == Criterion::kInclusive) {
-      count = static_cast<uint64_t>(
-          std::upper_bound(first, prefix_end, y, comp_) - first);
-      for (const T* it = prefix_end; it != last; ++it) {
+    if (accuracy_ == RankAccuracy::kLowRanks) {
+      const T* split = inclusive ? std::upper_bound(first, mid, y, comp_)
+                                 : std::lower_bound(first, mid, y, comp_);
+      count = static_cast<uint64_t>(split - first);
+    } else {
+      // The prefix descends, so the counted items are its suffix.
+      const Reversed order{&comp_};
+      const T* split = inclusive ? std::lower_bound(first, mid, y, order)
+                                 : std::upper_bound(first, mid, y, order);
+      count = static_cast<uint64_t>(mid - split);
+    }
+    if (inclusive) {
+      for (const T* it = mid; it != last; ++it) {
         if (!comp_(y, *it)) ++count;  // x <= y
       }
     } else {
-      count = static_cast<uint64_t>(
-          std::lower_bound(first, prefix_end, y, comp_) - first);
-      for (const T* it = prefix_end; it != last; ++it) {
+      for (const T* it = mid; it != last; ++it) {
         if (comp_(*it, y)) ++count;  // x < y
       }
     }
@@ -379,33 +399,36 @@ class RelativeCompactor {
   }
 
   // Restores buffer contents and schedule state; used by deserialization
-  // (core/req_serde.h) only. The sorted prefix is recomputed from the data.
+  // (core/req_serde.h) only. Items may come in any order: the sorted
+  // prefix is recomputed from the data.
   void Restore(std::vector<T> items, uint64_t state,
                uint64_t num_compactions) {
     arena_->ClearSlot(slot_);
     arena_->Reserve(slot_, items.size());
     arena_->Append(slot_, std::make_move_iterator(items.begin()),
                    std::make_move_iterator(items.end()));
-    sorted_prefix_ = static_cast<size_t>(
-        std::is_sorted_until(begin(), end(), comp_) - begin());
+    sorted_prefix_ = WithOrder([this](const auto& order) {
+      return static_cast<size_t>(
+          std::is_sorted_until(begin(), end(), order) - begin());
+    });
     state_ = state;
     num_compactions_ = num_compactions;
     ++version_;
   }
 
-  // Ensures the buffer is sorted ascending (queries that need order call
-  // this). Merge-based: only the insert tail is sorted from scratch, then
-  // merged with the already-sorted prefix -- O(u log u + B) for tail
-  // length u instead of the O(B log B) full sort.
+  // Ensures the buffer is sorted in compaction order (see header comment).
+  // Merge-based: only the insert tail is sorted from scratch, then merged
+  // with the already-sorted prefix -- O(u log u + B) for tail length u
+  // instead of the O(B log B) full sort.
   void Sort() {
     if (sorted_prefix_ == size()) return;
     T* first = begin_mutable();
     T* mid = first + sorted_prefix_;
     T* last = first + size();
-    std::sort(mid, last, comp_);
-    if (sorted_prefix_ > 0) {
-      std::inplace_merge(first, mid, last, comp_);
-    }
+    WithOrder([&](const auto& order) {
+      std::sort(mid, last, order);
+      if (mid != first) std::inplace_merge(first, mid, last, order);
+    });
     sorted_prefix_ = size();
   }
   bool sorted() const { return sorted_prefix_ == size(); }
@@ -418,25 +441,45 @@ class RelativeCompactor {
   const T* end() const { return arena_->Data(slot_) + size(); }
   T* begin_mutable() { return arena_->Data(slot_); }
 
+  // comp_ with its arguments swapped: the compaction order of HRA levels.
+  struct Reversed {
+    const Compare* comp;
+    bool operator()(const T& a, const T& b) const { return (*comp)(b, a); }
+  };
+
+  // Calls f with the comparator of compaction order: comp_ for LRA,
+  // Reversed for HRA. Dispatching once per operation keeps the comparator
+  // a static type inside sorts and searches.
+  template <typename F>
+  decltype(auto) WithOrder(F&& f) const {
+    if (accuracy_ == RankAccuracy::kLowRanks) return f(comp_);
+    return f(Reversed{&comp_});
+  }
+
   // Advances sorted_prefix_ past any newly appended items that continue the
-  // ascending order. When the prefix is stalled short of the end this
+  // compaction order. When the prefix is stalled short of the end this
   // compares one adjacent pair and stops, so it is O(1) amortized; its
   // purpose is to keep already-ordered input (sorted streams, promoted
   // runs landing in an empty or fully sorted buffer) free to sort later.
   void ExtendSortedPrefix() {
-    const T* data = begin();
-    while (sorted_prefix_ < size() &&
-           (sorted_prefix_ == 0 ||
-            !comp_(data[sorted_prefix_], data[sorted_prefix_ - 1]))) {
-      ++sorted_prefix_;
-    }
+    WithOrder([this](const auto& order) {
+      const T* data = begin();
+      while (sorted_prefix_ < size() &&
+             (sorted_prefix_ == 0 ||
+              !order(data[sorted_prefix_], data[sorted_prefix_ - 1]))) {
+        ++sorted_prefix_;
+      }
+    });
   }
 
-  // Compacts the `compact_count` items at the compactible end of the sorted
-  // buffer: removes them and appends every other one (random parity) to
-  // `*promoted`, in ascending order. LRA orientation compacts the largest
-  // items (the paper's pseudocode); HRA compacts the smallest, protecting
-  // the top of the distribution. Leaves the surviving buffer fully sorted.
+  // Compacts the `compact_count` items at the back of the sorted buffer
+  // (the most compactible: the largest in LRA orientation, the paper's
+  // pseudocode; the smallest in HRA, protecting the top of the
+  // distribution). Removes them and appends every other one to
+  // `*promoted`, in storage order. The coin picks the odd or the even
+  // ascending ranks of the range; an HRA range is stored descending and
+  // has even length, so its odd ranks sit at even offsets. Leaves the
+  // surviving buffer fully sorted.
   void CompactRange(size_t compact_count, util::Xoshiro256& rng,
                     std::vector<T>* promoted) {
     Sort();
@@ -444,24 +487,16 @@ class RelativeCompactor {
     const bool keep_odds = (coin_ == CoinMode::kDeterministic)
                                ? true
                                : rng.NextBit();
+    const bool odd_offsets =
+        keep_odds == (accuracy_ == RankAccuracy::kLowRanks);
     promoted->reserve(compact_count / 2 + 1);
     T* data = begin_mutable();
     const size_t n = size();
-    if (accuracy_ == RankAccuracy::kLowRanks) {
-      // Compact the suffix [n - compact_count, n).
-      const size_t start = n - compact_count;
-      for (size_t i = start + (keep_odds ? 1 : 0); i < n; i += 2) {
-        promoted->push_back(std::move(data[i]));
-      }
-      arena_->Truncate(slot_, start);
-    } else {
-      // Compact the prefix [0, compact_count); mirror-image of LRA so the
-      // *largest* B/2 items are never touched.
-      for (size_t i = (keep_odds ? 1 : 0); i < compact_count; i += 2) {
-        promoted->push_back(std::move(data[i]));
-      }
-      arena_->EraseFront(slot_, compact_count);
+    const size_t start = n - compact_count;
+    for (size_t i = start + (odd_offsets ? 1 : 0); i < n; i += 2) {
+      promoted->push_back(std::move(data[i]));
     }
+    arena_->Truncate(slot_, start);
     sorted_prefix_ = size();
     ++version_;
   }
@@ -481,8 +516,9 @@ class RelativeCompactor {
   uint64_t state_ = 0;
   uint64_t num_compactions_ = 0;
   uint64_t version_ = 0;
-  // Items [0, sorted_prefix_) are sorted ascending; [sorted_prefix_, end)
-  // is the unsorted insert tail. Compactions reset it to the full size.
+  // Items [0, sorted_prefix_) are sorted in compaction order;
+  // [sorted_prefix_, end) is the unsorted insert tail. Compactions reset it
+  // to the full size.
   size_t sorted_prefix_ = 0;
 };
 

@@ -11,6 +11,14 @@
 //   per level: u64 state | u64 num_compactions | u64 count | T[count]
 //   v2 only: u64 rng_state[4]
 //
+// Level items are written in storage order: sorted in compaction order
+// (ascending for LRA, descending for HRA) up to an unsorted insert tail.
+// Readers accept any order -- Restore() recomputes the sorted prefix -- so
+// HRA checkpoints written when levels were stored ascending still restore
+// (tests/req_serde_test.cc). That change of storage order kept the version
+// at 2 on purpose: the format itself is unchanged, and a bump would only
+// make older binaries reject new checkpoints.
+//
 // Version 2 (current) appends the exact Xoshiro256 state, so a restored
 // sketch continues BIT-IDENTICALLY to the original under the same future
 // updates -- the property the durability layer's checkpoint-then-replay

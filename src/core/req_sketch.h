@@ -26,11 +26,12 @@
 //
 // Storage: every level lives in ONE shared LevelArena (core/level_arena.h),
 // so the whole retained set is a single contiguous allocation -- queries,
-// merges and serde walk flat memory instead of a vector-of-vectors.
-// Update/compaction semantics are independent of the storage layout and
-// bit-identical to the per-level-vector layout this replaced. The item
-// type T must be default-constructible and copy/move-assignable (see the
-// requirements note in core/level_arena.h).
+// merges and serde walk flat memory instead of a vector-of-vectors. Each
+// level is stored in compaction order (descending for HRA; see
+// core/relative_compactor.h); schedule, coin flips, per-level multisets
+// and query answers do not depend on it. The item type T must be
+// default-constructible and copy/move-assignable (see the requirements
+// note in core/level_arena.h).
 //
 // Query engine: order-based queries go through a memoized sorted view that
 // is maintained *incrementally*: the cache keeps a sorted run per level
@@ -819,18 +820,27 @@ class ReqSketch {
                         /*b_weight=*/1, TotalWeight());
   }
 
-  // Copies level h's buffer into its cached run and sorts the copy.
-  // Adaptive: the copy inherits the buffer's sorted prefix, and the tail
-  // is segmented into natural ascending runs -- long runs (sorted source
-  // buffers concatenated by a merge) are kept and merged, only short
-  // random stretches are actually sorted. So a level made of already
-  // sorted pieces is never re-sorted from scratch.
+  // Copies level h's buffer into its cached run and sorts the copy
+  // ascending. Adaptive: the copy inherits the buffer's sorted prefix, and
+  // the tail is segmented into natural ascending runs -- long runs (sorted
+  // source buffers concatenated by a merge) are kept and merged, only
+  // short random stretches are actually sorted. So a level made of
+  // already sorted pieces is never re-sorted from scratch. An HRA level
+  // stores its prefix, and the runs promoted into its tail, descending:
+  // the copy's prefix and tail are each reversed, so both come out
+  // ascending and the prefix still leads.
   void RefreshRun(size_t h) const {
     const Level& level = levels_[h];
     std::vector<T>& run = view_cache_.runs[h];
     const ItemSpan<T> span = level.items();
     run.assign(span.begin(), span.end());
-    SortCopiedRun(&run, std::min(level.sorted_prefix(), run.size()));
+    const size_t prefix = std::min(level.sorted_prefix(), run.size());
+    if (config_.accuracy == RankAccuracy::kHighRanks) {
+      const auto mid = run.begin() + static_cast<ptrdiff_t>(prefix);
+      std::reverse(run.begin(), mid);
+      std::reverse(mid, run.end());
+    }
+    SortCopiedRun(&run, prefix);
   }
 
   void SortCopiedRun(std::vector<T>* run_ptr, size_t prefix) const {

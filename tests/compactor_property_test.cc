@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -11,10 +13,127 @@
 
 #include "core/relative_compactor.h"
 #include "core/req_common.h"
+#include "util/bits.h"
 #include "util/random.h"
 
 namespace req {
 namespace {
+
+// The compaction algorithm of the layout that stored every level ascending
+// under the comparator: sort the whole buffer, compact the top of it (LRA)
+// or the bottom (HRA), promote the odd or even ranks of that range, erase
+// the range. Same schedule and coin as RelativeCompactor, which stores HRA
+// levels descending instead.
+template <typename Compare>
+class ReferenceCompactor {
+ public:
+  ReferenceCompactor(uint32_t k, uint32_t sections, RankAccuracy acc,
+                     SchedulePolicy sched, CoinMode coin, Compare comp)
+      : k_(k),
+        sections_(sections),
+        acc_(acc),
+        sched_(sched),
+        coin_(coin),
+        comp_(comp) {}
+
+  const std::vector<double>& items() const { return items_; }
+  uint64_t state() const { return state_; }
+  bool IsFull() const { return items_.size() >= capacity(); }
+  void Insert(double x) { items_.push_back(x); }
+  void InsertAll(const std::vector<double>& xs) {
+    items_.insert(items_.end(), xs.begin(), xs.end());
+  }
+
+  std::vector<double> Compact(util::Xoshiro256& rng) {
+    uint32_t involved = 1;
+    if (sched_ == SchedulePolicy::kExponential) {
+      involved = static_cast<uint32_t>(util::TrailingOnes(state_)) + 1;
+    } else if (sched_ == SchedulePolicy::kUniform) {
+      involved = sections_;
+    }
+    const size_t width = std::min(involved, sections_) * k_;
+    const size_t extras =
+        items_.size() > capacity() ? items_.size() - capacity() : 0;
+    const size_t count = std::min(items_.size(), width + extras) & ~size_t{1};
+    std::vector<double> promoted;
+    if (count < 2) return promoted;
+    std::sort(items_.begin(), items_.end(), comp_);
+    const bool keep_odds = coin_ == CoinMode::kDeterministic || rng.NextBit();
+    const size_t start =
+        acc_ == RankAccuracy::kLowRanks ? items_.size() - count : 0;
+    for (size_t i = start + (keep_odds ? 1 : 0); i < start + count; i += 2) {
+      promoted.push_back(items_[i]);
+    }
+    items_.erase(items_.begin() + static_cast<ptrdiff_t>(start),
+                 items_.begin() + static_cast<ptrdiff_t>(start + count));
+    ++state_;
+    return promoted;
+  }
+
+ private:
+  size_t capacity() const { return params::Capacity(k_, sections_); }
+
+  uint32_t k_;
+  uint32_t sections_;
+  RankAccuracy acc_;
+  SchedulePolicy sched_;
+  CoinMode coin_;
+  Compare comp_;
+  uint64_t state_ = 0;
+  std::vector<double> items_;
+};
+
+template <typename Range, typename Compare>
+std::vector<double> SortedCopy(const Range& range, const Compare& comp) {
+  std::vector<double> out(range.begin(), range.end());
+  std::sort(out.begin(), out.end(), comp);
+  return out;
+}
+
+// Runs a two-level cascade of RelativeCompactors in lockstep with the
+// reference on a duplicate-rich integer-valued stream (level 1 also sees
+// promoted runs arriving through InsertAll). After every compaction the
+// promoted and surviving multisets, state() and num_compactions() match.
+template <typename Compare>
+void RunLockstep(uint32_t k, uint32_t sections, RankAccuracy acc,
+                 SchedulePolicy sched, CoinMode coin, uint64_t seed,
+                 Compare comp = Compare()) {
+  std::vector<RelativeCompactor<double, Compare>> levels;
+  std::vector<ReferenceCompactor<Compare>> refs;
+  for (int h = 0; h < 2; ++h) {
+    levels.emplace_back(k, sections, acc, sched, coin, comp);
+    refs.emplace_back(k, sections, acc, sched, coin, comp);
+  }
+  util::Xoshiro256 rng(seed);
+  util::Xoshiro256 ref_rng(seed);
+  util::Xoshiro256 input(seed + 1);
+  // About three copies of each value per level-0 fill.
+  const uint64_t distinct = params::Capacity(k, sections) / 3 + 1;
+  std::vector<double> promoted;
+  int compactions = 0;
+  while (compactions < 300) {
+    const double x = static_cast<double>(input.Next() % distinct);
+    levels[0].Insert(x);
+    refs[0].Insert(x);
+    for (size_t h = 0; h < levels.size() && levels[h].IsFull(); ++h) {
+      ASSERT_TRUE(refs[h].IsFull());
+      levels[h].Compact(rng, &promoted);
+      const std::vector<double> ref_promoted = refs[h].Compact(ref_rng);
+      ++compactions;
+      ASSERT_EQ(SortedCopy(promoted, comp), SortedCopy(ref_promoted, comp))
+          << "level " << h << ", compaction " << compactions;
+      ASSERT_EQ(SortedCopy(levels[h].items(), comp),
+                SortedCopy(refs[h].items(), comp))
+          << "level " << h << ", compaction " << compactions;
+      ASSERT_EQ(levels[h].state(), refs[h].state());
+      ASSERT_EQ(levels[h].num_compactions(), refs[h].state());
+      if (h + 1 < levels.size()) {
+        refs[h + 1].InsertAll(ref_promoted);
+        levels[h + 1].InsertAll(std::move(promoted));
+      }
+    }
+  }
+}
 
 using CompactorParam =
     std::tuple<uint32_t /*k*/, uint32_t /*sections*/, RankAccuracy,
@@ -115,6 +234,11 @@ TEST_P(CompactorSweep, StateAdvancesByOnePerCompaction) {
   }
 }
 
+TEST_P(CompactorSweep, MatchesAscendingReference) {
+  const auto& [k, sections, acc, sched, coin] = GetParam();
+  RunLockstep<std::less<double>>(k, sections, acc, sched, coin, 7);
+}
+
 std::string CompactorParamName(
     const ::testing::TestParamInfo<CompactorParam>& info) {
   const auto& [k, sections, acc, sched, coin] = info.param;
@@ -140,6 +264,19 @@ INSTANTIATE_TEST_SUITE_P(
                           SchedulePolicy::kSingleSection),
         ::testing::Values(CoinMode::kRandom, CoinMode::kDeterministic)),
     CompactorParamName);
+
+// Under std::greater "ascending" runs from large to small, so LRA compacts
+// the smallest values and HRA the largest; the equivalence holds all the
+// same.
+TEST(CompactorReferenceTest, ReversedComparatorMatchesAscendingReference) {
+  for (RankAccuracy acc :
+       {RankAccuracy::kLowRanks, RankAccuracy::kHighRanks}) {
+    for (CoinMode coin : {CoinMode::kRandom, CoinMode::kDeterministic}) {
+      const SchedulePolicy sched = SchedulePolicy::kExponential;
+      RunLockstep<std::greater<double>>(4, 3, acc, sched, coin, 11);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace req

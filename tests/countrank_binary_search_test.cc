@@ -34,6 +34,16 @@ uint64_t BruteForceCountRank(ItemSpan<T> items, const T& y,
   return count;
 }
 
+// Levels keep their sorted prefix in compaction order: ascending under the
+// comparator for LRA, descending for HRA.
+template <typename Compare = std::less<double>>
+bool InCompactionOrder(const double* first, const double* last,
+                       RankAccuracy acc, const Compare& comp = Compare()) {
+  if (acc == RankAccuracy::kLowRanks) return std::is_sorted(first, last, comp);
+  return std::is_sorted(first, last,
+                        [&comp](double a, double b) { return comp(b, a); });
+}
+
 template <typename Compare>
 void CheckAllProbes(const RelativeCompactor<double, Compare>& c,
                     const std::vector<double>& probes, const Compare& comp) {
@@ -73,7 +83,8 @@ void RunRandomizedCheck(RankAccuracy acc, uint64_t seed,
       CheckAllProbes(c, probes, comp);
       c.Compact(rng);
       // ...and the fully sorted survivor buffer right after.
-      ASSERT_TRUE(std::is_sorted(c.items().begin(), c.items().end(), comp));
+      ASSERT_TRUE(
+          InCompactionOrder(c.items().begin(), c.items().end(), acc, comp));
       ASSERT_EQ(c.sorted_prefix(), c.size());
     }
     CheckAllProbes(c, probes, comp);
@@ -95,44 +106,54 @@ TEST(CountRankBinarySearchTest, MatchesBruteForceReversedComparator) {
                                            std::greater<double>());
 }
 
-// The sorted-prefix invariant itself: the prefix range is always sorted,
-// and appending an ascending run to a sorted buffer extends the prefix
-// (keeping sorted streams cheap) while a disordered append freezes it.
+// The sorted-prefix invariant itself: the prefix range is always sorted in
+// compaction order, and appending a run that continues that order to a
+// sorted buffer extends the prefix (keeping sorted streams cheap) while a
+// disordered append freezes it. Negating the values turns the LRA case
+// into the HRA one.
 TEST(CountRankBinarySearchTest, SortedPrefixInvariant) {
-  RelativeCompactor<double> c(4, 4, RankAccuracy::kHighRanks,
-                              SchedulePolicy::kExponential,
-                              CoinMode::kRandom);
-  for (double v : {1.0, 2.0, 3.0}) c.Insert(v);
-  EXPECT_EQ(c.sorted_prefix(), 3u);  // ascending inserts extend the prefix
-  c.Insert(0.5);                     // out of order: prefix freezes
-  EXPECT_EQ(c.sorted_prefix(), 3u);
-  c.Insert(7.0);  // still frozen: the tail is unsorted territory
-  EXPECT_EQ(c.sorted_prefix(), 3u);
-  const auto& items = c.items();
-  EXPECT_TRUE(std::is_sorted(items.begin(),
-                             items.begin() + static_cast<ptrdiff_t>(
-                                 c.sorted_prefix())));
-  c.Sort();
-  EXPECT_EQ(c.sorted_prefix(), c.size());
-  EXPECT_TRUE(std::is_sorted(items.begin(), items.end()));
-  EXPECT_EQ(c.CountRank(3.0, Criterion::kInclusive), 4u);
-  EXPECT_EQ(c.CountRank(3.0, Criterion::kExclusive), 3u);
+  for (RankAccuracy acc :
+       {RankAccuracy::kLowRanks, RankAccuracy::kHighRanks}) {
+    const double s = acc == RankAccuracy::kLowRanks ? 1.0 : -1.0;
+    RelativeCompactor<double> c(4, 4, acc, SchedulePolicy::kExponential,
+                                CoinMode::kRandom);
+    for (double v : {1.0, 2.0, 3.0}) c.Insert(s * v);
+    EXPECT_EQ(c.sorted_prefix(), 3u);  // in-order inserts extend the prefix
+    c.Insert(s * 0.5);                 // out of order: prefix freezes
+    EXPECT_EQ(c.sorted_prefix(), 3u);
+    c.Insert(s * 7.0);  // still frozen: the tail is unsorted territory
+    EXPECT_EQ(c.sorted_prefix(), 3u);
+    const auto& items = c.items();
+    EXPECT_TRUE(InCompactionOrder(items.begin(),
+                                  items.begin() + c.sorted_prefix(), acc));
+    c.Sort();
+    EXPECT_EQ(c.sorted_prefix(), c.size());
+    EXPECT_TRUE(InCompactionOrder(items.begin(), items.end(), acc));
+    // LRA holds {0.5, 1, 2, 3, 7}; HRA holds {-7, -3, -2, -1, -0.5}.
+    EXPECT_EQ(c.CountRank(s * 3.0, Criterion::kInclusive), s > 0 ? 4u : 2u);
+    EXPECT_EQ(c.CountRank(s * 3.0, Criterion::kExclusive), s > 0 ? 3u : 1u);
+  }
 }
 
-// Restore (deserialization) recomputes the prefix from the data: a fully
-// sorted payload is recognized as such, a partially sorted one keeps only
-// the leading run.
+// Restore (deserialization) recomputes the prefix from the data: a payload
+// fully sorted in compaction order is recognized as such, any other keeps
+// only its leading run -- including an HRA payload stored ascending, which
+// still restores and answers exactly.
 TEST(CountRankBinarySearchTest, RestoreRecomputesPrefix) {
   RelativeCompactor<double> c(4, 4, RankAccuracy::kHighRanks,
                               SchedulePolicy::kExponential,
                               CoinMode::kRandom);
-  c.Restore({1.0, 2.0, 3.0, 4.0}, 0, 0);
+  c.Restore({4.0, 3.0, 2.0, 1.0}, 0, 0);
   EXPECT_EQ(c.sorted_prefix(), 4u);
   EXPECT_TRUE(c.sorted());
-  c.Restore({3.0, 1.0, 2.0}, 5, 2);
+  c.Restore({1.0, 3.0, 2.0}, 5, 2);
   EXPECT_EQ(c.sorted_prefix(), 1u);
   EXPECT_FALSE(c.sorted());
   EXPECT_EQ(c.CountRank(2.0, Criterion::kInclusive), 2u);
+  c.Restore({1.0, 2.0, 3.0, 4.0}, 5, 2);
+  EXPECT_EQ(c.sorted_prefix(), 1u);
+  EXPECT_EQ(c.CountRank(2.5, Criterion::kInclusive), 2u);
+  EXPECT_EQ(c.CountRank(3.0, Criterion::kExclusive), 2u);
 }
 
 }  // namespace

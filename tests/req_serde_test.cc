@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <vector>
 
 #include "core/req_common.h"
@@ -19,6 +22,31 @@ ReqConfig MakeConfig(uint32_t k_base = 16, uint64_t seed = 7) {
   config.k_base = k_base;
   config.seed = seed;
   return config;
+}
+
+std::vector<double> SortedItems(const ReqSketch<double>& sketch, size_t h) {
+  const ItemSpan<double> items = sketch.levels()[h].items();
+  std::vector<double> out(items.begin(), items.end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Same schedule state and same multiset on every level, in any order.
+void ExpectSameLevels(const ReqSketch<double>& a, const ReqSketch<double>& b) {
+  ASSERT_EQ(a.num_levels(), b.num_levels());
+  for (size_t h = 0; h < a.num_levels(); ++h) {
+    EXPECT_EQ(a.levels()[h].state(), b.levels()[h].state());
+    EXPECT_EQ(a.levels()[h].num_compactions(), b.levels()[h].num_compactions());
+    EXPECT_EQ(SortedItems(a, h), SortedItems(b, h)) << "level " << h;
+  }
+}
+
+void ExpectSameAnswers(const ReqSketch<double>& a, const ReqSketch<double>& b) {
+  const std::vector<double> qs = {0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999};
+  EXPECT_EQ(a.GetQuantiles(qs), b.GetQuantiles(qs));
+  const std::vector<double> splits = {0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0};
+  EXPECT_EQ(a.GetRanks(splits), b.GetRanks(splits));
+  EXPECT_EQ(a.GetCDF(splits), b.GetCDF(splits));
 }
 
 TEST(ReqSerdeTest, EmptySketchRoundTrip) {
@@ -119,6 +147,38 @@ TEST(ReqSerdeTest, LegacyVersion1StillAccepted) {
   }
   restored.Update(1.0);  // remains usable
   EXPECT_EQ(restored.n(), sketch.n() + 1);
+}
+
+TEST(ReqSerdeTest, AscendingHraCheckpointRestores) {
+  // A v2 checkpoint written when HRA levels were stored ascending (they
+  // are now stored descending, in compaction order). It holds a k_base=16
+  // HRA sketch, seed 2024, after per-item updates of
+  // GenerateLognormal(5000, 31); its level 0 ends in an unsorted insert
+  // tail. The format is unchanged, so it restores as-is, with the same
+  // multisets a sketch built today from the same stream holds.
+  std::ifstream in(REQSKETCH_TEST_DATA_DIR "/hra_k16_ascending_v2.bin",
+                   std::ios::binary);
+  const std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
+                                   std::istreambuf_iterator<char>());
+  ASSERT_GT(bytes.size(), 5u);
+  ASSERT_EQ(bytes[4], 2);  // version byte follows the u32 magic
+  ReqSketch<double> restored = DeserializeSketch<double>(bytes);
+  ReqSketch<double> rebuilt(MakeConfig(16, 2024));
+  for (double v : workload::GenerateLognormal(5000, 31)) rebuilt.Update(v);
+
+  ExpectSameLevels(restored, rebuilt);
+  // Same length, different bytes: only the storage order moved.
+  const std::vector<uint8_t> rebuilt_bytes = SerializeSketch(rebuilt);
+  EXPECT_EQ(rebuilt_bytes.size(), bytes.size());
+  EXPECT_NE(rebuilt_bytes, bytes);
+  ExpectSameAnswers(restored, rebuilt);
+
+  // Restored PRNG state + equal multisets: both keep compacting alike.
+  const std::vector<double> more = workload::GenerateLognormal(100000, 32);
+  restored.Update(more);
+  rebuilt.Update(more);
+  ExpectSameLevels(restored, rebuilt);
+  ExpectSameAnswers(restored, rebuilt);
 }
 
 TEST(ReqSerdeTest, MergeAfterDeserialize) {
