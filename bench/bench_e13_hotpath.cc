@@ -6,7 +6,12 @@
 //     batch Update(const T*, size_t) API -- detected at compile time so
 //     this same file builds against pre-batch revisions of the sketch),
 //   * GetRank latency (ns/query),
-//   * sorted-view build time after an invalidating update (us/build).
+//   * sorted-view build time after an invalidating update (us/build),
+//   * the compaction kernel's two layers, on tails of 2*k(N) lognormal
+//     items at the bound N a 2^20-item stream reaches (ns per tail item):
+//     tail_sort, the tail sort of RelativeCompactor::Sort, and
+//     tail_merge, the std::inplace_merge of that sorted tail into the
+//     sorted prefix of a level-0 buffer, filling it to its capacity B.
 //
 // Results go to stdout as a table and to a JSON report (default
 // BENCH_e13_hotpath.json). Passing --baseline <file> embeds a previously
@@ -22,17 +27,21 @@
 // baseline.
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/relative_compactor.h"
 #include "core/req_sketch.h"
+#include "util/random.h"
 #include "workload/distributions.h"
 
 namespace {
@@ -150,6 +159,114 @@ double SortedViewBuildUs(uint32_t k, const std::vector<double>& values,
   return best;
 }
 
+// Level geometry at the bound N that a stream of n items grows the sketch
+// to (N squares from its initial value): the kernel-layer rows time tails
+// of 2*k(N) items, the mean compaction width, in levels of capacity B.
+struct TailGeometry {
+  uint32_t section;   // k(N)
+  uint32_t sections;  // B = 2 * section * sections
+  size_t tail;
+  size_t capacity;
+};
+
+TailGeometry GeometryAt(uint32_t k_base, uint64_t n) {
+  uint64_t bound = req::params::InitialN(k_base);
+  while (bound < n) bound *= bound;
+  const uint32_t section = req::params::SectionSize(k_base, bound);
+  const uint32_t sections = req::params::NumSections(section, bound);
+  return {section, sections, 2 * size_t{section},
+          req::params::Capacity(section, sections)};
+}
+
+// HRA compaction order, in which the sketch's levels are stored.
+using HraOrder = std::greater<double>;
+constexpr size_t kKernelItems = size_t{1} << 16;  // per timed round
+constexpr int kKernelRounds = 16;
+
+// About kKernelItems items of the stream (cycled if shorter), cut to a
+// whole number of `unit`-item slices.
+std::vector<double> KernelSlices(const std::vector<double>& values,
+                                 size_t unit) {
+  std::vector<double> out(std::max<size_t>(1, kKernelItems / unit) * unit);
+  for (size_t i = 0; i < out.size(); ++i) out[i] = values[i % values.size()];
+  return out;
+}
+
+// ns per item of sorting consecutive `tail`-item slices of the stream.
+double TailSortNs(const TailGeometry& g, const std::vector<double>& values,
+                  int reps) {
+  const std::vector<double> source = KernelSlices(values, g.tail);
+  const size_t tails = source.size() / g.tail;
+  std::vector<double> work;
+  std::vector<double> scratch;
+  double best = 1e18;
+  for (int r = 0; r < reps; ++r) {
+    double total = 0.0;
+    for (int round = 0; round < kKernelRounds; ++round) {
+      work = source;
+      const auto start = Clock::now();
+      for (size_t t = 0; t < tails; ++t) {
+        double* first = work.data() + t * g.tail;
+        req::detail::SortTail(first, first + g.tail, HraOrder(), &scratch);
+      }
+      total += SecondsSince(start);
+      g_sink += static_cast<uint64_t>(work[0]);
+    }
+    const double items = static_cast<double>(kKernelRounds * source.size());
+    best = std::min(best, total * 1e9 / items);
+  }
+  return best;
+}
+
+// ns per tail item of std::inplace_merge joining a sorted tail to the
+// sorted prefix of a level of capacity B. The prefixes are those of a real
+// level 0: a standalone HRA compactor of this geometry ingests the whole
+// stream, then each further compaction leaves survivors whose top
+// B - tail items make a prefix, and the next `tail` stream items its tail.
+double TailMergeNs(const TailGeometry& g, const std::vector<double>& values,
+                   int reps) {
+  const size_t prefix = g.capacity - g.tail;
+  const size_t levels = std::max<size_t>(1, kKernelItems / g.capacity);
+  req::RelativeCompactor<double> level(
+      g.section, g.sections, req::RankAccuracy::kHighRanks,
+      req::SchedulePolicy::kExponential, req::CoinMode::kRandom);
+  req::util::Xoshiro256 rng(13);
+  std::vector<double> promoted;
+  std::vector<double> source;
+  size_t fed = 0;
+  const auto next = [&] { return values[fed++ % values.size()]; };
+  while (source.size() < levels * g.capacity) {
+    level.Insert(next());
+    if (!level.IsFull()) continue;
+    level.Compact(rng, &promoted);
+    if (fed < values.size() || level.size() < prefix) continue;
+    const req::ItemSpan<double> survivors = level.items();
+    source.insert(source.end(), survivors.begin(), survivors.begin() + prefix);
+    for (size_t i = 0; i < g.tail; ++i) source.push_back(next());
+    std::sort(source.end() - static_cast<ptrdiff_t>(g.tail), source.end(),
+              HraOrder());
+  }
+  std::vector<double> work;
+  double best = 1e18;
+  for (int r = 0; r < reps; ++r) {
+    double total = 0.0;
+    for (int round = 0; round < kKernelRounds; ++round) {
+      work = source;
+      const auto start = Clock::now();
+      for (size_t l = 0; l < levels; ++l) {
+        const auto first = work.begin() + l * g.capacity;
+        std::inplace_merge(first, first + prefix, first + g.capacity,
+                           HraOrder());
+      }
+      total += SecondsSince(start);
+      g_sink += static_cast<uint64_t>(work[0]);
+    }
+    const double items = static_cast<double>(kKernelRounds * levels * g.tail);
+    best = std::min(best, total * 1e9 / items);
+  }
+  return best;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -192,6 +309,14 @@ int main(int argc, char** argv) {
     results.push_back({"sorted_view_build", k, view_us, "us/build"});
     std::printf("%6u %22s %14.1f %10s\n", k, "sorted_view_build", view_us,
                 "us/build");
+    const TailGeometry geometry = GeometryAt(k, uint64_t{1} << 20);
+    const double sort_ns = TailSortNs(geometry, values, kReps);
+    results.push_back({"tail_sort", k, sort_ns, "ns/item"});
+    std::printf("%6u %22s %14.2f %10s\n", k, "tail_sort", sort_ns, "ns/item");
+    const double merge_ns = TailMergeNs(geometry, values, kReps);
+    results.push_back({"tail_merge", k, merge_ns, "ns/item"});
+    std::printf("%6u %22s %14.2f %10s\n", k, "tail_merge", merge_ns,
+                "ns/item");
   }
 
   req::bench::JsonWriter json;

@@ -33,6 +33,25 @@
 // (O(u log u + B) for tail length u instead of O(B log B)), and CountRank
 // binary-searches the prefix and linearly scans only the tail.
 //
+// The tail sort (detail::SortTail, below) is the ingest kernel's hottest
+// loop: every item passes through a level-0 tail, typically 24-96 random
+// items. A branch-free count of the tail's descents picks one of two
+// methods. A tail that is a few long ascending runs -- the promoted runs
+// that make up an upper level's tail -- is merged run pair by run pair,
+// bottom up. Anything else is cut into 8-item blocks, each sorted by a
+// 19-comparator network of branch-free compare-exchanges, and the blocks
+// are merged pairwise bottom up; each merge runs two branch-free chains at
+// once, one from each end. The network is spelled out because the items
+// then stay in registers: on random doubles (GCC 12.2 -O3, Xeon), a loop
+// over a pair table took 7.6 ns/item against 4.6, and the usual
+// `swap ? b : a` compare-exchange, which GCC turns into a branch, 13. The
+// sorted tail joins the prefix through std::inplace_merge, whose temporary
+// buffer costs one allocation per compaction: a branchy backward merge
+// into sketch-owned scratch and a merge fused with the promotion both
+// measured no faster at k_base = 16 and slower at 64 and 256. ReqSketch's
+// sorted-view builder sorts its copy of each level with the same routine
+// (detail::SortPrefixSortedRun).
+//
 // Both orientations share one compaction path: promote every other item of
 // the sorted suffix, then truncate. HRA is not a mirror image of LRA (no
 // compaction at the front, no slide of the survivors), and because the
@@ -60,10 +79,12 @@
 #define REQSKETCH_CORE_RELATIVE_COMPACTOR_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -74,6 +95,180 @@
 #include "util/validation.h"
 
 namespace req {
+
+namespace detail {
+
+// Items the tail sort's sorting network handles at once.
+inline constexpr size_t kTailBlock = 8;
+
+// Puts (a, b) in order. Items that are cheap to copy are selected by
+// indexing a two-item copy with the comparison's result, which GCC keeps
+// branch-free (a pair of `swap ? b : a` selects becomes a branch, and on
+// random input a network's comparisons are coin flips); others swap.
+template <typename T, typename Order>
+inline void CompareExchange(T& a, T& b, const Order& order) {
+  if constexpr (std::is_trivially_copyable_v<T>) {
+    const T pair[2] = {a, b};
+    const bool swap = order(b, a);
+    a = pair[swap];
+    b = pair[!swap];
+  } else {
+    if (order(b, a)) std::swap(a, b);
+  }
+}
+
+// Sorts x[0, 8) with an optimal 19-comparator network of depth 6. Spelled
+// out rather than looped over a pair table: with constant indices the
+// eight items stay in registers.
+template <typename T, typename Order>
+inline void SortBlock8(T* x, const Order& order) {
+  T v0 = std::move(x[0]);
+  T v1 = std::move(x[1]);
+  T v2 = std::move(x[2]);
+  T v3 = std::move(x[3]);
+  T v4 = std::move(x[4]);
+  T v5 = std::move(x[5]);
+  T v6 = std::move(x[6]);
+  T v7 = std::move(x[7]);
+  CompareExchange(v0, v2, order);
+  CompareExchange(v1, v3, order);
+  CompareExchange(v4, v6, order);
+  CompareExchange(v5, v7, order);
+  CompareExchange(v0, v4, order);
+  CompareExchange(v1, v5, order);
+  CompareExchange(v2, v6, order);
+  CompareExchange(v3, v7, order);
+  CompareExchange(v0, v1, order);
+  CompareExchange(v2, v3, order);
+  CompareExchange(v4, v5, order);
+  CompareExchange(v6, v7, order);
+  CompareExchange(v2, v4, order);
+  CompareExchange(v3, v5, order);
+  CompareExchange(v1, v4, order);
+  CompareExchange(v3, v6, order);
+  CompareExchange(v1, v2, order);
+  CompareExchange(v3, v4, order);
+  CompareExchange(v5, v6, order);
+  x[0] = std::move(v0);
+  x[1] = std::move(v1);
+  x[2] = std::move(v2);
+  x[3] = std::move(v3);
+  x[4] = std::move(v4);
+  x[5] = std::move(v5);
+  x[6] = std::move(v6);
+  x[7] = std::move(v7);
+}
+
+// Stable merge of the sorted runs a[0, na) and b[0, nb) into out. Two
+// independent branch-free chains run at once, one emitting the smallest
+// items from the front and one the largest from the back; min(na, nb)
+// steps of each can run neither off its runs, and a bounded merge places
+// what is left between them. The inputs are copied, never moved from:
+// each chain may still compare an item the other has already taken.
+template <typename T, typename Order>
+void MergeRuns(const T* a, size_t na, const T* b, size_t nb, T* out,
+               const Order& order) {
+  size_t i = 0, j = 0, lo = 0;            // front chain
+  size_t ie = na, je = nb, hi = na + nb;  // back chain (one past)
+  for (size_t steps = std::min(na, nb); steps > 0; --steps) {
+    const bool front_b = order(b[j], a[i]);
+    out[lo++] = *(front_b ? b + j : a + i);
+    j += front_b;
+    i += !front_b;
+    const bool back_a = order(b[je - 1], a[ie - 1]);
+    out[--hi] = *(back_a ? a + ie - 1 : b + je - 1);
+    ie -= back_a;
+    je -= !back_a;
+  }
+  while (i < ie && j < je) {
+    const bool take_b = order(b[j], a[i]);
+    out[lo++] = *(take_b ? b + j : a + i);
+    j += take_b;
+    i += !take_b;
+  }
+  while (i < ie) out[lo++] = a[i++];
+  while (j < je) out[lo++] = b[j++];
+}
+
+// End of the ascending run of src[0, n) that starts at `start`.
+template <typename T, typename Order>
+size_t RunEnd(const T* src, size_t start, size_t n, const Order& order) {
+  if (start == n) return n;
+  size_t end = start + 1;
+  while (end < n && !order(src[end], src[end - 1])) ++end;
+  return end;
+}
+
+// Sorts [first, last) under `order`, growing `scratch` to last - first
+// items if it must merge (its contents are overwritten). A branch-free
+// count of descents picks the method:
+//   * input that is already a few long ascending runs -- the promoted
+//     runs that make up an upper level's tail -- is merged run pair by
+//     run pair, bottom up, in O(n log runs);
+//   * anything else is cut into 8-item blocks, each sorted by the
+//     network, which are then merged pairwise bottom up.
+template <typename T, typename Order>
+void SortTail(T* first, T* last, const Order& order,
+              std::vector<T>* scratch) {
+  const size_t n = static_cast<size_t>(last - first);
+  if (n < 2) return;
+  size_t descents = 0;
+  for (size_t i = 1; i < n; ++i) descents += order(first[i], first[i - 1]);
+  if (descents == 0) return;
+  if (n < kTailBlock) {
+    std::sort(first, last, order);  // an insertion sort at this size
+    return;
+  }
+  const bool natural_runs = (descents + 1) * kTailBlock <= n;
+  if (!natural_runs) {
+    size_t b = 0;
+    for (; b + kTailBlock <= n; b += kTailBlock) SortBlock8(first + b, order);
+    std::sort(first + b, last, order);
+    if (n == kTailBlock) return;
+  }
+  if (scratch->size() < n) scratch->resize(n);
+  T* src = first;
+  T* dst = scratch->data();
+  if (natural_runs) {
+    // Each pass scans the runs of the current source and merges them in
+    // pairs; it ends when one run is left.
+    size_t runs;
+    do {
+      runs = 0;
+      for (size_t start = 0; start < n; ++runs) {
+        const size_t mid = RunEnd(src, start, n, order);
+        const size_t end = RunEnd(src, mid, n, order);
+        MergeRuns(src + start, mid - start, src + mid, end - mid, dst + start,
+                  order);
+        start = end;
+      }
+      std::swap(src, dst);
+    } while (runs > 1);
+  } else {
+    for (size_t width = kTailBlock; width < n; width *= 2) {
+      for (size_t start = 0; start < n; start += 2 * width) {
+        const size_t mid = std::min(start + width, n);
+        const size_t end = std::min(mid + width, n);
+        MergeRuns(src + start, mid - start, src + mid, end - mid, dst + start,
+                  order);
+      }
+      std::swap(src, dst);
+    }
+  }
+  if (src != first) std::move(src, src + n, first);
+}
+
+// Sorts a run whose prefix [first, mid) is already sorted: SortTail on
+// [mid, last), then std::inplace_merge of the two parts. The compactor's
+// Sort() and the sorted-view builder's per-level runs both go through it.
+template <typename T, typename Order>
+void SortPrefixSortedRun(T* first, T* mid, T* last, const Order& order,
+                         std::vector<T>* scratch) {
+  SortTail(mid, last, order, scratch);
+  std::inplace_merge(first, mid, last, order);
+}
+
+}  // namespace detail
 
 template <typename T, typename Compare = std::less<T>>
 class RelativeCompactor {
@@ -419,17 +614,20 @@ class RelativeCompactor {
   // Ensures the buffer is sorted in compaction order (see header comment).
   // Merge-based: only the insert tail is sorted from scratch, then merged
   // with the already-sorted prefix -- O(u log u + B) for tail length u
-  // instead of the O(B log B) full sort.
-  void Sort() {
+  // instead of the O(B log B) full sort. `scratch` is merge space for the
+  // tail sort; its contents are overwritten.
+  void Sort(std::vector<T>* scratch) {
     if (sorted_prefix_ == size()) return;
     T* first = begin_mutable();
-    T* mid = first + sorted_prefix_;
-    T* last = first + size();
     WithOrder([&](const auto& order) {
-      std::sort(mid, last, order);
-      if (mid != first) std::inplace_merge(first, mid, last, order);
+      detail::SortPrefixSortedRun(first, first + sorted_prefix_,
+                                  first + size(), order, scratch);
     });
     sorted_prefix_ = size();
+  }
+  void Sort() {
+    std::vector<T> scratch;
+    Sort(&scratch);
   }
   bool sorted() const { return sorted_prefix_ == size(); }
   // Length of the sorted prefix (exposed for tests, diagnostics, and the
@@ -479,10 +677,12 @@ class RelativeCompactor {
   // `*promoted`, in storage order. The coin picks the odd or the even
   // ascending ranks of the range; an HRA range is stored descending and
   // has even length, so its odd ranks sit at even offsets. Leaves the
-  // surviving buffer fully sorted.
+  // surviving buffer fully sorted. `*promoted` doubles as the sort's
+  // scratch, since it is only filled after the sort.
   void CompactRange(size_t compact_count, util::Xoshiro256& rng,
                     std::vector<T>* promoted) {
-    Sort();
+    Sort(promoted);
+    promoted->clear();
     compact_count = std::min(compact_count, size());
     const bool keep_odds = (coin_ == CoinMode::kDeterministic)
                                ? true

@@ -821,63 +821,30 @@ class ReqSketch {
   }
 
   // Copies level h's buffer into its cached run and sorts the copy
-  // ascending. Adaptive: the copy inherits the buffer's sorted prefix, and
-  // the tail is segmented into natural ascending runs -- long runs (sorted
-  // source buffers concatenated by a merge) are kept and merged, only
-  // short random stretches are actually sorted. So a level made of
-  // already sorted pieces is never re-sorted from scratch. An HRA level
-  // stores its prefix, and the runs promoted into its tail, descending:
-  // the copy's prefix and tail are each reversed, so both come out
-  // ascending and the prefix still leads.
+  // ascending with the compactor's own tail sort: the copy inherits the
+  // buffer's sorted prefix, only the tail is sorted (long runs in it --
+  // promoted runs, or sorted source buffers concatenated by a merge -- are
+  // merged, not re-sorted), and the result joins the prefix in one merge.
+  // The sort's scratch is temporary, like the merge's: the cache's own
+  // merge scratch stays empty in a sketch with fewer than three levels,
+  // and growing it for the sort would add memory to every small metric.
+  // An HRA level stores its prefix, and the runs promoted into its tail,
+  // descending: the copy's prefix and tail are each reversed, so both come
+  // out ascending and the prefix still leads.
   void RefreshRun(size_t h) const {
     const Level& level = levels_[h];
     std::vector<T>& run = view_cache_.runs[h];
     const ItemSpan<T> span = level.items();
     run.assign(span.begin(), span.end());
-    const size_t prefix = std::min(level.sorted_prefix(), run.size());
+    T* first = run.data();
+    T* mid = first + std::min(level.sorted_prefix(), run.size());
+    T* last = first + run.size();
     if (config_.accuracy == RankAccuracy::kHighRanks) {
-      const auto mid = run.begin() + static_cast<ptrdiff_t>(prefix);
-      std::reverse(run.begin(), mid);
-      std::reverse(mid, run.end());
+      std::reverse(first, mid);
+      std::reverse(mid, last);
     }
-    SortCopiedRun(&run, prefix);
-  }
-
-  void SortCopiedRun(std::vector<T>* run_ptr, size_t prefix) const {
-    std::vector<T>& run = *run_ptr;
-    const size_t n = run.size();
-    if (prefix >= n) return;
-    constexpr size_t kMinRun = 32;
-    // Contiguous sorted segments [start, end), built left to right.
-    std::vector<std::pair<size_t, size_t>> segs;
-    if (prefix > 0) segs.emplace_back(0, prefix);
-    size_t start = prefix;
-    while (start < n) {
-      size_t end = start + 1;
-      while (end < n && !comp_(run[end], run[end - 1])) ++end;
-      if (end - start < kMinRun) {
-        // Coalesce short natural runs into one block and sort it.
-        end = std::min(n, std::max(end, start + kMinRun));
-        std::sort(run.begin() + static_cast<ptrdiff_t>(start),
-                  run.begin() + static_cast<ptrdiff_t>(end), comp_);
-      }
-      segs.emplace_back(start, end);
-      start = end;
-    }
-    // Bottom-up pairwise merging of adjacent segments.
-    while (segs.size() > 1) {
-      size_t out = 0;
-      for (size_t i = 0; i + 1 < segs.size(); i += 2) {
-        std::inplace_merge(
-            run.begin() + static_cast<ptrdiff_t>(segs[i].first),
-            run.begin() + static_cast<ptrdiff_t>(segs[i].second),
-            run.begin() + static_cast<ptrdiff_t>(segs[i + 1].second),
-            comp_);
-        segs[out++] = {segs[i].first, segs[i + 1].second};
-      }
-      if (segs.size() % 2 != 0) segs[out++] = segs.back();
-      segs.resize(out);
-    }
+    std::vector<T> scratch;
+    detail::SortPrefixSortedRun(first, mid, last, comp_, &scratch);
   }
 
   // Merges the cached runs of all levels >= 1 into one weighted run.

@@ -881,8 +881,10 @@ class ReqdServer {
       case Opcode::kAppend: {
         SketchRegistry::EnginePtr engine =
             registry_->Require(request.metric);
-        engine->Append(request.values.data(), request.values.size());
-        response.n = engine->AcceptedN();
+        // Ack with the count at this batch's apply point; AcceptedN()
+        // read now could include a concurrent append to the same metric.
+        response.n =
+            engine->Append(request.values.data(), request.values.size());
         // Checkpoint on the append path, after the ack state is set: the
         // engine decides (by WAL bytes written) whether a snapshot is
         // due, so recovery replay stays short without a background timer.

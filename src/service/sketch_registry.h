@@ -160,8 +160,10 @@ class MetricEngine {
 
   // Stages `count` items; rejects NaN up front (strong guarantee: nothing
   // is applied on throw -- including a WAL write failure, which surfaces
-  // as persist::IoError before any state change).
-  virtual void Append(const double* data, size_t count) = 0;
+  // as persist::IoError before any state change). Returns AcceptedN() as
+  // of this batch's apply point, read under the append mutex: a later
+  // read of AcceptedN() may already include a concurrent append.
+  virtual uint64_t Append(const double* data, size_t count) = 0;
 
   // Makes every staged item query-visible.
   virtual void Flush() = 0;
@@ -308,7 +310,7 @@ class StagedEngineBase : public MetricEngine {
 
   const MetricSpec& spec() const override { return spec_; }
 
-  void Append(const double* data, size_t count) override {
+  uint64_t Append(const double* data, size_t count) override {
     detail::CheckAppendable(data, count);
     // A try-lock miss is the one observable signature of a concurrent
     // writer; record it, then queue normally. The flag is sticky -- once
@@ -345,7 +347,7 @@ class StagedEngineBase : public MetricEngine {
         if (left > 0) Drain();
       }
     }
-    accepted_n_.fetch_add(count, std::memory_order_release);
+    return accepted_n_.fetch_add(count, std::memory_order_release) + count;
   }
 
   void Flush() override { Drain(); }
@@ -514,7 +516,7 @@ class ShardedReqEngine final : public MetricEngine {
   EngineKind kind() const override { return EngineKind::kSharded; }
   const MetricSpec& spec() const override { return spec_; }
 
-  void Append(const double* data, size_t count) override {
+  uint64_t Append(const double* data, size_t count) override {
     detail::CheckAppendable(data, count);
     std::lock_guard<std::mutex> produce(append_mutex_);
     CheckNotRetired();
@@ -525,7 +527,7 @@ class ShardedReqEngine final : public MetricEngine {
     // append mutex serializes the producer role.
     sharded_.Update(next_shard_, data, count);
     next_shard_ = (next_shard_ + 1) % sharded_.num_shards();
-    accepted_n_.fetch_add(count, std::memory_order_release);
+    return accepted_n_.fetch_add(count, std::memory_order_release) + count;
   }
 
   // FlushAll is safe concurrently with producers (drains under the shard

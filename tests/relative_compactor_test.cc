@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/req_common.h"
@@ -284,6 +286,103 @@ TEST(RelativeCompactorTest, RestoreStateForSerde) {
   EXPECT_EQ(c.state(), 5u);
   EXPECT_EQ(c.num_compactions(), 2u);
   EXPECT_EQ(c.CountRank(2.0, Criterion::kInclusive), 2u);
+}
+
+// The tail sort behind Sort() and the sorted-view builder must return a
+// sorted permutation of its input under any order, for every tail length
+// the kernel sees and beyond. Long strings are included on purpose: a
+// moved-from std::string is empty, so a merge that reads an item it has
+// already moved away, or a pass that scans the wrong buffer, fails here
+// even where doubles would happen to pass. A concatenation of 64 sorted
+// runs (the shape an N-way merge leaves in a level) must cost
+// O(n log runs) comparisons, not O(n * runs).
+TEST(RelativeCompactorTest, TailSortReturnsSortedPermutation) {
+  util::Xoshiro256 rng(2024);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 70; ++n) lengths.push_back(n);
+  for (size_t n : {100, 127, 128, 129, 255, 256, 257, 500, 1000, 1023, 1024,
+                   1025, 1999, 2000}) {
+    lengths.push_back(n);
+  }
+
+  const auto check = [](auto input, const auto& order, const char* shape) {
+    auto expected = input;
+    std::sort(expected.begin(), expected.end(), order);
+    auto scratch = decltype(input)();
+    detail::SortTail(input.data(), input.data() + input.size(), order,
+                     &scratch);
+    EXPECT_EQ(input, expected) << shape << " n=" << input.size();
+  };
+  const auto as_strings = [](const std::vector<double>& values) {
+    std::vector<std::string> out;
+    for (double v : values) {
+      const std::string digits = std::to_string(static_cast<int>(v));
+      out.push_back("a-long-item-past-the-small-string-buffer-" +
+                    std::string(6 - digits.size(), '0') + digits);
+    }
+    return out;
+  };
+  const auto check_all_orders = [&](const std::vector<double>& values,
+                                    const char* shape) {
+    check(values, std::less<double>(), shape);
+    check(values, std::greater<double>(), shape);
+    check(as_strings(values), std::less<std::string>(), shape);
+    check(as_strings(values), std::greater<std::string>(), shape);
+  };
+
+  for (size_t n : lengths) {
+    // Duplicate-rich integer values.
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = static_cast<double>(rng.NextBounded(n / 4 + 2));
+    }
+    check_all_orders(values, "duplicates");
+    // Sorted and reversed.
+    std::sort(values.begin(), values.end());
+    check_all_orders(values, "sorted");
+    std::reverse(values.begin(), values.end());
+    check_all_orders(values, "reversed");
+    // 64 concatenated sorted runs of distinct values.
+    for (size_t i = 0; i < n; ++i) values[i] = static_cast<double>(i);
+    std::shuffle(values.begin(), values.end(), rng);
+    const size_t runs = std::min<size_t>(64, n);
+    for (size_t r = 0; r < runs; ++r) {
+      std::sort(values.begin() + r * n / runs,
+                values.begin() + (r + 1) * n / runs);
+    }
+    check_all_orders(values, "64 runs");
+    if (n >= 1000) {
+      size_t comparisons = 0;
+      const auto counting = [&comparisons](double a, double b) {
+        ++comparisons;
+        return a < b;
+      };
+      std::vector<double> scratch;
+      detail::SortTail(values.data(), values.data() + n, counting, &scratch);
+      EXPECT_TRUE(std::is_sorted(values.begin(), values.end()));
+      // A descent count, then log2(64) = 6 passes of a run scan and a
+      // merge: at most 13n. Merging the runs one after another would
+      // cost ~32n comparisons.
+      EXPECT_LE(comparisons, 14 * n) << "n=" << n;
+    }
+  }
+
+  // With a sorted prefix in front, the tail joins it in order.
+  for (size_t n : lengths) {
+    std::vector<double> values(n);
+    for (double& v : values) {
+      v = static_cast<double>(rng.NextBounded(n / 4 + 2));
+    }
+    const size_t prefix = rng.NextBounded(n + 1);
+    std::sort(values.begin(), values.begin() + prefix);
+    std::vector<double> expected = values;
+    std::sort(expected.begin(), expected.end());
+    std::vector<double> scratch;
+    detail::SortPrefixSortedRun(values.data(), values.data() + prefix,
+                                values.data() + n, std::less<double>(),
+                                &scratch);
+    EXPECT_EQ(values, expected) << "prefix=" << prefix << " n=" << n;
+  }
 }
 
 }  // namespace

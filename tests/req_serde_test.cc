@@ -181,6 +181,29 @@ TEST(ReqSerdeTest, AscendingHraCheckpointRestores) {
   ExpectSameAnswers(restored, rebuilt);
 }
 
+TEST(ReqSerdeTest, BatchedHraSnapshotBytesArePinned) {
+  // The serialized bytes of a k_base=64 HRA sketch, seed 12, fed
+  // GenerateLognormal(2^21, 1212) in 4096-item batches, as written by the
+  // kernel that still sorted compaction tails with std::sort. The stream
+  // holds no items that compare equal but differ in bytes (such as -0.0
+  // and +0.0), so any correct sort stores every level in the same order:
+  // a change to the compaction schedule, the coin flips, the promoted
+  // multisets or the storage order changes these bytes.
+  std::ifstream in(REQSKETCH_TEST_DATA_DIR "/hra_k64_lognormal_batched_v2.bin",
+                   std::ios::binary);
+  const std::vector<uint8_t> pinned((std::istreambuf_iterator<char>(in)),
+                                    std::istreambuf_iterator<char>());
+  ASSERT_GT(pinned.size(), 5u);
+  constexpr size_t kBatch = 4096;
+  const std::vector<double> values =
+      workload::GenerateLognormal(kBatch * 512, 1212);
+  ReqSketch<double> sketch(MakeConfig(64, 12));
+  for (size_t i = 0; i < values.size(); i += kBatch) {
+    sketch.Update(values.data() + i, kBatch);
+  }
+  EXPECT_EQ(SerializeSketch(sketch), pinned);
+}
+
 TEST(ReqSerdeTest, MergeAfterDeserialize) {
   // The distributed pattern: worker sketches are serialized, shipped, and
   // merged at the coordinator.

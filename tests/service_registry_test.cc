@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/req_serde.h"
@@ -367,6 +368,49 @@ TEST(SketchRegistry, ConcurrentTenantsAndDirectoryChurn) {
   }
   EXPECT_EQ(registry.Require("stress.windowed")->AcceptedN(),
             kItemsPerWriter);
+}
+
+// Append returns the accepted count at its own batch's apply point, which
+// is what the server acks. Concurrent appends to one metric must therefore
+// return distinct counts: exactly 64, 128, ..., total, one per batch.
+TEST(SketchRegistry, ConcurrentAppendsReturnTheirOwnApplyPoint) {
+  SketchRegistry registry;
+  MetricSpec plain;
+  plain.buffer_capacity = 256;
+  MetricSpec sharded;
+  sharded.kind = EngineKind::kSharded;
+  sharded.num_shards = 2;
+  for (const auto& [name, spec] : {std::make_pair("acks.plain", plain),
+                                   std::make_pair("acks.sharded", sharded)}) {
+    auto engine = registry.Create(name, spec);
+    constexpr size_t kThreads = 4;
+    constexpr size_t kBatches = 200;
+    constexpr size_t kBatch = 64;
+    std::vector<std::vector<uint64_t>> returned(kThreads);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const std::vector<double> stream = TestStream(200 + t, kBatch);
+        for (size_t b = 0; b < kBatches; ++b) {
+          returned[t].push_back(engine->Append(stream.data(), kBatch));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    std::vector<uint64_t> all;
+    for (const std::vector<uint64_t>& acks : returned) {
+      // One thread's batches apply in its own call order.
+      EXPECT_TRUE(std::is_sorted(acks.begin(), acks.end())) << name;
+      all.insert(all.end(), acks.begin(), acks.end());
+    }
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(all.size(), kThreads * kBatches) << name;
+    for (size_t i = 0; i < all.size(); ++i) {
+      ASSERT_EQ(all[i], (i + 1) * kBatch) << name;
+    }
+    EXPECT_EQ(engine->AcceptedN(), kThreads * kBatches * kBatch) << name;
+  }
 }
 
 }  // namespace
