@@ -14,7 +14,10 @@
 //      wal_nosync (fsync=never), wal_interval (50ms), wal_always;
 //   2. recovery sweep: build a data dir whose WAL holds B batches (with
 //      and without a final checkpoint), then time DurabilityManager
-//      construction + RecoverInto on a fresh registry.
+//      construction + RecoverInto on a fresh registry. Just before that,
+//      one persist::ReadMetricState of the metric directory is timed on
+//      its own (read_ms): loading and CRC-checking the files, without
+//      the replay, so recover_ms - read_ms is the replay layer.
 //
 // Gating: the `append_mups` of the `none` and `wal_nosync` rows and the
 // summary `replay_mups` are the stable, CPU-bound figures the CI smoke
@@ -42,6 +45,7 @@ using req::bench::SecondsSince;
 using req::persist::DurabilityManager;
 using req::persist::DurabilityOptions;
 using req::persist::FsyncPolicy;
+using req::persist::ReadMetricState;
 using req::service::EngineKind;
 using req::service::MetricSpec;
 using req::service::SketchRegistry;
@@ -130,6 +134,7 @@ ModeResult RunMode(const std::string& mode, FsyncPolicy policy,
 struct RecoveryResult {
   uint64_t batches = 0;
   bool checkpoint = false;
+  double read_ms = 0.0;  // ReadMetricState alone: the file-read layer
   double recover_ms = 0.0;
   uint64_t recovered_items = 0;
   uint64_t tail_bytes = 0;
@@ -162,6 +167,17 @@ RecoveryResult RunRecovery(uint64_t batches, bool checkpoint,
   result.batches = batches;
   result.checkpoint = checkpoint;
   result.tail_bytes = DirBytes(dir);
+  {
+    // The only metric is the data dir's only subdirectory.
+    std::string metric_dir;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (entry.is_directory()) metric_dir = entry.path().string();
+    }
+    const auto read_start = Clock::now();
+    const auto state = ReadMetricState(metric_dir, "e18");
+    result.read_ms = SecondsSince(read_start) * 1e3;
+    req::bench::g_sink += state.batches.size() + state.snapshot_blob.size();
+  }
   const auto start = Clock::now();
   {
     DurabilityOptions options;
@@ -216,16 +232,16 @@ int main(int argc, char** argv) {
                 static_cast<double>(m.wal_bytes) / (1 << 20));
   }
 
-  std::printf("\n%10s %12s %14s %16s %12s\n", "batches", "checkpoint",
-              "recover ms", "items replayed", "tail MiB");
+  std::printf("\n%10s %12s %10s %14s %16s %12s\n", "batches", "checkpoint",
+              "read ms", "recover ms", "items replayed", "tail MiB");
   std::vector<RecoveryResult> recoveries;
   for (uint64_t b : recovery_batches) {
     for (bool checkpoint : {false, true}) {
       recoveries.push_back(RunRecovery(b, checkpoint, batch));
       const RecoveryResult& r = recoveries.back();
-      std::printf("%10llu %12s %14.2f %16llu %12.2f\n",
+      std::printf("%10llu %12s %10.2f %14.2f %16llu %12.2f\n",
                   static_cast<unsigned long long>(r.batches),
-                  r.checkpoint ? "yes" : "no", r.recover_ms,
+                  r.checkpoint ? "yes" : "no", r.read_ms, r.recover_ms,
                   static_cast<unsigned long long>(r.recovered_items),
                   static_cast<double>(r.tail_bytes) / (1 << 20));
     }
@@ -278,6 +294,7 @@ int main(int argc, char** argv) {
     json.BeginObject()
         .Field("batches", r.batches)
         .Field("checkpoint", r.checkpoint)
+        .Field("read_ms", r.read_ms)
         .Field("recover_ms", r.recover_ms)
         .Field("recovered_items", r.recovered_items)
         .Field("tail_bytes", r.tail_bytes)

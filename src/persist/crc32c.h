@@ -4,9 +4,17 @@
 // detection is strictly better for the short-to-medium record sizes a WAL
 // writes, and it is the checksum the storage ecosystem standardized on
 // (ext4 metadata, iSCSI, LevelDB/RocksDB logs), which keeps the on-disk
-// format unsurprising. Byte-at-a-time table implementation: portable,
-// branch-free in the loop, and fast enough that framing overhead is noise
-// next to the write() syscall it protects (E18 measures the whole path).
+// format unsurprising.
+//
+// Slice-by-8 over eight 256-entry tables, the only implementation. The
+// input is loaded a byte at a time, so the result does not depend on the
+// host's byte order. On a shared 4-vCPU Xeon host (g++ 12.2, -O3) it ran
+// at 1.55-1.68 GB/s against 277-286 MB/s for the byte-at-a-time table it
+// replaced: ~2.5 us per 4 KiB WAL record instead of ~14 us, and ~60 ms of
+// CRC in a 97 MB recovery. A single-stream SSE4.2 loop ran at 4.5-5.2 GB/s
+// there; saving those last ~2 us per record, beside the write and the
+// replay the CRC frames, does not pay for a second code path with CPU
+// dispatch. E18 measures the whole path.
 #ifndef REQSKETCH_PERSIST_CRC32C_H_
 #define REQSKETCH_PERSIST_CRC32C_H_
 
@@ -19,29 +27,43 @@ namespace persist {
 
 namespace detail {
 
-inline const std::array<uint32_t, 256>& Crc32cTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
+// tables[0] is the classic byte table; tables[j][b] advances the CRC of
+// byte b through j further zero bytes, so eight lookups fold eight bytes.
+inline const std::array<std::array<uint32_t, 256>, 8>& Crc32cTables() {
+  static const std::array<std::array<uint32_t, 256>, 8> tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t crc = i;
       for (int j = 0; j < 8; ++j) {
         crc = (crc >> 1) ^ ((crc & 1u) ? 0x82f63b78u : 0u);
       }
-      t[i] = crc;
+      t[0][i] = crc;
+    }
+    for (size_t j = 1; j < 8; ++j) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[j][i] = (t[j - 1][i] >> 8) ^ t[0][t[j - 1][i] & 0xffu];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
 }
 
 }  // namespace detail
 
 inline uint32_t Crc32c(const void* data, size_t size) {
-  const auto& table = detail::Crc32cTable();
-  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  const auto& t = detail::Crc32cTables();
+  const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xffu];
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t low = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                                uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    crc = t[7][low & 0xffu] ^ t[6][(low >> 8) & 0xffu] ^
+          t[5][(low >> 16) & 0xffu] ^ t[4][low >> 24] ^ t[3][p[4]] ^
+          t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xffu];
   }
   return crc ^ 0xffffffffu;
 }

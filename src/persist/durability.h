@@ -59,7 +59,9 @@ struct DurabilityOptions {
 class DurabilityManager : public DirectoryHook {
  public:
   // Opens (creating if absent) the data directory and loads the manifest.
-  // Throws IoError when the directory cannot be created or written.
+  // Throws IoError when the directory cannot be created or written, or
+  // when manifest.log exists but cannot be read: booting it as empty
+  // would rewrite it empty and garbage-collect every metric directory.
   DurabilityManager(std::string data_dir, const DurabilityOptions& options)
       : data_dir_(std::move(data_dir)), options_(options) {
     std::error_code ec;
@@ -241,7 +243,8 @@ class DurabilityManager : public DirectoryHook {
     const auto contents = ReadSegmentFile(ManifestPath(), kManifestMagic);
     if (!contents) {
       // Missing or headerless manifest: an empty directory (first boot,
-      // or a crash before the first CREATE's record landed).
+      // or a crash before the first CREATE's record landed). An
+      // unreadable one threw IoError above instead.
       return;
     }
     for (const auto& record : contents->records) {

@@ -20,18 +20,20 @@
 // any corruption rejects the whole file (recovery falls back to an older
 // checkpoint or a from-scratch replay). Nothing in this file ever turns
 // corrupt input into UB; tests/persist_corruption_test.cc bit-flips and
-// truncates every byte under ASan/UBSan to hold that line.
+// truncates every byte under ASan/UBSan to hold that line. A file that
+// exists but cannot be read is not corrupt input: the readers throw
+// IoError for it (see ReadFileBytes) instead of skipping it.
 #ifndef REQSKETCH_PERSIST_LOG_FILE_H_
 #define REQSKETCH_PERSIST_LOG_FILE_H_
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <utility>
@@ -153,16 +155,60 @@ inline void AppendRecord(AppendFile* file,
   file->Append(framed.data(), framed.size());
 }
 
-// Reads a whole file into memory; nullopt if it cannot be opened.
-// Segments are bounded by the checkpoint threshold, so whole-file reads
-// during recovery are small and simple beats streaming.
+namespace detail {
+
+// Closes a descriptor on every exit from ReadFileBytes, throws included.
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+  ~FdCloser() { ::close(fd_); }
+
+ private:
+  const int fd_;
+};
+
+}  // namespace detail
+
+// Reads a whole file into one buffer sized from fstat, with read(2) to
+// EOF (retrying EINTR). Segments are bounded by the checkpoint threshold,
+// so whole-file reads during recovery are small and simple beats
+// streaming.
+//
+// Error contract: nullopt means the file does not exist (ENOENT), the one
+// failure recovery may read as "absent". Every other open, fstat or read
+// failure (EACCES, ELOOP, EISDIR, EIO, ...) throws IoError: treating an
+// unreadable checkpoint or manifest as missing would make recovery serve
+// less than it acknowledged, or garbage-collect the metrics it could not
+// read.
 inline std::optional<std::vector<uint8_t>> ReadFileBytes(
     const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::vector<uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                             std::istreambuf_iterator<char>());
-  if (in.bad()) return std::nullopt;
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) return std::nullopt;
+    throw IoError(PersistErrnoMessage("open", path));
+  }
+  const detail::FdCloser closer(fd);
+  struct stat st = {};
+  if (::fstat(fd, &st) != 0) {
+    throw IoError(PersistErrnoMessage("fstat", path));
+  }
+  // One spare byte lets the read that finds EOF land without a resize.
+  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size) + 1);
+  size_t filled = 0;
+  for (;;) {
+    // Only a file that grew since fstat fills the spare byte.
+    if (filled == bytes.size()) bytes.resize(2 * bytes.size());
+    const ssize_t got = ::read(fd, &bytes[filled], bytes.size() - filled);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      throw IoError(PersistErrnoMessage("read", path));
+    }
+    if (got == 0) break;
+    filled += static_cast<size_t>(got);
+  }
+  bytes.resize(filled);
   return bytes;
 }
 
@@ -178,7 +224,7 @@ struct SegmentContents {
 // Parses a segment-framed file. nullopt when the file is missing or its
 // 16-byte header is absent/wrong (such a file carries no usable records);
 // otherwise the longest valid record prefix, stopping at the first short,
-// oversized, or CRC-failing record.
+// oversized, or CRC-failing record. An unreadable file throws IoError.
 inline std::optional<SegmentContents> ReadSegmentFile(
     const std::string& path, uint32_t expected_magic) {
   const auto bytes = ReadFileBytes(path);
@@ -269,7 +315,8 @@ inline void WriteCheckpointFile(const std::string& dir,
 }
 
 // Parses a checkpoint file; nullopt on ANY corruption (all-or-nothing:
-// a checkpoint either restores the exact state or is not used at all).
+// a checkpoint either restores the exact state or is not used at all) or
+// when it is missing. An unreadable file throws IoError.
 inline std::optional<CheckpointContents> ReadCheckpointFile(
     const std::string& path) {
   const auto bytes = ReadFileBytes(path);

@@ -259,21 +259,27 @@ struct RecoveredMetricState {
 // expected LSN (the shape a previous recovery's own torn-tail discard
 // leaves behind). Corrupt records never throw; malformed APPEND payloads
 // inside a CRC-valid record do (CRC says the bytes are what was written,
-// so a parse failure means a software bug, not bit rot).
+// so a parse failure means a software bug, not bit rot). Unreadable files
+// are not corruption: a directory that cannot be listed, or a checkpoint
+// or segment that exists but cannot be read, throws IoError (see
+// ReadFileBytes) rather than recovering less than was acknowledged.
 inline RecoveredMetricState ReadMetricState(const std::string& dir,
                                             const std::string& metric_name) {
   RecoveredMetricState state;
   std::map<uint64_t, std::string> checkpoints;  // lsn -> path
   std::map<uint64_t, std::string> segments;     // first_lsn -> path
+  using std::filesystem::directory_iterator;
   std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
+  directory_iterator entry(dir, ec);
+  for (; !ec && entry != directory_iterator(); entry.increment(ec)) {
+    const std::string name = entry->path().filename().string();
     if (const auto lsn = ParseLsnFileName(name, "ckpt-", ".snap")) {
-      checkpoints.emplace(*lsn, entry.path().string());
+      checkpoints.emplace(*lsn, entry->path().string());
     } else if (const auto first = ParseLsnFileName(name, "wal-", ".log")) {
-      segments.emplace(*first, entry.path().string());
+      segments.emplace(*first, entry->path().string());
     }
   }
+  if (ec) throw IoError("cannot list " + dir + ": " + ec.message());
   for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
     if (auto contents = ReadCheckpointFile(it->second)) {
       state.snapshot_blob = std::move(contents->blob);

@@ -476,12 +476,15 @@ class PlainReqEngine final : public StagedEngineBase<ReqSketch<double>> {
 
  protected:
   std::vector<uint8_t> SnapshotLocked() override {
-    // The cached snapshot is a faithful copy (config, seed, levels,
-    // schedule state), so it serializes byte-identically to the live
-    // sketch -- and to an in-process sketch fed the same stream.
-    std::shared_ptr<const Sketch> view = View();
+    // Serialize the live sketch under the state lock, as the windowed
+    // engine does: the bytes equal an in-process sketch's fed the same
+    // stream, and checkpoints, evictions and wire SNAPSHOTs neither copy
+    // the sketch nor build a sorted view no query asked for (queries
+    // still build their own epoch snapshot).
+    Drain();
+    std::lock_guard<std::mutex> lock(state_mutex_);
     std::vector<uint8_t> blob{static_cast<uint8_t>(EngineKind::kPlain)};
-    const std::vector<uint8_t> bytes = SerializeSketch(*view);
+    const std::vector<uint8_t> bytes = SerializeSketch(underlying_);
     blob.insert(blob.end(), bytes.begin(), bytes.end());
     return blob;
   }

@@ -63,6 +63,37 @@ TEST(Crc32c, KnownAnswers) {
   EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
 }
 
+// The definition of CRC32C, one bit at a time: no tables, no slicing.
+uint32_t BitwiseCrc32c(const uint8_t* data, size_t size) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82f63b78u : 0u);
+    }
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32c, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  // Lengths 0-256 at start offsets 0-7 cover the 8-byte loop, every byte
+  // tail it leaves, and every alignment of the first load.
+  util::Xoshiro256 rng(3720);
+  std::vector<uint8_t> buffer(256 + 8);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 256; ++len) {
+      ASSERT_EQ(Crc32c(buffer.data() + offset, len),
+                BitwiseCrc32c(buffer.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  std::vector<uint8_t> large(size_t{1} << 20);
+  for (uint8_t& b : large) b = static_cast<uint8_t>(rng.Next());
+  EXPECT_EQ(Crc32c(large.data(), large.size()),
+            BitwiseCrc32c(large.data(), large.size()));
+}
+
 TEST(Crc32c, DetectsSingleBitFlips) {
   std::vector<uint8_t> data(100);
   for (size_t i = 0; i < data.size(); ++i) {
@@ -259,6 +290,28 @@ TEST(MetricLog, TornTailIsDiscardedOnRecovery) {
   EXPECT_EQ(state.next_lsn, 3u);
 }
 
+TEST(MetricLog, UnreadableCheckpointThrowsInsteadOfFallingBack) {
+  // A checkpoint name that cannot be read (here a directory: read fails
+  // with EISDIR) is not corruption. Falling back to an older checkpoint
+  // would silently recover less than the WAL rotation already discarded.
+  const std::string dir = MakeTempDir("mlog_unreadable_ckpt");
+  const std::vector<double> batch = {1.0, 2.0};
+  {
+    MetricLog log(dir, "m", 0, TestLogOptions());
+    log.AppendBatch(batch.data(), batch.size());
+    log.WriteCheckpoint(log.next_lsn(), /*accepted_n=*/2, {7, 7, 7});
+  }
+  std::filesystem::create_directory(dir + "/" + CheckpointFileName(5));
+  EXPECT_THROW(ReadMetricState(dir, "m"), IoError);
+}
+
+TEST(MetricLog, UnlistableMetricDirectoryThrows) {
+  const std::string dir = MakeTempDir("mlog_not_a_dir");
+  const std::string path = dir + "/m0";
+  std::ofstream(path) << "not a directory";
+  EXPECT_THROW(ReadMetricState(path, "m"), IoError);
+}
+
 // --- DurabilityManager + SketchRegistry ------------------------------------
 
 MetricSpec SpecOf(EngineKind kind) {
@@ -323,6 +376,41 @@ TEST(Durability, RecoversAllEngineKindsBitIdentically) {
       EXPECT_EQ(engine->Snapshot(), reference[m])
           << "recovered state differs for " << metrics[m].first;
     }
+  }
+}
+
+TEST(Durability, UnreadableManifestFailsBootAndKeepsEveryMetric) {
+  // A manifest that exists but cannot be read must not boot as an empty
+  // directory: that would rewrite it empty and garbage-collect every m<id>/
+  // directory. A symlink to itself fails open() with ELOOP, even as root.
+  const std::string dir = MakeTempDir("unreadable_manifest");
+  const std::vector<double> batch = {1.0, 2.0, 3.0};
+  {
+    DurabilityManager manager(dir, TestDurabilityOptions());
+    SketchRegistry registry;
+    manager.RecoverInto(&registry);
+    for (const char* name : {"a", "b", "c"}) {
+      registry.Create(name, SpecOf(EngineKind::kPlain));
+      registry.Require(name)->Append(batch.data(), batch.size());
+    }
+  }
+  const std::string manifest = dir + "/manifest.log";
+  const std::string saved = dir + "/manifest.saved";
+  std::filesystem::rename(manifest, saved);
+  std::filesystem::create_symlink("manifest.log", manifest);
+  EXPECT_THROW(DurabilityManager(dir, TestDurabilityOptions()), IoError);
+  for (const char* metric_dir : {"/m0", "/m1", "/m2"}) {
+    EXPECT_TRUE(std::filesystem::is_directory(dir + metric_dir)) << metric_dir;
+  }
+  // Once the manifest is readable again, nothing was lost.
+  std::filesystem::remove(manifest);
+  std::filesystem::rename(saved, manifest);
+  DurabilityManager manager(dir, TestDurabilityOptions());
+  SketchRegistry registry;
+  manager.RecoverInto(&registry);
+  ASSERT_EQ(registry.size(), 3u);
+  for (const char* name : {"a", "b", "c"}) {
+    EXPECT_EQ(registry.Require(name)->AcceptedN(), batch.size()) << name;
   }
 }
 

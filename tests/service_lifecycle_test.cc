@@ -2,9 +2,10 @@
 // prefix-filtered LIST against a brute-force model, tenancy quotas (and
 // their exact rollback), lazy staging (single-writer metrics never
 // materialize an SPSC buffer; contended ones do, bit-identically),
-// idle eviction + touch rehydration for all three engine kinds, and a
-// registry-wide eviction-vs-append race stress that the CI
-// ThreadSanitizer job runs.
+// idle eviction + touch rehydration for all three engine kinds, checkpoint
+// memory (a snapshot serializes the live sketch and leaves nothing
+// resident), and a registry-wide eviction-vs-append race stress that the
+// CI ThreadSanitizer job runs.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -15,12 +16,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/req_serde.h"
 #include "gtest/gtest.h"
 #include "persist/durability.h"
 #include "service/req_client.h"
 #include "service/reqd_server.h"
 #include "service/sketch_registry.h"
 #include "util/random.h"
+#include "workload/distributions.h"
 
 namespace req {
 namespace service {
@@ -376,6 +379,44 @@ TEST(Eviction, DropWinsOverRehydration) {
     manager2.RecoverInto(&recovered);
     EXPECT_EQ(recovered.size(), 0u);
   }
+  std::filesystem::remove_all(dir);
+}
+
+// --- checkpoint memory -----------------------------------------------------
+
+TEST(CheckpointMemory, SnapshotsSerializeTheLiveSketchWithoutCopyingIt) {
+  // A durable plain HRA metric at n = 54,272. Checkpoints and SNAPSHOTs
+  // serialize the live sketch: they must leave no copy or sorted view
+  // behind (either would roughly triple the footprint), and their bytes
+  // must be an in-process sketch's.
+  const std::string dir = FreshDir("checkpoint_memory");
+  persist::DurabilityOptions options;
+  options.fsync = persist::FsyncPolicy::kNever;
+  persist::DurabilityManager manager(dir, options);
+  SketchRegistry registry;
+  manager.RecoverInto(&registry);
+  MetricSpec spec;
+  spec.kind = EngineKind::kPlain;
+  spec.base.k_base = 64;
+  spec.base.accuracy = RankAccuracy::kHighRanks;
+  auto engine = registry.Create("m", spec);
+  ReqSketch<double> reference(spec.base);
+  constexpr size_t kBatch = 512;
+  const std::vector<double> stream =
+      workload::GenerateLognormal(106 * kBatch, 14);
+  for (size_t i = 0; i < stream.size(); i += kBatch) {
+    engine->Append(stream.data() + i, kBatch);
+    reference.Update(stream.data() + i, kBatch);
+  }
+  const size_t footprint = engine->MemoryFootprint();
+  engine->ForceCheckpoint();
+  EXPECT_EQ(engine->MemoryFootprint(), footprint);
+  const std::vector<uint8_t> blob = engine->Snapshot();
+  EXPECT_EQ(engine->MemoryFootprint(), footprint);
+  std::vector<uint8_t> expected{static_cast<uint8_t>(EngineKind::kPlain)};
+  const std::vector<uint8_t> bytes = SerializeSketch(reference);
+  expected.insert(expected.end(), bytes.begin(), bytes.end());
+  EXPECT_EQ(blob, expected);
   std::filesystem::remove_all(dir);
 }
 

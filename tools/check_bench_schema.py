@@ -230,7 +230,9 @@ SCHEMAS = {
             # add the ungated "append_rate" -- only the shared keys are
             # required here.
             "results": {"mode", "wall_s", "batch_cost_ms", "wal_bytes"},
-            "recovery": {"batches", "checkpoint", "recover_ms",
+            # read_ms: ReadMetricState alone, so recover_ms - read_ms
+            # is the replay layer.
+            "recovery": {"batches", "checkpoint", "read_ms", "recover_ms",
                          "recovered_items", "tail_bytes"},
             "summary": {"wal_nosync_overhead_pct",
                         "fsync_always_batch_ms", "replay_mups"},

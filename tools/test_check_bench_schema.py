@@ -72,6 +72,41 @@ def valid_e17():
     }
 
 
+def valid_e18():
+    return {
+        "experiment": "e18_persistence",
+        "items": 1000,
+        "batch": 100,
+        "smoke": True,
+        "results": [
+            {
+                "mode": "wal_nosync",
+                "wall_s": 0.01,
+                "append_mups": 1.0,
+                "batch_cost_ms": 0.1,
+                "wal_bytes": 8000,
+            },
+        ],
+        "recovery": [
+            {
+                "batches": 64,
+                "checkpoint": False,
+                "read_ms": 1.0,
+                "recover_ms": 5.0,
+                "recovered_items": 6400,
+                "tail_bytes": 52000,
+            },
+        ],
+        "summary": [
+            {
+                "wal_nosync_overhead_pct": 20.0,
+                "fsync_always_batch_ms": 0.9,
+                "replay_mups": 1.5,
+            },
+        ],
+    }
+
+
 class CheckSchemaTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
@@ -84,6 +119,14 @@ class CheckSchemaTest(unittest.TestCase):
     def test_valid_reports_pass(self):
         self.assertEqual(self.check(valid_e13()), [])
         self.assertEqual(self.check(valid_e17()), [])
+        self.assertEqual(self.check(valid_e18()), [])
+
+    def test_e18_recovery_rows_need_read_ms(self):
+        report = valid_e18()
+        del report["recovery"][0]["read_ms"]
+        errors = self.check(report)
+        self.assertTrue(any("recovery[0]" in e and "read_ms" in e
+                            for e in errors))
 
     def test_malformed_json_is_one_error(self):
         errors = self.check(None, raw="{not json")
