@@ -5,11 +5,16 @@
 // {16, 64, 256} on a lognormal stream:
 //   * cold view build (first order-based query after a bulk ingest), for
 //     the incremental engine and for the seed-era full path
-//     (set_incremental_view_repair(false): collect + sort all pairs);
+//     (AppendWeightedItems into a fresh SortedView: collect + sort all
+//     pairs);
 //   * WARM REPEATED SINGLE-RANK QUERIES AFTER POINT UPDATES -- the
 //     monitoring hot loop {update one item; query one rank through the
 //     view}. Incremental repair re-sorts only the dirtied level (usually
 //     level 0) and re-merges, versus a full rebuild per query;
+//   * POST-WRITE QUANTILES -- what a service engine pays per query that
+//     follows an append: {one 64-item update; GetQuantiles at
+//     {0.5, 0.9, 0.99, 0.999}}, median over the rounds. Most such appends
+//     compact, so the repair rebuilds the merged upper run;
 //   * BULK GetRanks: 1k query points answered by the single co-scan
 //     kernel, versus the seed-era scalar loop (one GetRank per point) and
 //     versus a per-point view binary search;
@@ -29,11 +34,13 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
+#include "core/sorted_view.h"
 #include "window/windowed_req_sketch.h"
 #include "workload/distributions.h"
 
@@ -43,13 +50,22 @@ using req::bench::Clock;
 using req::bench::g_sink;
 using req::bench::SecondsSince;
 
-req::ReqSketch<double> MakeSketch(uint32_t k_base, bool incremental) {
+req::ReqSketch<double> MakeSketch(uint32_t k_base) {
   req::ReqConfig config;
   config.k_base = k_base;
   config.seed = 29;
-  req::ReqSketch<double> sketch(config);
-  sketch.set_incremental_view_repair(incremental);
-  return sketch;
+  return req::ReqSketch<double>(config);
+}
+
+// The seed-era full view build, as the sketch ran it before incremental
+// repair: collect every (item, weight) pair, sort them, and replace the
+// previous view.
+void RebuildFullView(const req::ReqSketch<double>& sketch,
+                     req::SortedView<double>* view) {
+  std::vector<std::pair<double, uint64_t>> weighted;
+  weighted.reserve(sketch.RetainedItems());
+  sketch.AppendWeightedItems(&weighted);
+  *view = req::SortedView<double>(std::move(weighted), sketch.TotalWeight());
 }
 
 struct KResult {
@@ -64,6 +80,7 @@ struct KResult {
   double scalar_loop_rank_ns = 0.0;
   double cdf_1k_us = 0.0;
   double serialize_us = 0.0;
+  double post_write_quantiles_us = 0.0;
 };
 
 struct WindowResult {
@@ -73,42 +90,78 @@ struct WindowResult {
   double warm_rank_ns = 0.0;
 };
 
-// Cold view build: ingest everything, then time the first order-based
-// query (which builds the whole view). Best of reps.
+// Cold view build: ingest everything, then time building the whole view
+// (the first order-based query, or the seed-era full path). Best of reps.
 double ColdBuildUs(uint32_t k, const std::vector<double>& values,
-                   bool incremental, int reps) {
+                   bool seed_era, int reps) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
-    auto sketch = MakeSketch(k, incremental);
+    auto sketch = MakeSketch(k);
     sketch.Update(values);
+    req::SortedView<double> full;
     const auto start = Clock::now();
-    sketch.PrepareSortedView();
+    if (seed_era) {
+      RebuildFullView(sketch, &full);
+    } else {
+      sketch.PrepareSortedView();
+    }
     best = std::min(best, SecondsSince(start) * 1e6);
-    g_sink += sketch.CachedSortedView().size();
+    g_sink += seed_era ? full.size() : sketch.CachedSortedView().size();
   }
   return best;
 }
 
 // The monitoring hot loop: one point update, one view-routed rank query.
 double WarmRankNs(uint32_t k, const std::vector<double>& values,
-                  bool incremental, int reps, size_t iters) {
+                  bool seed_era, int reps, size_t iters) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
-    auto sketch = MakeSketch(k, incremental);
+    auto sketch = MakeSketch(k);
     sketch.Update(values);
-    sketch.PrepareSortedView();
+    req::SortedView<double> full;
+    if (seed_era) {
+      RebuildFullView(sketch, &full);
+    } else {
+      sketch.PrepareSortedView();
+    }
     const double probe = values[values.size() / 2];
     uint64_t rank = 0;
     const auto start = Clock::now();
     for (size_t i = 0; i < iters; ++i) {
       sketch.Update(values[i]);
-      sketch.GetRanks(&probe, 1, &rank, req::Criterion::kInclusive);
+      if (seed_era) {
+        RebuildFullView(sketch, &full);
+        full.GetRanks(&probe, 1, &rank, req::Criterion::kInclusive);
+      } else {
+        sketch.GetRanks(&probe, 1, &rank, req::Criterion::kInclusive);
+      }
       g_sink += rank;
     }
     best = std::min(best,
                     SecondsSince(start) * 1e9 / static_cast<double>(iters));
   }
   return best;
+}
+
+// A service engine's post-write query: one 64-item append, then one timed
+// four-quantile query. Median over `rounds`.
+double PostWriteQuantilesUs(uint32_t k, const std::vector<double>& values,
+                            size_t rounds) {
+  constexpr size_t kBatch = 64;
+  const std::vector<double> qs = {0.5, 0.9, 0.99, 0.999};
+  auto sketch = MakeSketch(k);
+  sketch.Update(values);
+  sketch.PrepareSortedView();
+  std::vector<double> us(rounds);
+  for (size_t i = 0; i < rounds; ++i) {
+    sketch.Update(values.data() + (i * kBatch) % (values.size() - kBatch),
+                  kBatch);
+    const auto start = Clock::now();
+    g_sink += static_cast<uint64_t>(sketch.GetQuantiles(qs).back());
+    us[i] = SecondsSince(start) * 1e6;
+  }
+  std::nth_element(us.begin(), us.begin() + rounds / 2, us.end());
+  return us[rounds / 2];
 }
 
 std::vector<double> MakeProbes(const std::vector<double>& values,
@@ -161,17 +214,17 @@ int main(int argc, char** argv) {
   for (uint32_t k : {16u, 64u, 256u}) {
     KResult res;
     res.k = k;
-    res.cold_view_build_us = ColdBuildUs(k, values, /*incremental=*/true,
+    res.cold_view_build_us = ColdBuildUs(k, values, /*seed_era=*/false,
                                          reps);
-    res.seed_view_build_us = ColdBuildUs(k, values, /*incremental=*/false,
+    res.seed_view_build_us = ColdBuildUs(k, values, /*seed_era=*/true,
                                          reps);
     res.warm_incremental_rank_ns =
-        WarmRankNs(k, values, /*incremental=*/true, reps, warm_iters);
+        WarmRankNs(k, values, /*seed_era=*/false, reps, warm_iters);
     res.warm_full_rank_ns =
-        WarmRankNs(k, values, /*incremental=*/false, reps, warm_iters);
+        WarmRankNs(k, values, /*seed_era=*/true, reps, warm_iters);
 
     // Bulk vs scalar on a warm, quiescent sketch.
-    auto sketch = MakeSketch(k, true);
+    auto sketch = MakeSketch(k);
     sketch.Update(values);
     sketch.PrepareSortedView();
     res.retained = sketch.RetainedItems();
@@ -283,6 +336,14 @@ int main(int argc, char** argv) {
                 wr.post_rotate_query_us, wr.warm_rank_ns);
   }
 
+  // Post-write queries run after every other row: their allocations
+  // would otherwise change the heap state the rows above are timed in.
+  std::printf("\n%6s %24s\n", "k", "post_write_quantiles_us");
+  for (KResult& r : results) {
+    r.post_write_quantiles_us = PostWriteQuantilesUs(r.k, values, warm_iters);
+    std::printf("%6u %24.1f\n", r.k, r.post_write_quantiles_us);
+  }
+
   std::printf("\n%6s %22s %24s\n", "k", "warm_repair_speedup",
               "bulk_vs_scalar_speedup");
   req::bench::JsonWriter json;
@@ -305,6 +366,7 @@ int main(int argc, char** argv) {
         .Field("scalar_loop_rank_ns", r.scalar_loop_rank_ns)
         .Field("cdf_1k_us", r.cdf_1k_us)
         .Field("serialize_us", r.serialize_us)
+        .Field("post_write_quantiles_us", r.post_write_quantiles_us)
         .EndObject();
   }
   json.EndArray();

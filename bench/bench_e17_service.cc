@@ -5,10 +5,10 @@
 // traffic at wire speed -- aggregate append throughput scales with client
 // count until the transport saturates (appends stage into per-metric SPSC
 // buffers and drain on the batch path), quantile-query latency stays
-// flat because queries run against epoch-cached snapshots instead of
-// taking sketch locks, and (since the epoll reactor) append latency
-// survives high connection counts: holding 1024+ open connections costs
-// epoll registrations and timer-wheel slots, not threads, so the p99 at
+// flat because each query answers from its metric's live sketch and that
+// sketch's memoized sorted view, and (since the epoll reactor) append
+// latency survives high connection counts: holding 1024+ open connections
+// costs epoll registrations and timer-wheel slots, not threads, so the p99 at
 // 1024 connections stays within 2x of the 8-connection p99 while the
 // server runs a fixed worker pool.
 //
@@ -349,8 +349,8 @@ int main(int argc, char** argv) {
   req::bench::PrintBanner(
       "E17: multi-tenant service layer (reqd over loopback TCP)",
       "append throughput scales with clients; query p99 stays flat "
-      "(epoch-cached snapshots); append p99 survives 1024+ connections "
-      "(epoll reactor)");
+      "(queries answer from the live sketch's memoized view); append p99 "
+      "survives 1024+ connections (epoll reactor)");
 
   req::service::SketchRegistry registry;
   server_flags.server.port = 0;  // ephemeral: the bench finds its own port

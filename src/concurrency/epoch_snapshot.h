@@ -3,9 +3,8 @@
 // subsystem that publishes an expensive-to-build read view over mutating
 // state shares one implementation (and one memory-ordering argument).
 //
-// Users: ShardedReqSketch-style merged views, the service layer's
-// SketchRegistry (metric-directory snapshots for LIST) and its per-metric
-// engines (query-side sketch snapshots in service/sketch_registry.h).
+// Users: the service layer's SketchRegistry, for its sorted
+// metric-directory snapshots (LIST; service/sketch_registry.h).
 //
 // Contract:
 //   * Writers bump a monotone epoch counter (owned by the caller) after
@@ -67,33 +66,6 @@ class EpochSnapshotCache {
     std::atomic_store_explicit(&snapshot_, published,
                                std::memory_order_release);
     return Alias(published);
-  }
-
-  // Drops the stored snapshot (next Get rebuilds unconditionally). Useful
-  // when the caller's epoch counter is being reset rather than bumped.
-  void Invalidate() {
-    std::shared_ptr<const Tagged> empty;
-    std::atomic_store_explicit(&snapshot_, empty, std::memory_order_release);
-  }
-
-  // The currently stored snapshot (whatever its epoch), or null when none
-  // is stored. Never rebuilds: used by memory accounting, which wants to
-  // measure the cache, not populate it.
-  std::shared_ptr<const T> Peek() const {
-    std::shared_ptr<const Tagged> current =
-        std::atomic_load_explicit(&snapshot_, std::memory_order_acquire);
-    if (!current) return nullptr;
-    return Alias(current);
-  }
-
-  // The tag of the stored snapshot, or false when none is stored yet
-  // (diagnostics and tests).
-  bool SnapshotEpoch(uint64_t* out) const {
-    std::shared_ptr<const Tagged> current =
-        std::atomic_load_explicit(&snapshot_, std::memory_order_acquire);
-    if (!current) return false;
-    *out = current->epoch;
-    return true;
   }
 
  private:

@@ -38,9 +38,9 @@
 // (stamped with the level's content version) plus a merged run of all
 // levels >= 1, and a rebuild after an update re-sorts only the levels that
 // actually changed -- usually just level 0, an O(dirty) repair instead of
-// an O(R log R) rebuild. set_incremental_view_repair(false) switches every
-// rebuild to the seed-era full path (collect + sort all weighted pairs);
-// benches and equivalence tests use it as the reference baseline.
+// an O(R log R) rebuild. The seed-era full path -- AppendWeightedItems
+// into a SortedView (collect + sort all weighted pairs) -- is the
+// reference that benches and equivalence tests compare against.
 //
 // Thread safety: any number of threads may run const query methods
 // concurrently on a shared sketch (the lazily memoized sorted view is
@@ -149,7 +149,6 @@ class ReqSketch {
         fixed_n_(other.fixed_n_),
         min_item_(other.min_item_),
         max_item_(other.max_item_),
-        incremental_view_repair_(other.incremental_view_repair_),
         view_cache_(other.view_cache_),
         view_ready_(other.view_ready_) {
     RebindLevels();
@@ -168,7 +167,6 @@ class ReqSketch {
         fixed_n_(other.fixed_n_),
         min_item_(std::move(other.min_item_)),
         max_item_(std::move(other.max_item_)),
-        incremental_view_repair_(other.incremental_view_repair_),
         view_cache_(std::move(other.view_cache_)),
         view_ready_(other.view_ready_) {
     RebindLevels();
@@ -195,7 +193,6 @@ class ReqSketch {
     fixed_n_ = other.fixed_n_;
     min_item_ = std::move(other.min_item_);
     max_item_ = std::move(other.max_item_);
-    incremental_view_repair_ = other.incremental_view_repair_;
     promote_scratch_.clear();
     view_cache_ = std::move(other.view_cache_);
     view_ready_ = other.view_ready_;
@@ -653,7 +650,8 @@ class ReqSketch {
   }
 
   // Appends all stored items with their weights (2^level) to `out`; used by
-  // the seed-era view build and by aggregators that combine several
+  // the seed-era full view build (benches and tests sort these pairs into
+  // a SortedView as the reference) and by aggregators that combine several
   // summaries (e.g., the Section 5 chain in req_chain.h).
   void AppendWeightedItems(std::vector<std::pair<T, uint64_t>>* out) const {
     for (size_t h = 0; h < levels_.size(); ++h) {
@@ -663,17 +661,6 @@ class ReqSketch {
       }
     }
   }
-
-  // Diagnostic / benchmarking knob: when disabled, every sorted-view
-  // (re)build runs the seed-era full path -- collect all (item, weight)
-  // pairs and std::sort them -- instead of the incremental repair that
-  // re-sorts only dirtied levels. Query answers are identical either way
-  // (the equivalence suite proves it); only the rebuild cost differs.
-  void set_incremental_view_repair(bool enabled) {
-    incremental_view_repair_ = enabled;
-    ResetViewCache();
-  }
-  bool incremental_view_repair() const { return incremental_view_repair_; }
 
   // The memoized sorted view of the sketch contents. Built lazily on first
   // use and repaired incrementally after mutations; the reference stays
@@ -787,15 +774,6 @@ class ReqSketch {
   // (Re)builds the published view; called under view_mutex_.
   void RebuildViewLocked() const {
     ViewCacheState& c = view_cache_;
-    if (!incremental_view_repair_) {
-      // Seed-era baseline: collect every (item, weight) pair, sort, scan.
-      std::vector<std::pair<T, uint64_t>> weighted;
-      weighted.reserve(RetainedItems());
-      AppendWeightedItems(&weighted);
-      c.view = SortedView<T, Compare>(std::move(weighted), TotalWeight(),
-                                      comp_);
-      return;
-    }
     const size_t num_levels = levels_.size();
     if (c.runs.size() != num_levels) {
       c.runs.resize(num_levels);
@@ -979,7 +957,6 @@ class ReqSketch {
   // Scratch buffer for promoted items; reused across compactions so the
   // steady-state update path performs no allocations.
   std::vector<T> promote_scratch_;
-  bool incremental_view_repair_ = true;
   // Memoized sorted view for order-based queries; invalidated by
   // Update/Merge, repaired incrementally on the next order-based query.
   // view_ready_ is the double-checked publication flag: readers acquire-load

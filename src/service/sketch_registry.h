@@ -20,14 +20,13 @@
 // connections may append to one metric; they take turns as the SPSC
 // producer), the consumer role by the engine state mutex.
 //
-// Query path (plain/windowed): queries first drain staged items (so every
-// APPEND acknowledged before the query is visible), then run against an
-// epoch-tagged snapshot -- a standalone ReqSketch copy with its sorted
-// view prewarmed, cached in a concurrency::EpochSnapshotCache and rebuilt
-// only after a drain actually changed the state. While a metric is not
-// being appended to, any number of connections query it lock-free. The
+// Query path (plain/windowed): a query drains staged items (so every
+// APPEND acknowledged before the query is visible) and runs the sketch's
+// or window's own query in the same state-lock critical section. The
+// structure's memoized view -- ReqSketch's incrementally repaired sorted
+// view, or the window's merged sketch -- is the only query cache. The
 // sharded engine delegates to ShardedReqSketch's own epoch-cached merged
-// view, which implements the same pattern internally.
+// view.
 //
 // Tenancy spine (the million-metric refactor): the name->engine map is
 // sharded by name hash into kRegistryShards independent mutex+map shards,
@@ -169,12 +168,12 @@ class MetricEngine {
   virtual void Flush() = 0;
 
   // Resident heap bytes this engine holds (sketch payload, staging,
-  // snapshot caches, allocator slack). The registry's quota accounting
+  // query views, allocator slack). The registry's quota accounting
   // charges this figure per metric; it is a measurement, not a contract,
   // and may be briefly stale against concurrent appends.
   virtual size_t MemoryFootprint() const = 0;
 
-  // Releases allocator slack (snapshot caches, scratch, arena slack)
+  // Releases allocator slack (query views, scratch, arena slack)
   // without changing any answer. The memory-only idle path; durable idle
   // metrics get evicted outright via RetireForEviction instead.
   virtual void TrimMemory() {}
@@ -290,10 +289,13 @@ inline void CheckAppendable(const double* data, size_t count) {
 // --- staged engines (plain / windowed) -------------------------------------
 
 // Shared machinery for the engines that stage appends through one SPSC
-// buffer into a single underlying structure and serve queries from an
-// epoch-cached ReqSketch snapshot. Derived classes choose the underlying
-// type and how to snapshot it; the staging/epoch protocol lives here
-// exactly once.
+// buffer into a single underlying structure and answer queries from it.
+// Derived classes choose the underlying type and how to serialize it; the
+// staging protocol lives here exactly once.
+//
+// Queries drain staging and call the underlying structure's own query in
+// one state_mutex_ critical section, so the structure's memoized view is
+// the only query cache: no copy of the sketch or window is ever kept.
 //
 // Lazy staging: the SPSC buffer does not exist until a second connection
 // is actually observed appending (a try-lock miss on the append mutex).
@@ -306,8 +308,6 @@ inline void CheckAppendable(const double* data, size_t count) {
 template <typename Underlying>
 class StagedEngineBase : public MetricEngine {
  public:
-  using Sketch = ReqSketch<double>;
-
   const MetricSpec& spec() const override { return spec_; }
 
   uint64_t Append(const double* data, size_t count) override {
@@ -326,8 +326,8 @@ class StagedEngineBase : public MetricEngine {
     // order could acknowledge a batch that never reached the log.
     if (log_) log_->AppendBatch(data, count);
     if (!staging_ && contended_.load(std::memory_order_relaxed)) {
-      // Materialize under BOTH locks: Drain reads the pointer under the
-      // state mutex, this appender owns the append mutex.
+      // Materialize under BOTH locks: DrainLocked reads the pointer under
+      // the state mutex, this appender owns the append mutex.
       std::lock_guard<std::mutex> lock(state_mutex_);
       staging_ = std::make_unique<concurrency::SpscBuffer<double>>(
           spec_.buffer_capacity);
@@ -337,20 +337,22 @@ class StagedEngineBase : public MetricEngine {
       // as staging + draining, without touching a buffer.
       std::lock_guard<std::mutex> lock(state_mutex_);
       underlying_.Update(data, count);
-      epoch_.fetch_add(1, std::memory_order_release);
     } else {
       size_t left = count;
       while (left > 0) {
         const size_t pushed = staging_->TryPushBulk(data, left);
         data += pushed;
         left -= pushed;
-        if (left > 0) Drain();
+        if (left > 0) Flush();
       }
     }
     return accepted_n_.fetch_add(count, std::memory_order_release) + count;
   }
 
-  void Flush() override { Drain(); }
+  void Flush() override {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    DrainLocked();
+  }
 
   // Whether the staging buffer has been materialized (tests and
   // footprint diagnostics: a serial metric must never pay for one).
@@ -362,45 +364,47 @@ class StagedEngineBase : public MetricEngine {
   size_t MemoryFootprint() const override {
     std::lock_guard<std::mutex> lock(state_mutex_);
     // underlying_ is embedded, so its MemoryBytes() (which counts
-    // sizeof(Sketch)) must replace -- not add to -- its share of
+    // sizeof(Underlying)) must replace -- not add to -- its share of
     // sizeof(*this).
-    size_t bytes = sizeof(*this) - sizeof(Sketch) +
+    size_t bytes = sizeof(*this) - sizeof(Underlying) +
                    underlying_.MemoryBytes() +
                    drain_scratch_.capacity() * sizeof(double);
     if (staging_) {
       bytes += sizeof(concurrency::SpscBuffer<double>) +
                staging_->capacity() * sizeof(double);
     }
-    if (std::shared_ptr<const Sketch> snap = cache_.Peek()) {
-      bytes += snap->MemoryBytes();
-    }
     return bytes;
   }
 
-  // Memory-only idle path: drain, drop the snapshot cache, release
-  // scratch and arena slack. Answers are unchanged; the next query
-  // rebuilds its snapshot.
+  // Memory-only idle path: drain, then release the query view, scratch
+  // and arena slack. Answers are unchanged; the next query rebuilds its
+  // view.
   void TrimMemory() override {
     std::lock_guard<std::mutex> produce(append_mutex_);
-    Drain();
     std::lock_guard<std::mutex> lock(state_mutex_);
+    DrainLocked();
     underlying_.TrimMemory();
     drain_scratch_.clear();
     drain_scratch_.shrink_to_fit();
-    cache_.Invalidate();
   }
 
   std::vector<uint64_t> GetRanks(const std::vector<double>& ys,
                                  Criterion criterion) override {
-    return View()->GetRanks(ys, criterion);
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    DrainLocked();
+    return underlying_.GetRanks(ys, criterion);
   }
   std::vector<double> GetQuantiles(const std::vector<double>& qs,
                                    Criterion criterion) override {
-    return View()->GetQuantiles(qs, criterion);
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    DrainLocked();
+    return underlying_.GetQuantiles(qs, criterion);
   }
   std::vector<double> GetCDF(const std::vector<double>& splits,
                              Criterion criterion) override {
-    return View()->GetCDF(splits, criterion);
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    DrainLocked();
+    return underlying_.GetCDF(splits, criterion);
   }
 
  protected:
@@ -412,37 +416,14 @@ class StagedEngineBase : public MetricEngine {
     accepted_n_.store(accepted_n, std::memory_order_release);
   }
 
-  // Builds the query snapshot from underlying_; called under
-  // state_mutex_ (the sorted-view warm-up happens outside it).
-  virtual Sketch MakeSnapshotLocked() = 0;
-
-  void Drain() {
-    std::lock_guard<std::mutex> lock(state_mutex_);
+  // Applies every staged item to underlying_; called with state_mutex_
+  // held.
+  void DrainLocked() {
     if (!staging_) return;  // direct-path appends are already applied
     drain_scratch_.clear();
     if (staging_->PopAll(&drain_scratch_) > 0) {
       underlying_.Update(drain_scratch_.data(), drain_scratch_.size());
-      // Bump INSIDE the lock: a second query thread that serializes
-      // behind this drain (pops nothing) must then read the bumped
-      // epoch, or it could serve a cached snapshot missing items whose
-      // append was acknowledged before that query began.
-      epoch_.fetch_add(1, std::memory_order_release);
     }
-  }
-
-  std::shared_ptr<const Sketch> View() {
-    Drain();
-    return cache_.Get(
-        [this] { return epoch_.load(std::memory_order_acquire); },
-        [this] {
-          std::unique_lock<std::mutex> lock(state_mutex_);
-          Sketch snap = MakeSnapshotLocked();
-          lock.unlock();
-          // Warm the sorted view outside the state lock: queries on the
-          // published snapshot then take only lock-free reads.
-          snap.PrepareSortedView();
-          return snap;
-        });
   }
 
   const MetricSpec spec_;
@@ -455,14 +436,14 @@ class StagedEngineBase : public MetricEngine {
   mutable std::mutex state_mutex_;
   Underlying underlying_;
   std::vector<double> drain_scratch_;
-  std::atomic<uint64_t> epoch_{0};
-  concurrency::EpochSnapshotCache<Sketch> cache_;
 };
 
 // --- plain -----------------------------------------------------------------
 
 class PlainReqEngine final : public StagedEngineBase<ReqSketch<double>> {
  public:
+  using Sketch = ReqSketch<double>;
+
   explicit PlainReqEngine(const MetricSpec& spec)
       : StagedEngineBase(spec, Sketch(spec.base)) {}
 
@@ -479,18 +460,14 @@ class PlainReqEngine final : public StagedEngineBase<ReqSketch<double>> {
     // Serialize the live sketch under the state lock, as the windowed
     // engine does: the bytes equal an in-process sketch's fed the same
     // stream, and checkpoints, evictions and wire SNAPSHOTs neither copy
-    // the sketch nor build a sorted view no query asked for (queries
-    // still build their own epoch snapshot).
-    Drain();
+    // the sketch nor build a sorted view no query asked for.
     std::lock_guard<std::mutex> lock(state_mutex_);
+    DrainLocked();
     std::vector<uint8_t> blob{static_cast<uint8_t>(EngineKind::kPlain)};
     const std::vector<uint8_t> bytes = SerializeSketch(underlying_);
     blob.insert(blob.end(), bytes.begin(), bytes.end());
     return blob;
   }
-
- private:
-  Sketch MakeSnapshotLocked() override { return underlying_; }
 };
 
 // --- sharded ---------------------------------------------------------------
@@ -615,8 +592,8 @@ class WindowedReqEngine final
     // its merged view: a restored snapshot keeps expiring correctly.
     // (Count-driven rotation happens inside the base drain's batch
     // update, at the same boundaries per-item feeding would produce.)
-    Drain();
     std::lock_guard<std::mutex> lock(state_mutex_);
+    DrainLocked();
     std::vector<uint8_t> blob{static_cast<uint8_t>(EngineKind::kWindowed)};
     const std::vector<uint8_t> bytes = underlying_.Serialize();
     blob.insert(blob.end(), bytes.begin(), bytes.end());
@@ -630,15 +607,6 @@ class WindowedReqEngine final
     config.bucket_items = spec.bucket_items;
     config.base = spec.base;
     return config;
-  }
-
-  Sketch MakeSnapshotLocked() override {
-    if (underlying_.is_empty()) {
-      // Queries on the empty snapshot throw the standard empty-sketch
-      // logic_error, matching the window's own checks.
-      return Sketch(spec_.base);
-    }
-    return underlying_.MergedSnapshot();
   }
 };
 

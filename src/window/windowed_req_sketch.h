@@ -28,8 +28,9 @@
 // over the live buckets and memoized until the next Update/Rotate, guarded
 // by the same double-checked pattern as ReqSketch's sorted-view cache: any
 // number of threads may run const queries concurrently; mutations
-// (Update/Rotate) require exclusive access. For concurrent producers, see
-// concurrency/sharded_windowed_req_sketch.h.
+// (Update/Rotate) require exclusive access. The service's WindowedReqEngine
+// (service/sketch_registry.h) serves many producers and readers on one
+// window by serializing them on its state lock.
 //
 // Determinism: bucket lifetime ("epoch") e is seeded base.seed + e, so the
 // full window state is a pure function of the input sequence and rotation
@@ -328,7 +329,7 @@ class WindowedReqSketch {
   }
 
   // A standalone ReqSketch summarizing the current window (a copy of the
-  // cached merged view). What the sharded wrapper publishes to queriers.
+  // cached merged view; tests use it as a reference).
   Sketch MergedSnapshot() const {
     util::CheckState(!is_empty(), "MergedSnapshot() on an empty window");
     return Merged();

@@ -4,8 +4,9 @@
 // materialize an SPSC buffer; contended ones do, bit-identically),
 // idle eviction + touch rehydration for all three engine kinds, checkpoint
 // memory (a snapshot serializes the live sketch and leaves nothing
-// resident), and a registry-wide eviction-vs-append race stress that the
-// CI ThreadSanitizer job runs.
+// resident), query memory (a queried engine holds its structure and that
+// structure's view, no copy), and a registry-wide eviction-vs-append race
+// stress that the CI ThreadSanitizer job runs.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -23,6 +24,7 @@
 #include "service/reqd_server.h"
 #include "service/sketch_registry.h"
 #include "util/random.h"
+#include "window/windowed_req_sketch.h"
 #include "workload/distributions.h"
 
 namespace req {
@@ -418,6 +420,54 @@ TEST(CheckpointMemory, SnapshotsSerializeTheLiveSketchWithoutCopyingIt) {
   expected.insert(expected.end(), bytes.begin(), bytes.end());
   EXPECT_EQ(blob, expected);
   std::filesystem::remove_all(dir);
+}
+
+// --- query memory ----------------------------------------------------------
+
+TEST(QueryMemory, EngineHoldsOneStructureAndItsView) {
+  // Engines answer queries from the live sketch or window. After a query
+  // each must hold exactly what an in-process structure fed and queried
+  // the same way holds, plus the engine's own fields: no copy of the
+  // structure stays resident.
+  MetricSpec spec;
+  spec.kind = EngineKind::kPlain;
+  spec.base.k_base = 64;
+  spec.base.accuracy = RankAccuracy::kHighRanks;
+  MetricSpec window_spec = spec;
+  window_spec.kind = EngineKind::kWindowed;
+  window_spec.num_buckets = 4;
+  window_spec.bucket_items = 4096;
+  SketchRegistry registry;
+  auto plain = registry.Create("plain", spec);
+  auto windowed = registry.Create("windowed", window_spec);
+  ReqSketch<double> sketch(spec.base);
+  window::WindowedReqConfig config;
+  config.num_buckets = window_spec.num_buckets;
+  config.bucket_items = window_spec.bucket_items;
+  config.base = window_spec.base;
+  window::WindowedReqSketch<double> window(config);
+
+  constexpr size_t kBatch = 512;
+  const std::vector<double> stream =
+      workload::GenerateLognormal(106 * kBatch, 14);
+  for (size_t i = 0; i < stream.size(); i += kBatch) {
+    plain->Append(stream.data() + i, kBatch);
+    windowed->Append(stream.data() + i, kBatch);
+    sketch.Update(stream.data() + i, kBatch);
+    window.Update(stream.data() + i, kBatch);
+  }
+  const std::vector<double> qs = {0.5, 0.9, 0.99, 0.999};
+  EXPECT_EQ(plain->GetQuantiles(qs, Criterion::kInclusive),
+            sketch.GetQuantiles(qs));
+  EXPECT_EQ(windowed->GetQuantiles(qs, Criterion::kInclusive),
+            window.GetQuantiles(qs));
+  EXPECT_EQ(plain->MemoryFootprint(),
+            sizeof(PlainReqEngine) - sizeof(ReqSketch<double>) +
+                sketch.MemoryBytes());
+  EXPECT_EQ(windowed->MemoryFootprint(),
+            sizeof(WindowedReqEngine) -
+                sizeof(window::WindowedReqSketch<double>) +
+                window.MemoryBytes());
 }
 
 // --- eviction-vs-append race stress (TSan target) --------------------------

@@ -1,10 +1,11 @@
 // SketchRegistry + engine tests: directory semantics (create/find/drop,
 // epoch-cached LIST snapshots), per-engine behavior -- including the
 // plain engine's bit-identical-to-in-process guarantee and the snapshot
-// blob format -- and a registry-level concurrency stress that the CI
+// blob format -- and registry-level concurrency stresses that the CI
 // ThreadSanitizer job runs.
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <cmath>
 #include <memory>
 #include <stdexcept>
@@ -283,6 +284,36 @@ TEST(WindowedEngine, TracksWindowAndExpiresOldData) {
   EXPECT_EQ(restored.GetQuantile(0.5), reference.GetQuantile(0.5));
 }
 
+TEST(WindowedEngine, EmptyAndNaNHandling) {
+  MetricSpec spec;
+  spec.kind = EngineKind::kWindowed;
+  spec.num_buckets = 4;
+  spec.bucket_items = 1000;
+  SketchRegistry registry;
+  auto engine = registry.Create("m", spec);
+  EXPECT_THROW(engine->GetQuantiles({0.5}, Criterion::kInclusive),
+               std::logic_error);
+  EXPECT_THROW(engine->GetRanks({1.0}, Criterion::kInclusive),
+               std::logic_error);
+  EXPECT_THROW(engine->GetCDF({1.0}, Criterion::kInclusive),
+               std::logic_error);
+  const double nan = std::nan("");
+  const std::vector<double> bad = {1.0, nan};
+  EXPECT_THROW(engine->Append(bad.data(), bad.size()),
+               std::invalid_argument);
+  EXPECT_EQ(engine->AcceptedN(), 0u);  // strong guarantee: nothing staged
+  // A snapshot of an empty window still round-trips.
+  auto restored = window::WindowedReqSketch<double>::Deserialize(
+      SnapshotBlobPayload(engine->Snapshot()));
+  EXPECT_TRUE(restored.is_empty());
+  // Out-of-range q on a non-empty window (on an empty one, the
+  // empty-state logic_error wins, as checked above).
+  const std::vector<double> ok = {1.0};
+  engine->Append(ok.data(), ok.size());
+  EXPECT_THROW(engine->GetQuantiles({2.0}, Criterion::kInclusive),
+               std::invalid_argument);
+}
+
 // --- concurrency stress (TSan target) --------------------------------------
 
 TEST(SketchRegistry, ConcurrentTenantsAndDirectoryChurn) {
@@ -410,6 +441,82 @@ TEST(SketchRegistry, ConcurrentAppendsReturnTheirOwnApplyPoint) {
       ASSERT_EQ(all[i], (i + 1) * kBatch) << name;
     }
     EXPECT_EQ(engine->AcceptedN(), kThreads * kBatches * kBatch) << name;
+  }
+}
+
+// Queries from other threads on a staged metric must see every append
+// acknowledged before they began: each query drains staging and reads the
+// live structure in one critical section.
+TEST(SketchRegistry, QueriesSeeEveryAckedAppendUnderContention) {
+  constexpr size_t kAppenders = 2;
+  constexpr size_t kBatches = 300;
+  constexpr size_t kBatch = 64;
+  SketchRegistry registry;
+  MetricSpec plain;
+  plain.buffer_capacity = 256;
+  MetricSpec windowed = plain;
+  windowed.kind = EngineKind::kWindowed;
+  windowed.num_buckets = 2;
+  windowed.bucket_items = kAppenders * kBatches * kBatch;  // never rotates
+  for (const auto& [name, spec] : {std::make_pair("q.plain", plain),
+                                   std::make_pair("q.windowed", windowed)}) {
+    auto engine = registry.Create(name, spec);
+    auto materialized = [&engine] {
+      if (const auto* p = dynamic_cast<PlainReqEngine*>(engine.get())) {
+        return p->StagingMaterialized();
+      }
+      return dynamic_cast<WindowedReqEngine*>(engine.get())
+          ->StagingMaterialized();
+    };
+    // Materialize staging first, as LazyStaging does: empty appends from
+    // two threads until one misses the append try-lock.
+    std::atomic<bool> stop{false};
+    std::thread contender([&] {
+      const double dummy = 0.0;
+      while (!stop.load(std::memory_order_acquire)) engine->Append(&dummy, 0);
+    });
+    const double dummy = 0.0;
+    while (!materialized()) engine->Append(&dummy, 0);
+    stop.store(true, std::memory_order_release);
+    contender.join();
+
+    std::atomic<size_t> appenders_left{kAppenders};
+    std::atomic<uint64_t> queries{0};
+    std::atomic<uint64_t> stale{0};
+    std::vector<std::thread> threads;
+    for (size_t a = 0; a < kAppenders; ++a) {
+      threads.emplace_back([&, a] {
+        const std::vector<double> stream = TestStream(300 + a, kBatch);
+        for (size_t b = 0; b < kBatches; ++b) {
+          engine->Append(stream.data(), kBatch);
+        }
+        appenders_left.fetch_sub(1, std::memory_order_release);
+      });
+    }
+    for (size_t q = 0; q < 2; ++q) {
+      threads.emplace_back([&] {
+        // The pass that starts after the appenders finish is the last,
+        // so every querier queries at least once.
+        bool last = false;
+        do {
+          last = appenders_left.load(std::memory_order_acquire) == 0;
+          const uint64_t v = engine->AcceptedN();
+          if (v == 0) continue;
+          const uint64_t rank =
+              engine->GetRanks({DBL_MAX}, Criterion::kInclusive)[0];
+          if (rank < v) stale.fetch_add(1, std::memory_order_relaxed);
+          queries.fetch_add(1, std::memory_order_relaxed);
+        } while (!last);
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+
+    EXPECT_GT(queries.load(), 0u) << name;
+    EXPECT_EQ(stale.load(), 0u) << name;
+    EXPECT_EQ(engine->AcceptedN(), kAppenders * kBatches * kBatch) << name;
+    EXPECT_EQ(engine->GetRanks({DBL_MAX}, Criterion::kInclusive)[0],
+              engine->AcceptedN())
+        << name;
   }
 }
 

@@ -279,6 +279,7 @@ SCHEMAS = {
                 "scalar_loop_rank_ns",
                 "cdf_1k_us",
                 "serialize_us",
+                "post_write_quantiles_us",
             },
             "window": {"k", "buckets", "post_rotate_query_us",
                        "warm_rank_ns"},

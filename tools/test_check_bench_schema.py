@@ -107,6 +107,46 @@ def valid_e18():
     }
 
 
+def valid_e16():
+    return {
+        "experiment": "e16_query",
+        "items": 1000,
+        "reps": 1,
+        "smoke": True,
+        "results": [
+            {
+                "k": 16,
+                "retained": 300,
+                "cold_view_build_us": 10.0,
+                "seed_view_build_us": 30.0,
+                "warm_incremental_rank_ns": 900.0,
+                "warm_full_rank_ns": 9000.0,
+                "bulk_rank_ns": 20.0,
+                "view_scalar_rank_ns": 60.0,
+                "scalar_loop_rank_ns": 300.0,
+                "cdf_1k_us": 20.0,
+                "serialize_us": 5.0,
+                "post_write_quantiles_us": 40.0,
+            },
+        ],
+        "window": [
+            {
+                "k": 64,
+                "buckets": 8,
+                "post_rotate_query_us": 100.0,
+                "warm_rank_ns": 50.0,
+            },
+        ],
+        "summary": [
+            {
+                "k": 16,
+                "warm_repair_speedup": 10.0,
+                "bulk_vs_scalar_speedup": 15.0,
+            },
+        ],
+    }
+
+
 class CheckSchemaTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
@@ -120,6 +160,15 @@ class CheckSchemaTest(unittest.TestCase):
         self.assertEqual(self.check(valid_e13()), [])
         self.assertEqual(self.check(valid_e17()), [])
         self.assertEqual(self.check(valid_e18()), [])
+        self.assertEqual(self.check(valid_e16()), [])
+
+    def test_e16_results_rows_need_post_write_quantiles_us(self):
+        report = valid_e16()
+        del report["results"][0]["post_write_quantiles_us"]
+        errors = self.check(report)
+        self.assertTrue(any("results[0]" in e
+                            and "post_write_quantiles_us" in e
+                            for e in errors))
 
     def test_e18_recovery_rows_need_read_ms(self):
         report = valid_e18()
