@@ -13,8 +13,13 @@
 //     level 0) and re-merges, versus a full rebuild per query;
 //   * POST-WRITE QUANTILES -- what a service engine pays per query that
 //     follows an append: {one 64-item update; GetQuantiles at
-//     {0.5, 0.9, 0.99, 0.999}}, median over the rounds. Most such appends
-//     compact, so the repair rebuilds the merged upper run;
+//     {0.5, 0.9, 0.99, 0.999}}, median over the rounds. Quantiles select
+//     from the levels, so this is one selection index (the insert tails
+//     copied and sorted) plus four selections, with no view repair;
+//   * REPEAT QUANTILES -- the same four-quantile query on an unchanged
+//     sketch, median over the rounds: what a repeated read pays now that
+//     no memoized view answers it (a warm view answered it in one binary
+//     search per quantile);
 //   * BULK GetRanks: 1k query points answered by the single co-scan
 //     kernel, versus the seed-era scalar loop (one GetRank per point) and
 //     versus a per-point view binary search;
@@ -81,6 +86,7 @@ struct KResult {
   double cdf_1k_us = 0.0;
   double serialize_us = 0.0;
   double post_write_quantiles_us = 0.0;
+  double repeat_quantiles_us = 0.0;
 };
 
 struct WindowResult {
@@ -143,19 +149,21 @@ double WarmRankNs(uint32_t k, const std::vector<double>& values,
   return best;
 }
 
-// A service engine's post-write query: one 64-item append, then one timed
-// four-quantile query. Median over `rounds`.
-double PostWriteQuantilesUs(uint32_t k, const std::vector<double>& values,
-                            size_t rounds) {
+// A service engine's four-quantile query, timed `rounds` times; median.
+// With `post_write`, each query follows one 64-item append; without, the
+// sketch never changes between queries.
+double QuantilesUs(uint32_t k, const std::vector<double>& values,
+                   size_t rounds, bool post_write) {
   constexpr size_t kBatch = 64;
   const std::vector<double> qs = {0.5, 0.9, 0.99, 0.999};
   auto sketch = MakeSketch(k);
   sketch.Update(values);
-  sketch.PrepareSortedView();
   std::vector<double> us(rounds);
   for (size_t i = 0; i < rounds; ++i) {
-    sketch.Update(values.data() + (i * kBatch) % (values.size() - kBatch),
-                  kBatch);
+    if (post_write) {
+      sketch.Update(values.data() + (i * kBatch) % (values.size() - kBatch),
+                    kBatch);
+    }
     const auto start = Clock::now();
     g_sink += static_cast<uint64_t>(sketch.GetQuantiles(qs).back());
     us[i] = SecondsSince(start) * 1e6;
@@ -336,12 +344,17 @@ int main(int argc, char** argv) {
                 wr.post_rotate_query_us, wr.warm_rank_ns);
   }
 
-  // Post-write queries run after every other row: their allocations
-  // would otherwise change the heap state the rows above are timed in.
-  std::printf("\n%6s %24s\n", "k", "post_write_quantiles_us");
+  // Quantile queries run after every other row: their allocations would
+  // otherwise change the heap state the rows above are timed in.
+  std::printf("\n%6s %24s %20s\n", "k", "post_write_quantiles_us",
+              "repeat_quantiles_us");
   for (KResult& r : results) {
-    r.post_write_quantiles_us = PostWriteQuantilesUs(r.k, values, warm_iters);
-    std::printf("%6u %24.1f\n", r.k, r.post_write_quantiles_us);
+    r.post_write_quantiles_us =
+        QuantilesUs(r.k, values, warm_iters, /*post_write=*/true);
+    r.repeat_quantiles_us =
+        QuantilesUs(r.k, values, warm_iters, /*post_write=*/false);
+    std::printf("%6u %24.1f %20.1f\n", r.k, r.post_write_quantiles_us,
+                r.repeat_quantiles_us);
   }
 
   std::printf("\n%6s %22s %24s\n", "k", "warm_repair_speedup",
@@ -367,6 +380,7 @@ int main(int argc, char** argv) {
         .Field("cdf_1k_us", r.cdf_1k_us)
         .Field("serialize_us", r.serialize_us)
         .Field("post_write_quantiles_us", r.post_write_quantiles_us)
+        .Field("repeat_quantiles_us", r.repeat_quantiles_us)
         .EndObject();
   }
   json.EndArray();

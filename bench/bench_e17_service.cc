@@ -4,13 +4,15 @@
 // Claim under test: the reqd service layer serves multi-tenant quantile
 // traffic at wire speed -- aggregate append throughput scales with client
 // count until the transport saturates (appends stage into per-metric SPSC
-// buffers and drain on the batch path), quantile-query latency stays
-// flat because each query answers from its metric's live sketch and that
-// sketch's memoized sorted view, and (since the epoll reactor) append
-// latency survives high connection counts: holding 1024+ open connections
-// costs epoll registrations and timer-wheel slots, not threads, so the p99 at
-// 1024 connections stays within 2x of the 8-connection p99 while the
-// server runs a fixed worker pool.
+// buffers and drain on the batch path), quantile queries answer from
+// their metric's live sketch by selecting from its levels (no sorted view
+// is built, so a query after a write pays no view rebuild, and a query
+// repeated on an unchanged metric pays the selection again), and (since
+// the epoll reactor) append latency survives high connection counts:
+// holding 1024+ open connections costs epoll registrations and
+// timer-wheel slots, not threads, so the p99 at 1024 connections stays
+// within 2x of the 8-connection p99 while the server runs a fixed worker
+// pool.
 //
 // Setup: an in-process ReqdServer on an ephemeral loopback port.
 //   Sweep 1 (throughput): for each engine kind (plain, sharded) and
@@ -349,7 +351,7 @@ int main(int argc, char** argv) {
   req::bench::PrintBanner(
       "E17: multi-tenant service layer (reqd over loopback TCP)",
       "append throughput scales with clients; query p99 stays flat "
-      "(queries answer from the live sketch's memoized view); append p99 "
+      "(quantiles are selected from the live sketch's levels); append p99 "
       "survives 1024+ connections (epoll reactor)");
 
   req::service::SketchRegistry registry;

@@ -19,8 +19,9 @@
 //     go through a cached merged view: a ReqSketch built by a single
 //     N-way Merge over all shards, tagged with the epoch observed before
 //     the merge. While the epoch is unchanged, queries are lock-free
-//     (an atomic shared_ptr load) and hit the merged sketch's memoized
-//     sorted view; after a flush, the first query rebuilds the view.
+//     (an atomic shared_ptr load): rank and CDF queries hit the merged
+//     sketch's memoized sorted view, and quantile queries select from
+//     its levels; after a flush, the first query rebuilds the view.
 //
 // Threading contract:
 //   * SINGLE WRITER PER SHARD: at most one thread may call
@@ -529,7 +530,7 @@ class ShardedReqSketch {
       }
     }
     // Warm the memoized sorted view outside the shard locks so concurrent
-    // order-based queries on the published view take only lock-free reads.
+    // rank/CDF queries on the published view take only lock-free reads.
     fresh->sketch.PrepareSortedView();
     std::shared_ptr<const MergedView> published = std::move(fresh);
     std::atomic_store_explicit(&merged_, published,

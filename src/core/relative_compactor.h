@@ -50,7 +50,8 @@
 // into sketch-owned scratch and a merge fused with the promotion both
 // measured no faster at k_base = 16 and slower at 64 and 256. ReqSketch's
 // sorted-view builder sorts its copy of each level with the same routine
-// (detail::SortPrefixSortedRun).
+// (detail::SortPrefixSortedRun), and its quantile selection sorts a copy
+// of each insert tail (AppendSortedTail).
 //
 // Both orientations share one compaction path: promote every other item of
 // the sorted suffix, then truncate. HRA is not a mirror image of LRA (no
@@ -633,6 +634,19 @@ class RelativeCompactor {
   // Length of the sorted prefix (exposed for tests, diagnostics, and the
   // sorted-view builder's copy-and-merge fast path).
   size_t sorted_prefix() const { return sorted_prefix_; }
+
+  // Appends a copy of the insert tail to `*out`, sorted in compaction
+  // order by detail::SortTail (`scratch` is its merge space). The buffer
+  // itself is not touched, so a const query can read the sorted prefix in
+  // place and this copy beside it (ReqSketch's quantile selection).
+  void AppendSortedTail(std::vector<T>* out, std::vector<T>* scratch) const {
+    const size_t offset = out->size();
+    out->insert(out->end(), begin() + sorted_prefix_, end());
+    WithOrder([&](const auto& order) {
+      detail::SortTail(out->data() + offset, out->data() + out->size(), order,
+                       scratch);
+    });
+  }
 
  private:
   const T* begin() const { return arena_->Data(slot_); }

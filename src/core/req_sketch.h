@@ -33,20 +33,27 @@
 // default-constructible and copy/move-assignable (see the requirements
 // note in core/level_arena.h).
 //
-// Query engine: order-based queries go through a memoized sorted view that
-// is maintained *incrementally*: the cache keeps a sorted run per level
-// (stamped with the level's content version) plus a merged run of all
-// levels >= 1, and a rebuild after an update re-sorts only the levels that
-// actually changed -- usually just level 0, an O(dirty) repair instead of
-// an O(R log R) rebuild. The seed-era full path -- AppendWeightedItems
-// into a SortedView (collect + sort all weighted pairs) -- is the
-// reference that benches and equivalence tests compare against.
+// Query engine: GetRank sums per-level binary-search counts, and
+// GetQuantile(s) select from the levels through a query-local index (the
+// stored sorted prefix of each level plus a sorted copy of its insert
+// tail; see LevelSelector). Neither builds a sorted view or leaves memory
+// behind, so a quantile query right after a write pays no view rebuild.
+// The bulk kernels (GetRanks, GetCDF/GetPMF) and GetSortedView go
+// through a memoized sorted view that is maintained *incrementally*: the
+// cache keeps a sorted run per level (stamped with the level's content
+// version) plus a merged run of all levels >= 1, and a rebuild after an
+// update re-sorts only the levels that actually changed -- usually just
+// level 0, an O(dirty) repair instead of an O(R log R) rebuild. The
+// seed-era full path -- AppendWeightedItems into a SortedView (collect +
+// sort all weighted pairs) -- is the reference that benches and
+// equivalence tests compare against.
 //
 // Thread safety: any number of threads may run const query methods
-// concurrently on a shared sketch (the lazily memoized sorted view is
-// filled under an internal lock with a double-checked atomic flag), but
-// mutations (Update / Merge) still require exclusive access: no query or
-// other mutation may run concurrently with them. This is exactly the
+// concurrently on a shared sketch (quantile selection takes no lock and
+// only reads the levels; the lazily memoized sorted view is filled under
+// an internal lock with a double-checked atomic flag), but mutations
+// (Update / Merge) still require exclusive access: no query or other
+// mutation may run concurrently with them. This is exactly the
 // contract the sharded orchestrator in concurrency/sharded_req_sketch.h
 // needs: shards are mutated under a per-shard lock while the merged
 // read-only view is queried freely from many threads.
@@ -62,6 +69,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -274,7 +282,7 @@ class ReqSketch {
   // Releases everything except the sketch payload itself: drops the
   // memoized view cache, frees the promotion scratch, and compacts the
   // arena's slack capacity. Accuracy and query answers are unaffected --
-  // the next order-based query simply rebuilds its view, and levels regrow
+  // the next rank/CDF query simply rebuilds its view, and levels regrow
   // their slots on demand. Requires exclusive access, like any mutator;
   // the idle-metric steady state after a trim is the paper's O(k log n)
   // payload plus fixed object headers.
@@ -588,31 +596,36 @@ class ReqSketch {
     return out;
   }
 
-  // Smallest item whose estimated rank reaches q * n. Amortized O(log S)
-  // per query via the memoized sorted view.
+  // Smallest item whose estimated rank reaches q * n (the target rule is
+  // detail::QuantileTarget, shared with SortedView::GetQuantile). Selected
+  // from the levels through a query-local index (LevelSelector below): no
+  // sorted view is built, storage is not touched, and nothing stays
+  // resident after the call.
   T GetQuantile(double q, Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(n_ > 0, "GetQuantile() on an empty sketch");
     // NaN-rejecting up front: a NaN q fails both comparisons, so it can
-    // never silently index the sorted view.
+    // never reach the selection.
     util::CheckArg(q >= 0.0 && q <= 1.0, "normalized rank must be in [0, 1]");
     // q = 0 and q = 1 return the exactly tracked extremes (the extreme
     // items themselves may have been compacted out of the buffers).
     if (q == 0.0) return *min_item_;
     if (q == 1.0) return *max_item_;
-    return CachedSortedView().GetQuantile(q, criterion);
+    return LevelSelector(*this).Select(q, criterion);
   }
 
+  // GetQuantile at each rank; the selection index is built once for the
+  // whole batch.
   std::vector<T> GetQuantiles(
       const std::vector<double>& qs,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(n_ > 0, "GetQuantiles() on an empty sketch");
     // Validate every rank up front (NaN-rejecting), so a bad rank anywhere
-    // in the batch throws before any result is produced or any view built.
+    // in the batch throws before any result is produced or any index built.
     for (double q : qs) {
       util::CheckArg(q >= 0.0 && q <= 1.0,
                      "normalized rank must be in [0, 1]");
     }
-    const SortedView<T, Compare>& view = CachedSortedView();
+    std::optional<LevelSelector> selector;
     std::vector<T> out;
     out.reserve(qs.size());
     for (double q : qs) {
@@ -621,7 +634,8 @@ class ReqSketch {
       } else if (q == 1.0) {
         out.push_back(*max_item_);
       } else {
-        out.push_back(view.GetQuantile(q, criterion));
+        if (!selector) selector.emplace(*this);
+        out.push_back(selector->Select(q, criterion));
       }
     }
     return out;
@@ -667,8 +681,8 @@ class ReqSketch {
   // valid until the next mutation.
   //
   // Filling the cache is guarded by a double-checked atomic flag plus a
-  // lock, so any number of threads may call this (and the order-based
-  // const queries that go through it) concurrently on a shared sketch.
+  // lock, so any number of threads may call this (and the rank/CDF
+  // queries that go through it) concurrently on a shared sketch.
   // Mutations still require exclusive access.
   const SortedView<T, Compare>& CachedSortedView() const {
     util::CheckState(n_ > 0, "CachedSortedView() on an empty sketch");
@@ -684,8 +698,8 @@ class ReqSketch {
 
   // Eagerly builds the memoized sorted view (no-op on an empty sketch or a
   // warm cache). Callers that hand a sketch to many concurrent readers can
-  // warm the cache once here so every subsequent order-based query takes
-  // only the lock-free fast path.
+  // warm the cache once here so every subsequent rank/CDF query takes
+  // only the lock-free fast path (quantile queries never use the view).
   void PrepareSortedView() const {
     if (n_ > 0) CachedSortedView();
   }
@@ -749,6 +763,160 @@ class ReqSketch {
     // The published view; rebuilt in place (AssignMerged) so its arrays'
     // capacity is reused across repairs.
     SortedView<T, Compare> view;
+  };
+
+  // Quantile selection from the levels (GetQuantile / GetQuantiles).
+  // Estimate-Rank weighs a level-h item by 2^h, so the quantile at target
+  // t is the smallest retained x whose weighted count of items <= x
+  // reaches t; it can be found inside the levels without merging them.
+  //
+  // The index is query-local and reads the sketch without changing it:
+  // each level contributes its stored sorted prefix, read in place, and a
+  // copy of its insert tail sorted in the same compaction order
+  // (RelativeCompactor::AppendSortedTail). Every run keeps a candidate
+  // window; everything left of a window is known to be below the answer
+  // and everything right of it above. A round probes the middle item x of
+  // the widest window and binary-searches each window for its items < x
+  // and <= x. If the weighted count of items < x reaches t, every window
+  // keeps only its items < x; if the count of items <= x falls short,
+  // only its items > x; otherwise x is the answer. The answer never leaves
+  // the windows and each round drops the probe, so it is always found;
+  // halving the widest window makes that ~log2(retained) rounds of one
+  // binary search per run.
+  //
+  // The answer equals the sorted view's under comp_. Items that compare
+  // equal but are distinguishable (-0.0 and +0.0 under std::less) may come
+  // from a different level than the view's pick.
+  class LevelSelector {
+   public:
+    explicit LevelSelector(const ReqSketch& sketch) : sketch_(sketch) {
+      const std::vector<Level>& levels = sketch.levels_;
+      size_t tail_items = 0;
+      for (const Level& level : levels) {
+        tail_items += level.size() - level.sorted_prefix();
+      }
+      // The runs point into tails_, so it must never reallocate.
+      tails_.reserve(tail_items);
+      runs_.reserve(2 * levels.size());
+      const bool descending =
+          sketch.config_.accuracy == RankAccuracy::kHighRanks;
+      std::vector<T> scratch;
+      for (size_t h = 0; h < levels.size(); ++h) {
+        const Level& level = levels[h];
+        AddRun(level.items().begin(), level.sorted_prefix(), h, descending);
+        const size_t offset = tails_.size();
+        level.AppendSortedTail(&tails_, &scratch);
+        AddRun(tails_.data() + offset, tails_.size() - offset, h, descending);
+      }
+    }
+
+    T Select(double q, Criterion criterion) {
+      // Capping the target at n selects the largest retained item, which
+      // is what the view answers for a target above n.
+      const uint64_t target =
+          std::min(detail::QuantileTarget(q, sketch_.n_, criterion),
+                   sketch_.n_);
+      const Compare& comp = sketch_.comp_;
+      for (Run& run : runs_) {
+        run.lo = 0;
+        run.hi = run.size;
+      }
+      while (true) {
+        const Run* widest = nullptr;
+        size_t width = 0;
+        for (const Run& run : runs_) {
+          if (run.hi - run.lo > width) {
+            width = run.hi - run.lo;
+            widest = &run;
+          }
+        }
+        util::CheckState(widest != nullptr,
+                         "quantile selection found no item: sketch "
+                         "corrupted");
+        const T& x = widest->At(widest->lo + width / 2);
+        uint64_t below = 0;    // weighted count of items < x
+        uint64_t through = 0;  // weighted count of items <= x
+        for (Run& run : runs_) {
+          run.below = run.LowerBound(x, comp);
+          run.through = run.UpperBoundFrom(run.below, x, comp);
+          below += static_cast<uint64_t>(run.below) << run.shift;
+          through += static_cast<uint64_t>(run.through) << run.shift;
+        }
+        if (below >= target) {
+          for (Run& run : runs_) run.hi = run.below;
+        } else if (through < target) {
+          for (Run& run : runs_) run.lo = run.through;
+        } else {
+          return x;
+        }
+      }
+    }
+
+   private:
+    // One sorted run of level-`shift` items with its candidate window
+    // [lo, hi). Positions count up the comparator's order: At(i) is
+    // first[i * step], where a run stored descending (HRA compaction
+    // order) starts from its last item with step -1.
+    struct Run {
+      const T* first;
+      ptrdiff_t step;
+      size_t size;
+      size_t shift;
+      size_t lo = 0;
+      size_t hi = 0;
+      size_t below = 0;    // end of the window's items < the probe
+      size_t through = 0;  // end of the window's items <= the probe
+
+      const T& At(size_t i) const {
+        return first[static_cast<ptrdiff_t>(i) * step];
+      }
+      // First position in [lo, hi) whose item is not < x.
+      size_t LowerBound(const T& x, const Compare& comp) const {
+        size_t a = lo;
+        size_t len = hi - lo;
+        while (len > 0) {
+          const size_t half = len / 2;
+          if (comp(At(a + half), x)) {
+            a += half + 1;
+            len -= half + 1;
+          } else {
+            len = half;
+          }
+        }
+        return a;
+      }
+      // First position in [from, hi) whose item is > x, given that the
+      // items before `from` are <= x. O(1) unless x has equals here.
+      size_t UpperBoundFrom(size_t from, const T& x,
+                            const Compare& comp) const {
+        if (from == hi || comp(x, At(from))) return from;
+        size_t a = from + 1;
+        size_t len = hi - a;
+        while (len > 0) {
+          const size_t half = len / 2;
+          if (!comp(x, At(a + half))) {
+            a += half + 1;
+            len -= half + 1;
+          } else {
+            len = half;
+          }
+        }
+        return a;
+      }
+    };
+
+    void AddRun(const T* data, size_t size, size_t h, bool descending) {
+      if (size == 0) return;
+      if (descending) {
+        runs_.push_back(Run{data + size - 1, -1, size, h});
+      } else {
+        runs_.push_back(Run{data, 1, size, h});
+      }
+    }
+
+    const ReqSketch& sketch_;
+    std::vector<Run> runs_;
+    std::vector<T> tails_;
   };
 
   void RebindLevels() {
@@ -957,8 +1125,8 @@ class ReqSketch {
   // Scratch buffer for promoted items; reused across compactions so the
   // steady-state update path performs no allocations.
   std::vector<T> promote_scratch_;
-  // Memoized sorted view for order-based queries; invalidated by
-  // Update/Merge, repaired incrementally on the next order-based query.
+  // Memoized sorted view for the bulk rank/CDF queries; invalidated by
+  // Update/Merge, repaired incrementally on the next query that uses it.
   // view_ready_ is the double-checked publication flag: readers acquire-load
   // it and only touch view_cache_ once it is true; the fill runs under
   // view_mutex_ so concurrent cold readers build the view exactly once.

@@ -1,13 +1,15 @@
 // A materialized, weight-indexed sorted view of a quantiles sketch.
 //
-// The REQ sketch answers rank queries directly from its buffers, but
-// quantile / CDF / PMF queries need the items in sorted order with
-// cumulative weights. The view stores structure-of-arrays: one contiguous
-// item array plus a parallel *weight-prefix index* (inclusive cumulative
-// weights), so a rank binary search touches one cache-dense array and a
-// quantile binary search touches only the uint64 prefix array
-// (Estimate-Rank in Algorithm 2 is the rank direction; this is its
-// inverse).
+// The REQ sketch answers single rank and quantile queries directly from
+// its levels (per-level binary searches; ReqSketch's quantile selection),
+// but bulk rank / CDF / PMF queries over many points co-scan the items in
+// sorted order with cumulative weights, and the Section 5 chain answers
+// every order-based query from a view that combines its summaries. The
+// view stores structure-of-arrays: one contiguous item array plus a
+// parallel *weight-prefix index* (inclusive cumulative weights), so a
+// rank binary search touches one cache-dense array and a quantile binary
+// search touches only the uint64 prefix array (Estimate-Rank in
+// Algorithm 2 is the rank direction; this is its inverse).
 //
 // Construction paths:
 //   * from unsorted (item, weight) pairs -- O(S log S) sort; the original
@@ -18,7 +20,8 @@
 //     ReqSketch's view cache.
 //
 // Query kernels:
-//   * GetRank / GetQuantile: one binary search each.
+//   * GetRank / GetQuantile: one binary search each. GetQuantile's target
+//     rule (detail::QuantileTarget) is shared with ReqSketch's selection.
 //   * GetRanks(const T*, size_t, uint64_t*): bulk kernel -- sorts the
 //     query points once and answers all of them in a single forward
 //     co-scan of the view with galloping advances,
@@ -41,6 +44,28 @@
 #include "util/validation.h"
 
 namespace req {
+
+namespace detail {
+
+// The cumulative weight a quantile query at normalized rank q in [0, 1]
+// must reach: ceil(q * n) (at least 1) under inclusive semantics,
+// floor(q * n) + 1 under exclusive. The answer is the smallest stored
+// item whose inclusive weighted rank is at least the target; a target
+// above n (q = 1 under exclusive semantics: for q < 1 and n < 2^53 the
+// product rounds below n) answers with the largest stored item.
+// SortedView::GetQuantile and ReqSketch's selection over its levels
+// share this rule, so the two cannot drift apart.
+inline uint64_t QuantileTarget(double q, uint64_t total_weight,
+                               Criterion criterion) {
+  const double pos = q * static_cast<double>(total_weight);
+  if (criterion == Criterion::kInclusive) {
+    const uint64_t target = static_cast<uint64_t>(std::ceil(pos));
+    return target == 0 ? 1 : target;
+  }
+  return static_cast<uint64_t>(std::floor(pos)) + 1;
+}
+
+}  // namespace detail
 
 // Merges two sorted weighted runs into out_items/out_weights (cleared
 // first; ties go to run A). Run B's entry weights come from b_weights
@@ -217,14 +242,7 @@ class SortedView {
   const T& GetQuantile(double q, Criterion criterion) const {
     util::CheckArg(q >= 0.0 && q <= 1.0,
                    "normalized rank must be in [0, 1]");
-    const double pos = q * static_cast<double>(total_weight_);
-    uint64_t target;
-    if (criterion == Criterion::kInclusive) {
-      target = static_cast<uint64_t>(std::ceil(pos));
-      if (target == 0) target = 1;
-    } else {
-      target = static_cast<uint64_t>(std::floor(pos)) + 1;
-    }
+    const uint64_t target = detail::QuantileTarget(q, total_weight_, criterion);
     if (target > total_weight_) return items_.back();
     // First entry with cum_weight >= target.
     const size_t idx = static_cast<size_t>(

@@ -22,11 +22,14 @@
 //
 // Query path (plain/windowed): a query drains staged items (so every
 // APPEND acknowledged before the query is visible) and runs the sketch's
-// or window's own query in the same state-lock critical section. The
-// structure's memoized view -- ReqSketch's incrementally repaired sorted
-// view, or the window's merged sketch -- is the only query cache. The
-// sharded engine delegates to ShardedReqSketch's own epoch-cached merged
-// view.
+// or window's own query in the same state-lock critical section.
+// QUANTILES select from the sketch's levels and build no view, so a query
+// after a write pays no view rebuild and leaves no memory behind. RANK
+// and CDF co-scan ReqSketch's memoized, incrementally repaired sorted
+// view. A windowed engine answers both from its memoized merged sketch,
+// rebuilt once per write epoch. These memoized structures are the only
+// query caches. The sharded engine delegates to ShardedReqSketch's own
+// epoch-cached merged view.
 //
 // Tenancy spine (the million-metric refactor): the name->engine map is
 // sharded by name hash into kRegistryShards independent mutex+map shards,
@@ -294,8 +297,9 @@ inline void CheckAppendable(const double* data, size_t count) {
 // staging protocol lives here exactly once.
 //
 // Queries drain staging and call the underlying structure's own query in
-// one state_mutex_ critical section, so the structure's memoized view is
-// the only query cache: no copy of the sketch or window is ever kept.
+// one state_mutex_ critical section, so the structure's memoized caches
+// (the sorted view RANK and CDF use, the window's merged sketch) are the
+// only query caches: no copy of the sketch or window is ever kept.
 //
 // Lazy staging: the SPSC buffer does not exist until a second connection
 // is actually observed appending (a try-lock miss on the append mutex).

@@ -1,8 +1,10 @@
 // Concurrent const-query safety for the plain ReqSketch: many threads may
-// share a const sketch and issue order-based queries (which lazily fill
-// the memoized sorted view) at the same time. Before the double-checked
-// view cache this was a data race; these tests pin the new contract and
-// are run under ThreadSanitizer in CI.
+// share a const sketch and issue order-based queries at the same time.
+// Bulk rank and CDF queries lazily fill the memoized sorted view (before
+// the double-checked view cache that fill was a data race); quantile
+// queries select from the levels through a query-local index and touch
+// no shared state. These tests pin both contracts and are run under
+// ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,29 +28,45 @@ ReqSketch<double> BuildSketch(size_t n) {
   return sketch;
 }
 
-// All threads start on a COLD cache: exactly one builds the sorted view,
-// everyone must read the same memoized object and agree on every answer.
+// All threads start on a COLD cache and race a bulk rank query: exactly
+// one builds the sorted view, everyone must read the same memoized object
+// and agree on every answer. The quantile queries raced beside it build
+// no view (they select from the levels) and must agree as well.
 TEST(ConcurrentQueriesTest, ColdCacheColdStartAgrees) {
   const ReqSketch<double> sketch = BuildSketch(100000);
   constexpr int kThreads = 8;
 
   const std::vector<double> qs{0.01, 0.25, 0.5, 0.9, 0.999};
-  const std::vector<double> reference = sketch.GetQuantiles(qs);
+  const std::vector<double> ys = workload::GenerateLognormal(64, 5);
+  // Answers from an identical sketch, so the shared one stays cold.
+  const ReqSketch<double> twin = BuildSketch(100000);
+  const std::vector<double> reference = twin.GetQuantiles(qs);
+  const std::vector<uint64_t> reference_ranks = twin.GetRanks(ys);
 
   std::atomic<int> ready{0};
   std::vector<std::thread> threads;
   std::vector<std::vector<double>> answers(kThreads);
+  std::vector<std::vector<uint64_t>> ranks(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       // Crude barrier so every thread races the first (cache-filling)
       // query.
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
-      answers[t] = sketch.GetQuantiles(qs);
+      if (t % 2 == 0) {
+        ranks[t] = sketch.GetRanks(ys);
+        answers[t] = sketch.GetQuantiles(qs);
+      } else {
+        answers[t] = sketch.GetQuantiles(qs);
+        ranks[t] = sketch.GetRanks(ys);
+      }
     });
   }
   for (auto& th : threads) th.join();
-  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(answers[t], reference);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(answers[t], reference);
+    EXPECT_EQ(ranks[t], reference_ranks);
+  }
 }
 
 // Mixed query types (ranks, quantiles, CDF, raw rank loop) hammering one

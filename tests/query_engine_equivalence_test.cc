@@ -10,6 +10,15 @@
 // seed-era full rebuild itself -- a SortedView sorted from
 // AppendWeightedItems -- additionally pins incremental repair against
 // full rebuild directly.
+//
+// Quantiles do not go through the sorted view: ReqSketch selects them
+// from its levels. The selection returns an item equal under the
+// comparator to the reference's, and for doubles that is the same value
+// except for -0.0 and +0.0, which compare equal (ASSERT_EQ treats them
+// as equal too); such an item may come from a different level than the
+// view's pick. The selection edge cases get their own tests below: LRA
+// (ascending storage), duplicate-heavy streams (equal items span levels),
+// N-way merges (long unsorted tails) and single-level sketches.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -101,6 +110,32 @@ std::vector<double> MakeProbes(const std::vector<double>& values,
   return probes;
 }
 
+// GetQuantile and the vector GetQuantiles against the seed-era reference,
+// both criteria, on a grid reaching both ends of the rank range: q =
+// 1/(2n) (target 1, the smallest retained item), and q just below 1,
+// which under exclusive semantics makes the target n (the largest
+// retained item).
+void CheckQuantiles(const ReqSketch<double>& sketch, const RefView& ref) {
+  const double n = static_cast<double>(sketch.n());
+  std::vector<double> qs = {1.0 / (2.0 * n), 1.0 / n};
+  for (double q : {0.001, 0.01, 0.1, 0.25, 0.5, 0.77, 0.9, 0.99, 0.999}) {
+    qs.push_back(q);
+  }
+  qs.push_back(1.0 - 1.0 / (2.0 * n));
+  qs.push_back(std::nextafter(1.0, 0.0));
+  for (Criterion criterion :
+       {Criterion::kInclusive, Criterion::kExclusive}) {
+    const std::vector<double> batch = sketch.GetQuantiles(qs, criterion);
+    ASSERT_EQ(batch.size(), qs.size());
+    for (size_t i = 0; i < qs.size(); ++i) {
+      const double expected = ref.Quantile(qs[i], criterion);
+      ASSERT_EQ(sketch.GetQuantile(qs[i], criterion), expected)
+          << "q=" << qs[i] << " criterion=" << static_cast<int>(criterion);
+      ASSERT_EQ(batch[i], expected) << "q=" << qs[i];
+    }
+  }
+}
+
 // The full surface check for one sketch state: bulk kernel (pointer and
 // vector forms) vs scalar loop vs seed-era reference, both criteria, plus
 // quantiles and CDF.
@@ -120,13 +155,7 @@ void CheckPlainSurface(const ReqSketch<double>& sketch,
       ASSERT_EQ(bulk[i], ref.Rank(probes[i], criterion)) << "probe " << i;
     }
   }
-  for (double q : {0.01, 0.1, 0.25, 0.5, 0.77, 0.9, 0.99, 0.999}) {
-    ASSERT_EQ(sketch.GetQuantile(q), ref.Quantile(q, Criterion::kInclusive))
-        << "q=" << q;
-    ASSERT_EQ(sketch.GetQuantile(q, Criterion::kExclusive),
-              ref.Quantile(q, Criterion::kExclusive))
-        << "q=" << q;
-  }
+  CheckQuantiles(sketch, ref);
   // CDF at sorted distinct splits == per-split normalized ranks.
   std::vector<double> splits = probes;
   std::sort(splits.begin(), splits.end());
@@ -372,6 +401,100 @@ TEST(QueryEngineEquivalenceTest, ArenaSerdeRoundTripIsByteStable) {
   const auto probes = MakeProbes(values, rng, 150);
   EXPECT_EQ(restored.GetRanks(probes), sketch.GetRanks(probes));
   EXPECT_EQ(restored.GetQuantile(0.99), sketch.GetQuantile(0.99));
+}
+
+TEST(QueryEngineEquivalenceTest, QuantilesFromLraLevels) {
+  // LRA stores every level ascending, so the selection reads its runs
+  // forward rather than backward.
+  for (uint32_t k : {16u, 64u}) {
+    ReqConfig config;
+    config.k_base = k;
+    config.accuracy = RankAccuracy::kLowRanks;
+    config.seed = 401 + k;
+    ReqSketch<double> sketch(config);
+    util::Xoshiro256 rng(403 + k);
+    const auto values = workload::GenerateLognormal(50000, 409 + k);
+    size_t consumed = 0;
+    while (consumed < values.size()) {
+      const size_t end =
+          std::min(values.size(), consumed + 1 + rng.NextBounded(9000));
+      sketch.Update(values.data() + consumed, end - consumed);
+      consumed = end;
+      CheckQuantiles(sketch, MakeRef(sketch));
+      sketch.Update(values[rng.NextBounded(consumed)]);
+      CheckQuantiles(sketch, MakeRef(sketch));
+    }
+  }
+}
+
+TEST(QueryEngineEquivalenceTest, QuantilesOnDuplicateHeavyStreams) {
+  // ~40 distinct values: equal items sit in many levels at once, so the
+  // counts of items < x and <= x differ in every run.
+  auto values = workload::GenerateUniform(60000, 419);
+  for (double& v : values) v = std::floor(v * 40.0);
+  for (RankAccuracy accuracy :
+       {RankAccuracy::kHighRanks, RankAccuracy::kLowRanks}) {
+    ReqConfig config;
+    config.k_base = 16;
+    config.accuracy = accuracy;
+    config.seed = 421;
+    ReqSketch<double> sketch(config);
+    util::Xoshiro256 rng(431);
+    size_t consumed = 0;
+    while (consumed < values.size()) {
+      const size_t end =
+          std::min(values.size(), consumed + 1 + rng.NextBounded(7000));
+      sketch.Update(values.data() + consumed, end - consumed);
+      consumed = end;
+      CheckQuantiles(sketch, MakeRef(sketch));
+    }
+    EXPECT_GT(sketch.num_levels(), 3u);
+  }
+}
+
+TEST(QueryEngineEquivalenceTest, QuantilesAfterNWayMerge) {
+  // An N-way merge concatenates the sources' buffers into each level;
+  // levels it leaves under capacity keep the concatenation as a long
+  // unsorted tail (here over 1,000 items in total).
+  for (RankAccuracy accuracy :
+       {RankAccuracy::kHighRanks, RankAccuracy::kLowRanks}) {
+    ReqConfig config;
+    config.k_base = 32;
+    config.accuracy = accuracy;
+    config.seed = 433;
+    std::vector<ReqSketch<double>> sources;
+    for (uint64_t s = 0; s < 3; ++s) {
+      ReqConfig source_config = config;
+      source_config.seed = 439 + s;
+      sources.emplace_back(source_config);
+      sources.back().Update(workload::GenerateLognormal(60000, 443 + s));
+    }
+    ReqSketch<double> merged(config);
+    merged.Merge(sources.data(), sources.size());
+    size_t tail_items = 0;
+    for (const auto& level : merged.levels()) {
+      tail_items += level.size() - level.sorted_prefix();
+    }
+    EXPECT_GT(tail_items, 1000u);
+    CheckQuantiles(merged, MakeRef(merged));
+  }
+}
+
+TEST(QueryEngineEquivalenceTest, QuantilesFromASingleLevel) {
+  for (RankAccuracy accuracy :
+       {RankAccuracy::kHighRanks, RankAccuracy::kLowRanks}) {
+    ReqConfig config;
+    config.k_base = 32;
+    config.accuracy = accuracy;
+    config.seed = 457;
+    ReqSketch<double> sketch(config);
+    const auto values = workload::GenerateLognormal(200, 461);
+    for (size_t i = 0; i < values.size(); ++i) {
+      sketch.Update(values[i]);
+      CheckQuantiles(sketch, MakeRef(sketch));
+    }
+    EXPECT_EQ(sketch.num_levels(), 1u);
+  }
 }
 
 }  // namespace

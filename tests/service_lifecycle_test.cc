@@ -425,10 +425,15 @@ TEST(CheckpointMemory, SnapshotsSerializeTheLiveSketchWithoutCopyingIt) {
 // --- query memory ----------------------------------------------------------
 
 TEST(QueryMemory, EngineHoldsOneStructureAndItsView) {
-  // Engines answer queries from the live sketch or window. After a query
-  // each must hold exactly what an in-process structure fed and queried
-  // the same way holds, plus the engine's own fields: no copy of the
-  // structure stays resident.
+  // Engines answer queries from the live sketch or window. A quantile
+  // query selects from the sketch's levels and leaves nothing resident: a
+  // plain engine holds the same bytes after it as before, and a windowed
+  // one holds only the merged sketch it answered from (built once per
+  // write epoch, no sorted view on top). A rank query still builds the
+  // memoized sorted view, which stays. Throughout, each engine holds
+  // exactly what an in-process structure fed and queried the same way
+  // holds, plus the engine's own fields: no copy of the structure stays
+  // resident.
   MetricSpec spec;
   spec.kind = EngineKind::kPlain;
   spec.base.k_base = 64;
@@ -456,18 +461,42 @@ TEST(QueryMemory, EngineHoldsOneStructureAndItsView) {
     sketch.Update(stream.data() + i, kBatch);
     window.Update(stream.data() + i, kBatch);
   }
+  const auto expect_engines_hold_their_structures = [&] {
+    EXPECT_EQ(plain->MemoryFootprint(),
+              sizeof(PlainReqEngine) - sizeof(ReqSketch<double>) +
+                  sketch.MemoryBytes());
+    EXPECT_EQ(windowed->MemoryFootprint(),
+              sizeof(WindowedReqEngine) -
+                  sizeof(window::WindowedReqSketch<double>) +
+                  window.MemoryBytes());
+  };
+  const size_t plain_before = plain->MemoryFootprint();
+  const size_t sketch_before = sketch.MemoryBytes();
+  const size_t windowed_before = windowed->MemoryFootprint();
+
   const std::vector<double> qs = {0.5, 0.9, 0.99, 0.999};
   EXPECT_EQ(plain->GetQuantiles(qs, Criterion::kInclusive),
             sketch.GetQuantiles(qs));
   EXPECT_EQ(windowed->GetQuantiles(qs, Criterion::kInclusive),
             window.GetQuantiles(qs));
-  EXPECT_EQ(plain->MemoryFootprint(),
-            sizeof(PlainReqEngine) - sizeof(ReqSketch<double>) +
-                sketch.MemoryBytes());
-  EXPECT_EQ(windowed->MemoryFootprint(),
-            sizeof(WindowedReqEngine) -
-                sizeof(window::WindowedReqSketch<double>) +
-                window.MemoryBytes());
+  EXPECT_EQ(plain->MemoryFootprint(), plain_before);
+  EXPECT_EQ(sketch.MemoryBytes(), sketch_before);
+  const size_t windowed_merged = windowed->MemoryFootprint();
+  EXPECT_GT(windowed_merged, windowed_before);
+  expect_engines_hold_their_structures();
+  // A repeated query on the unchanged window reuses its merged sketch
+  // and builds nothing on top of it.
+  EXPECT_EQ(windowed->GetQuantiles(qs, Criterion::kInclusive),
+            window.GetQuantiles(qs));
+  EXPECT_EQ(windowed->MemoryFootprint(), windowed_merged);
+
+  const std::vector<double> ys(stream.begin(), stream.begin() + 64);
+  EXPECT_EQ(plain->GetRanks(ys, Criterion::kInclusive), sketch.GetRanks(ys));
+  EXPECT_EQ(windowed->GetRanks(ys, Criterion::kInclusive),
+            window.GetRanks(ys));
+  EXPECT_GT(plain->MemoryFootprint(), plain_before);
+  EXPECT_GT(windowed->MemoryFootprint(), windowed_merged);
+  expect_engines_hold_their_structures();
 }
 
 // --- eviction-vs-append race stress (TSan target) --------------------------

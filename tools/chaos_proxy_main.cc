@@ -24,9 +24,10 @@
 //                         (default: both; latency/throttle also obey)
 //   --port-file PATH      write the bound port (tmp + rename)
 //
-// Example -- a lossy link in front of a local daemon:
+// Example -- a lossy link in front of a local daemon (the chaos-proxy
+// command is one line):
 //   reqd --port 7071 &
-//   chaos-proxy --upstream 127.0.0.1:7071 --listen-port 7072 \
+//   chaos-proxy --upstream 127.0.0.1:7071 --listen-port 7072
 //       --latency-ms 5 --jitter-ms 10 --reset-after 1048576
 //   req-cli --connect 127.0.0.1:7072 --load
 //

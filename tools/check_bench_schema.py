@@ -280,6 +280,7 @@ SCHEMAS = {
                 "cdf_1k_us",
                 "serialize_us",
                 "post_write_quantiles_us",
+                "repeat_quantiles_us",
             },
             "window": {"k", "buckets", "post_rotate_query_us",
                        "warm_rank_ns"},

@@ -127,6 +127,7 @@ def valid_e16():
                 "cdf_1k_us": 20.0,
                 "serialize_us": 5.0,
                 "post_write_quantiles_us": 40.0,
+                "repeat_quantiles_us": 20.0,
             },
         ],
         "window": [
@@ -168,6 +169,14 @@ class CheckSchemaTest(unittest.TestCase):
         errors = self.check(report)
         self.assertTrue(any("results[0]" in e
                             and "post_write_quantiles_us" in e
+                            for e in errors))
+
+    def test_e16_results_rows_need_repeat_quantiles_us(self):
+        report = valid_e16()
+        del report["results"][0]["repeat_quantiles_us"]
+        errors = self.check(report)
+        self.assertTrue(any("results[0]" in e
+                            and "repeat_quantiles_us" in e
                             for e in errors))
 
     def test_e18_recovery_rows_need_read_ms(self):
