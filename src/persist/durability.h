@@ -23,9 +23,9 @@
 //      WAL tail through the registry's CreateRecovered engine -- the
 //      engines' batch determinism plus ReqSerde v2's exact PRNG state
 //      make the result bit-identical to the pre-crash engine state;
-//   3. attach a fresh MetricLog AFTER replay (replayed batches must not
-//      be re-logged), compact the manifest, and delete directories the
-//      manifest no longer references.
+//   3. fsync each metric directory, reopen its WAL in a MetricLog AFTER
+//      replay (replayed batches must not be re-logged), and delete
+//      directories the compacted manifest no longer references.
 #ifndef REQSKETCH_PERSIST_DURABILITY_H_
 #define REQSKETCH_PERSIST_DURABILITY_H_
 
@@ -101,7 +101,7 @@ class DurabilityManager : public DirectoryHook {
       throw IoError("cannot create metric dir " + dir + ": " +
                     ec.message());
     }
-    auto log = std::make_shared<MetricLog>(dir, name, /*next_lsn=*/0,
+    auto log = std::make_shared<MetricLog>(dir, name, RecoveredMetricState{},
                                            LogOptions());
     live_.emplace(name, Entry{id, spec, log});
     return log;
@@ -132,11 +132,10 @@ class DurabilityManager : public DirectoryHook {
     if (it != live_.end()) it->second.log.reset();
   }
 
-  // An evicted metric was touched: reload its durable state and open a
-  // fresh WAL at the recovered next LSN. The eviction checkpoint rotated
-  // the WAL to an empty segment at that LSN, so the MetricLog
-  // constructor's same-name truncation cannot discard acknowledged data
-  // (the retired engine stopped appending before the checkpoint).
+  // An evicted metric was touched: reload its durable state and reopen
+  // its WAL at the recovered next LSN. The eviction checkpoint reset the
+  // WAL to a bare header at that LSN, and the retired engine stopped
+  // appending before it, so the rebuilt engine appends right after it.
   RehydratedMetric OnRehydrate(const std::string& name) override {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = live_.find(name);
@@ -146,8 +145,8 @@ class DurabilityManager : public DirectoryHook {
     const std::string dir = MetricDirPath(it->second.id);
     RehydratedMetric rehydrated;
     rehydrated.state = ReadMetricState(dir, name);
-    rehydrated.log = std::make_shared<MetricLog>(
-        dir, name, rehydrated.state.next_lsn, LogOptions());
+    rehydrated.log = std::make_shared<MetricLog>(dir, name, rehydrated.state,
+                                                 LogOptions());
     it->second.log = rehydrated.log;
     return rehydrated;
   }
@@ -172,9 +171,12 @@ class DurabilityManager : public DirectoryHook {
         engine->Append(batch.data(), batch.size());
       }
       engine->Flush();
+      // A run that crashed may have created files here without the
+      // directory fsync that makes their names durable, and the log reuses
+      // them without creating: sync the names once per boot.
+      FsyncDir(dir, options_.io);
       // The log attaches only now: replay must not re-log its own input.
-      entry.log = std::make_shared<MetricLog>(dir, name, state.next_lsn,
-                                              LogOptions());
+      entry.log = std::make_shared<MetricLog>(dir, name, state, LogOptions());
       engine->SetLog(entry.log);
     }
     CollectGarbageDirs();
@@ -270,8 +272,8 @@ class DurabilityManager : public DirectoryHook {
   void CompactManifest() {
     const std::string tmp_path = data_dir_ + "/manifest.tmp";
     {
-      AppendFile tmp = CreateSegmentFile(tmp_path, kManifestMagic,
-                                         /*first_lsn=*/0, options_.io);
+      FileWriter tmp(tmp_path, /*append=*/true, options_.io);
+      ResetSegment(&tmp, kManifestMagic, /*first_lsn=*/0);
       for (const auto& [name, entry] : live_) {
         AppendRecord(&tmp,
                      EncodeManifestRecord(
@@ -284,10 +286,10 @@ class DurabilityManager : public DirectoryHook {
       throw IoError(PersistErrnoMessage("rename", ManifestPath()));
     }
     FsyncDir(data_dir_, options_.io);
-    manifest_ = AppendFile(ManifestPath(), /*truncate=*/false, options_.io);
+    manifest_ = FileWriter(ManifestPath(), /*append=*/true, options_.io);
   }
 
-  // Deletes m<id>/ directories (and stray tmp files) the compacted
+  // Deletes m<id>/ directories (and a stray manifest.tmp) the compacted
   // manifest no longer references -- the debris of drops and of CREATEs
   // whose manifest record never became durable.
   void CollectGarbageDirs() {
@@ -313,7 +315,7 @@ class DurabilityManager : public DirectoryHook {
         if (numeric && !referenced.count(id)) {
           std::filesystem::remove_all(item.path(), ec);
         }
-      } else if (name == "ckpt.tmp" || name == "manifest.tmp") {
+      } else if (name == "manifest.tmp") {
         std::filesystem::remove(item.path(), ec);
       }
     }
@@ -325,7 +327,7 @@ class DurabilityManager : public DirectoryHook {
   // exclusive lock already serializes OnCreate/OnDrop; this guards
   // against direct DurabilityManager use in tests.
   std::mutex mutex_;
-  AppendFile manifest_;
+  FileWriter manifest_;
   bool manifest_failed_ = false;  // see AppendManifestRecord
   std::map<std::string, Entry> live_;
   uint64_t next_id_ = 0;

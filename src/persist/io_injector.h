@@ -1,10 +1,11 @@
 // Fault-injection seam for the durability layer. Every byte the WAL and
 // checkpoint writers persist flows through an IoInjector, so tests can
 // force the failure shapes a real disk produces -- short (torn) writes,
-// failed fsyncs, and hard crash points -- without mocking the filesystem:
-// the real files are written, just cut off at the injected fault, and the
-// recovery path then has to prove itself against genuine on-disk
-// artifacts (tests/persist_fault_injection_test.cc sweeps crash points).
+// failed fsyncs and truncates, and hard crash points -- without mocking
+// the filesystem: the real files are written, just cut off at the
+// injected fault, and the recovery path then has to prove itself against
+// genuine on-disk artifacts (tests/persist_fault_injection_test.cc sweeps
+// crash points).
 //
 // IoError is the typed failure for the whole persistence stack: both
 // injected faults and real I/O errors (ENOSPC, EIO) throw it, and the
@@ -41,6 +42,10 @@ class IoInjector {
 
   // Before fsync()/fdatasync(); throwing IoError simulates sync failure.
   virtual void BeforeFsync() {}
+
+  // Before ftruncate(); throwing IoError simulates a crash just before a
+  // file is cut to length.
+  virtual void BeforeTruncate() {}
 };
 
 // Deterministic fault plans for tests: fail (optionally with a torn
@@ -50,8 +55,9 @@ class IoInjector {
 // exactly what crash-recovery must withstand.
 class FaultInjector : public IoInjector {
  public:
-  // Ops (writes + fsyncs) that succeed before the fault fires.
-  // `torn_write` makes the faulting write persist half its bytes first.
+  // Ops (writes, fsyncs and truncates) that succeed before the fault
+  // fires. `torn_write` makes the faulting write persist half its bytes
+  // first.
   void FailAfterOps(uint64_t ops, bool torn_write = false) {
     fail_after_.store(ops, std::memory_order_relaxed);
     torn_write_.store(torn_write, std::memory_order_relaxed);
@@ -91,14 +97,22 @@ class FaultInjector : public IoInjector {
     if (fail_fsyncs_.load(std::memory_order_relaxed)) {
       throw IoError("injected fsync failure");
     }
-    if (op >= fail_after_.load(std::memory_order_relaxed)) {
-      tripped_.store(true, std::memory_order_relaxed);
-      throw IoError("injected fsync failure (op " + std::to_string(op) +
-                    ")");
-    }
+    FailOnceSpent(op, "fsync");
+  }
+
+  void BeforeTruncate() override {
+    FailOnceSpent(ops_.fetch_add(1, std::memory_order_relaxed), "truncate");
   }
 
  private:
+  void FailOnceSpent(uint64_t op, const char* what) {
+    if (op >= fail_after_.load(std::memory_order_relaxed)) {
+      tripped_.store(true, std::memory_order_relaxed);
+      throw IoError(std::string("injected ") + what + " failure (op " +
+                    std::to_string(op) + ")");
+    }
+  }
+
   std::atomic<uint64_t> fail_after_{~uint64_t{0}};
   std::atomic<bool> torn_write_{false};
   std::atomic<bool> fail_fsyncs_{false};

@@ -1,14 +1,21 @@
-// File-level building blocks of the durability layer: an append-only
-// POSIX file writer routed through the IoInjector seam, CRC32C record
-// framing, and the readers that recover segment/checkpoint files written
+// File-level building blocks of the durability layer: a POSIX file
+// writer routed through the IoInjector seam, CRC32C record framing, and
+// the readers that recover WAL, manifest and checkpoint files written
 // with it.
 //
 // On-disk formats (little-endian, same conventions as util/serde.h):
 //
 //   segment  := u32 magic | u32 version | u64 first_lsn | record*
 //   record   := u32 payload_len | u32 crc32c(payload) | payload
-//   ckpt     := u32 magic | u32 version | u64 lsn | u64 accepted_n |
+//   ckpt v2  := u32 magic | u32 version=2 | u32 crc | u64 lsn |
+//               u64 accepted_n | u64 blob_len | blob
+//               (crc = crc32c of every byte after the crc field)
+//   ckpt v1  := u32 magic | u32 version=1 | u64 lsn | u64 accepted_n |
 //               u64 blob_len | u32 crc32c(blob) | blob
+//
+// A segment is a WAL file or the manifest. Checkpoints are written as
+// v2; v1 is read only from old-layout ckpt-<lsn>.snap files, and its
+// lsn/accepted_n sit outside the CRC.
 //
 // Reader contract (the recovery invariant): every file is untrusted. A
 // reader returns the longest valid prefix of records -- it stops, without
@@ -17,12 +24,12 @@
 // half-written record) is therefore indistinguishable from a clean end of
 // log, which is exactly the semantics a WAL wants: unacknowledged suffix
 // discarded, acknowledged prefix intact. Checkpoints are all-or-nothing:
-// any corruption rejects the whole file (recovery falls back to an older
-// checkpoint or a from-scratch replay). Nothing in this file ever turns
-// corrupt input into UB; tests/persist_corruption_test.cc bit-flips and
-// truncates every byte under ASan/UBSan to hold that line. A file that
-// exists but cannot be read is not corrupt input: the readers throw
-// IoError for it (see ReadFileBytes) instead of skipping it.
+// any corruption rejects the whole file (recovery falls back to the other
+// slot or a from-scratch replay). Nothing in this file ever turns corrupt
+// input into UB; tests/persist_corruption_test.cc bit-flips and truncates
+// every byte under ASan/UBSan to hold that line. A file that exists but
+// cannot be read is not corrupt input: the readers throw IoError for it
+// (see ReadFileBytes) instead of skipping it.
 #ifndef REQSKETCH_PERSIST_LOG_FILE_H_
 #define REQSKETCH_PERSIST_LOG_FILE_H_
 
@@ -30,9 +37,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -48,7 +55,11 @@ namespace persist {
 inline constexpr uint32_t kSegmentMagic = 0x52534547;    // "RSEG"
 inline constexpr uint32_t kManifestMagic = 0x524d414e;   // "RMAN"
 inline constexpr uint32_t kCheckpointMagic = 0x52434b50;  // "RCKP"
+// Segments, and checkpoints of the old layout (ckpt v1).
 inline constexpr uint32_t kLogFormatVersion = 1;
+// Checkpoints written today (ckpt v2).
+inline constexpr uint32_t kCheckpointFormatVersion = 2;
+inline constexpr size_t kCheckpointHeaderBytes = 36;  // both versions
 
 // Hard ceiling on one record's payload; matches the wire protocol's frame
 // ceiling (WAL records carry wire-encoded APPENDs) and stops a corrupt
@@ -63,38 +74,46 @@ inline std::string PersistErrnoMessage(const char* op,
 
 // --- low-level file ops (all routed through the injector) -------------------
 
-// Append-only writer over a POSIX fd. Short writes -- injected or real --
-// throw IoError AFTER persisting the prefix, which is how a crash torn
-// mid-record looks on disk.
-class AppendFile {
+// Writer over a POSIX fd. Opening creates the file when it is absent, and
+// created() then says so: the new name is durable only after the caller's
+// FsyncDir. With `append`, every write lands at the end of the file (WAL,
+// manifest); without it, writes start at offset 0 and overwrite in place
+// (checkpoint slots). Short writes -- injected or real -- throw IoError
+// AFTER persisting the prefix, which is how a crash torn mid-record looks
+// on disk.
+class FileWriter {
  public:
-  AppendFile() = default;
-  AppendFile(const std::string& path, bool truncate, IoInjector* io)
+  FileWriter() = default;
+  FileWriter(const std::string& path, bool append, IoInjector* io)
       : path_(path), io_(io) {
-    const int flags = O_WRONLY | O_CREAT | O_APPEND |
-                      (truncate ? O_TRUNC : 0);
-    fd_ = ::open(path.c_str(), flags, 0644);
+    const int flags = O_WRONLY | (append ? O_APPEND : 0);
+    fd_ = ::open(path.c_str(), flags);
+    if (fd_ < 0 && errno == ENOENT) {
+      fd_ = ::open(path.c_str(), flags | O_CREAT, 0644);
+      created_ = fd_ >= 0;
+    }
     if (fd_ < 0) throw IoError(PersistErrnoMessage("open", path));
   }
-  AppendFile(const AppendFile&) = delete;
-  AppendFile& operator=(const AppendFile&) = delete;
-  AppendFile(AppendFile&& other) noexcept { *this = std::move(other); }
-  AppendFile& operator=(AppendFile&& other) noexcept {
+  FileWriter(const FileWriter&) = delete;
+  FileWriter& operator=(const FileWriter&) = delete;
+  FileWriter(FileWriter&& other) noexcept { *this = std::move(other); }
+  FileWriter& operator=(FileWriter&& other) noexcept {
     if (this != &other) {
       CloseQuietly();
       fd_ = other.fd_;
+      created_ = other.created_;
       path_ = std::move(other.path_);
       io_ = other.io_;
       other.fd_ = -1;
     }
     return *this;
   }
-  ~AppendFile() { CloseQuietly(); }
+  ~FileWriter() { CloseQuietly(); }
 
   bool valid() const { return fd_ >= 0; }
-  const std::string& path() const { return path_; }
+  bool created() const { return created_; }
 
-  void Append(const void* data, size_t size) {
+  void Write(const void* data, size_t size) {
     const size_t allowed = io_ ? io_->BeforeWrite(size) : size;
     const uint8_t* bytes = static_cast<const uint8_t*>(data);
     size_t written = 0;
@@ -108,6 +127,13 @@ class AppendFile {
     }
     if (allowed < size) {
       throw IoError("short write (torn record) on " + path_);
+    }
+  }
+
+  void Truncate(uint64_t length) {
+    if (io_) io_->BeforeTruncate();
+    if (::ftruncate(fd_, static_cast<off_t>(length)) != 0) {
+      throw IoError(PersistErrnoMessage("ftruncate", path_));
     }
   }
 
@@ -125,12 +151,13 @@ class AppendFile {
 
  private:
   int fd_ = -1;
+  bool created_ = false;
   std::string path_;
   IoInjector* io_ = nullptr;
 };
 
-// Fsyncs a directory, making renames/creates/unlinks inside it durable
-// (the step the classic tmp-write-rename protocol forgets).
+// Fsyncs a directory, making creates/renames inside it durable (the step
+// the classic tmp-write-rename protocol forgets).
 inline void FsyncDir(const std::string& dir, IoInjector* io) {
   if (io) io->BeforeFsync();
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
@@ -142,7 +169,21 @@ inline void FsyncDir(const std::string& dir, IoInjector* io) {
 
 // --- record framing ---------------------------------------------------------
 
-inline void AppendRecord(AppendFile* file,
+// Cuts an append-mode segment file back to a bare 16-byte header naming
+// `first_lsn`; the caller fsyncs. A crash in between leaves no whole
+// header, which the reader rejects.
+inline void ResetSegment(FileWriter* file, uint32_t magic,
+                         uint64_t first_lsn) {
+  uint8_t header[16];
+  const uint32_t version = kLogFormatVersion;
+  std::memcpy(header, &magic, 4);
+  std::memcpy(header + 4, &version, 4);
+  std::memcpy(header + 8, &first_lsn, 8);
+  file->Truncate(0);
+  file->Write(header, sizeof(header));
+}
+
+inline void AppendRecord(FileWriter* file,
                          const std::vector<uint8_t>& payload) {
   // One buffered write per record: a crash can tear the record but never
   // interleave two, and the framing costs one memcpy, not three writes.
@@ -152,7 +193,7 @@ inline void AppendRecord(AppendFile* file,
   std::memcpy(framed.data(), &len, 4);
   std::memcpy(framed.data() + 4, &crc, 4);
   std::memcpy(framed.data() + 8, payload.data(), payload.size());
-  file->Append(framed.data(), framed.size());
+  file->Write(framed.data(), framed.size());
 }
 
 namespace detail {
@@ -171,10 +212,10 @@ class FdCloser {
 
 }  // namespace detail
 
-// Reads a whole file into one buffer sized from fstat, with read(2) to
-// EOF (retrying EINTR). Segments are bounded by the checkpoint threshold,
-// so whole-file reads during recovery are small and simple beats
-// streaming.
+// Reads a whole file, or its first `limit` bytes, into one buffer sized
+// from fstat, with read(2) to EOF (retrying EINTR). WAL tails are bounded
+// by the checkpoint threshold, so whole-file reads during recovery are
+// small and simple beats streaming.
 //
 // Error contract: nullopt means the file does not exist (ENOENT), the one
 // failure recovery may read as "absent". Every other open, fstat or read
@@ -183,7 +224,7 @@ class FdCloser {
 // less than it acknowledged, or garbage-collect the metrics it could not
 // read.
 inline std::optional<std::vector<uint8_t>> ReadFileBytes(
-    const std::string& path) {
+    const std::string& path, size_t limit = SIZE_MAX) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     if (errno == ENOENT) return std::nullopt;
@@ -195,9 +236,10 @@ inline std::optional<std::vector<uint8_t>> ReadFileBytes(
     throw IoError(PersistErrnoMessage("fstat", path));
   }
   // One spare byte lets the read that finds EOF land without a resize.
-  std::vector<uint8_t> bytes(static_cast<size_t>(st.st_size) + 1);
+  std::vector<uint8_t> bytes(
+      std::min(static_cast<size_t>(st.st_size), limit) + 1);
   size_t filled = 0;
-  for (;;) {
+  while (filled < limit) {
     // Only a file that grew since fstat fills the spare byte.
     if (filled == bytes.size()) bytes.resize(2 * bytes.size());
     const ssize_t got = ::read(fd, &bytes[filled], bytes.size() - filled);
@@ -208,16 +250,18 @@ inline std::optional<std::vector<uint8_t>> ReadFileBytes(
     if (got == 0) break;
     filled += static_cast<size_t>(got);
   }
-  bytes.resize(filled);
+  bytes.resize(std::min(filled, limit));
   return bytes;
 }
 
-// The valid prefix of a segment (or manifest) file.
+// The valid prefix of a segment (WAL or manifest) file.
 struct SegmentContents {
   uint64_t first_lsn = 0;
   std::vector<std::vector<uint8_t>> records;
+  // Header plus valid records: where an appender may continue.
+  size_t valid_bytes = 0;
   // False when the scan stopped at torn/corrupt bytes rather than a clean
-  // end -- diagnostics only; recovery treats both as end-of-log.
+  // end -- the bytes past valid_bytes; recovery treats both as end-of-log.
   bool clean_tail = true;
 };
 
@@ -244,34 +288,14 @@ inline std::optional<SegmentContents> ReadSegmentFile(
     uint32_t len = 0, crc = 0;
     std::memcpy(&len, p + pos, 4);
     std::memcpy(&crc, p + pos + 4, 4);
-    if (len < 1 || len > kMaxRecordPayload || len > size - pos - 8) {
-      contents.clean_tail = false;
-      return contents;
-    }
-    if (Crc32c(p + pos + 8, len) != crc) {
-      contents.clean_tail = false;
-      return contents;
-    }
+    if (len < 1 || len > kMaxRecordPayload || len > size - pos - 8) break;
+    if (Crc32c(p + pos + 8, len) != crc) break;
     contents.records.emplace_back(p + pos + 8, p + pos + 8 + len);
     pos += 8 + static_cast<size_t>(len);
   }
+  contents.valid_bytes = pos;
   contents.clean_tail = (pos == size);
   return contents;
-}
-
-// Opens a fresh segment file (truncating any stale file of the same name
-// -- recovery re-creates a rotation-produced empty segment in place) and
-// writes its header. The caller fsyncs per its policy.
-inline AppendFile CreateSegmentFile(const std::string& path, uint32_t magic,
-                                    uint64_t first_lsn, IoInjector* io) {
-  AppendFile file(path, /*truncate=*/true, io);
-  uint8_t header[16];
-  const uint32_t version = kLogFormatVersion;
-  std::memcpy(header, &magic, 4);
-  std::memcpy(header + 4, &version, 4);
-  std::memcpy(header + 8, &first_lsn, 8);
-  file.Append(header, sizeof(header));
-  return file;
 }
 
 // --- checkpoint files -------------------------------------------------------
@@ -282,84 +306,101 @@ struct CheckpointContents {
   std::vector<uint8_t> blob;
 };
 
-// Writes a checkpoint via the tmp + fsync + rename + dir-fsync protocol:
-// after the rename is durable the checkpoint is complete; before it, the
-// old state is untouched. A crash anywhere leaves either the old or the
-// new checkpoint, never a half-written one that parses.
+// Writes a v2 checkpoint over dir/name in place: one write from offset 0,
+// a truncate to the exact length, and an fsync -- no tmp file, rename or
+// unlink. The first write to a name creates the file and fsyncs `dir`. A
+// crash part-way tears this file alone and its CRC then rejects it, so a
+// caller must never overwrite its only valid checkpoint (MetricLog
+// alternates two slots).
 inline void WriteCheckpointFile(const std::string& dir,
-                                const std::string& final_name,
-                                const CheckpointContents& contents,
+                                const std::string& name, uint64_t lsn,
+                                uint64_t accepted_n,
+                                const std::vector<uint8_t>& blob,
                                 IoInjector* io) {
-  const std::string tmp_path = dir + "/ckpt.tmp";
-  const std::string final_path = dir + "/" + final_name;
-  {
-    AppendFile file(tmp_path, /*truncate=*/true, io);
-    std::vector<uint8_t> header(36);
-    const uint32_t version = kLogFormatVersion;
-    const uint64_t blob_len = contents.blob.size();
-    const uint32_t crc = Crc32c(contents.blob.data(), contents.blob.size());
-    std::memcpy(header.data(), &kCheckpointMagic, 4);
-    std::memcpy(header.data() + 4, &version, 4);
-    std::memcpy(header.data() + 8, &contents.lsn, 8);
-    std::memcpy(header.data() + 16, &contents.accepted_n, 8);
-    std::memcpy(header.data() + 24, &blob_len, 8);
-    std::memcpy(header.data() + 32, &crc, 4);
-    file.Append(header.data(), header.size());
-    file.Append(contents.blob.data(), contents.blob.size());
-    file.Fsync();
-  }
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    throw IoError(PersistErrnoMessage("rename", final_path));
-  }
-  FsyncDir(dir, io);
+  std::vector<uint8_t> bytes(kCheckpointHeaderBytes + blob.size());
+  const uint64_t blob_len = blob.size();
+  std::memcpy(bytes.data(), &kCheckpointMagic, 4);
+  std::memcpy(bytes.data() + 4, &kCheckpointFormatVersion, 4);
+  std::memcpy(bytes.data() + 12, &lsn, 8);
+  std::memcpy(bytes.data() + 20, &accepted_n, 8);
+  std::memcpy(bytes.data() + 28, &blob_len, 8);
+  std::copy(blob.begin(), blob.end(), bytes.data() + kCheckpointHeaderBytes);
+  const uint32_t crc = Crc32c(bytes.data() + 12, bytes.size() - 12);
+  std::memcpy(bytes.data() + 8, &crc, 4);
+  FileWriter file(dir + "/" + name, /*append=*/false, io);
+  file.Write(bytes.data(), bytes.size());
+  file.Truncate(bytes.size());
+  file.Fsync();
+  if (file.created()) FsyncDir(dir, io);
 }
 
-// Parses a checkpoint file; nullopt on ANY corruption (all-or-nothing:
-// a checkpoint either restores the exact state or is not used at all) or
-// when it is missing. An unreadable file throws IoError.
+// The LSN a v2 checkpoint's header claims, read without loading the blob.
+// Unverified: only ReadCheckpointFile's CRC check vouches for it. nullopt
+// when the file is missing or has no whole v2 header; an unreadable file
+// throws IoError.
+inline std::optional<uint64_t> ReadCheckpointLsn(const std::string& path) {
+  const auto header = ReadFileBytes(path, kCheckpointHeaderBytes);
+  if (!header || header->size() < kCheckpointHeaderBytes) return std::nullopt;
+  uint32_t magic = 0, version = 0;
+  uint64_t lsn = 0;
+  std::memcpy(&magic, header->data(), 4);
+  std::memcpy(&version, header->data() + 4, 4);
+  std::memcpy(&lsn, header->data() + 12, 8);
+  if (magic != kCheckpointMagic || version != kCheckpointFormatVersion) {
+    return std::nullopt;
+  }
+  return lsn;
+}
+
+// Parses a v2 or v1 checkpoint file; nullopt on ANY corruption
+// (all-or-nothing: a checkpoint either restores the exact state or is not
+// used at all) or when it is missing. An unreadable file throws IoError.
 inline std::optional<CheckpointContents> ReadCheckpointFile(
     const std::string& path) {
   const auto bytes = ReadFileBytes(path);
-  if (!bytes || bytes->size() < 36) return std::nullopt;
+  if (!bytes || bytes->size() < kCheckpointHeaderBytes) return std::nullopt;
   const uint8_t* p = bytes->data();
+  const size_t size = bytes->size();
   uint32_t magic = 0, version = 0, crc = 0;
   uint64_t blob_len = 0;
+  size_t crc_from = kCheckpointHeaderBytes;  // v1: the CRC covers the blob
   CheckpointContents contents;
   std::memcpy(&magic, p, 4);
   std::memcpy(&version, p + 4, 4);
-  std::memcpy(&contents.lsn, p + 8, 8);
-  std::memcpy(&contents.accepted_n, p + 16, 8);
-  std::memcpy(&blob_len, p + 24, 8);
-  std::memcpy(&crc, p + 32, 4);
-  if (magic != kCheckpointMagic || version != kLogFormatVersion) {
+  if (magic != kCheckpointMagic) return std::nullopt;
+  if (version == kCheckpointFormatVersion) {
+    std::memcpy(&crc, p + 8, 4);
+    std::memcpy(&contents.lsn, p + 12, 8);
+    std::memcpy(&contents.accepted_n, p + 20, 8);
+    std::memcpy(&blob_len, p + 28, 8);
+    crc_from = 12;
+  } else if (version == kLogFormatVersion) {
+    std::memcpy(&contents.lsn, p + 8, 8);
+    std::memcpy(&contents.accepted_n, p + 16, 8);
+    std::memcpy(&blob_len, p + 24, 8);
+    std::memcpy(&crc, p + 32, 4);
+  } else {
     return std::nullopt;
   }
-  if (blob_len != bytes->size() - 36) return std::nullopt;
-  contents.blob.assign(p + 36, p + 36 + blob_len);
-  if (Crc32c(contents.blob.data(), contents.blob.size()) != crc) {
+  if (blob_len != size - kCheckpointHeaderBytes ||
+      Crc32c(p + crc_from, size - crc_from) != crc) {
     return std::nullopt;
   }
+  contents.blob.assign(p + kCheckpointHeaderBytes, p + size);
   return contents;
 }
 
 // --- file naming ------------------------------------------------------------
 
-inline std::string SegmentFileName(uint64_t first_lsn) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "wal-%016llx.log",
-                static_cast<unsigned long long>(first_lsn));
-  return buffer;
-}
+// A metric directory's fixed files (persist/metric_log.h): the WAL, kept
+// for the metric's life, and the two checkpoint slots written in turn.
+inline constexpr char kWalFileName[] = "wal-live.log";
+inline constexpr const char* kSlotFileNames[2] = {"ckpt-0.slot",
+                                                  "ckpt-1.slot"};
 
-inline std::string CheckpointFileName(uint64_t lsn) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "ckpt-%016llx.snap",
-                static_cast<unsigned long long>(lsn));
-  return buffer;
-}
-
-// Parses the hex LSN out of a "prefix-%016x.suffix" file name; nullopt
-// for names that do not match (stray files are ignored, not deleted).
+// Parses the hex LSN out of an old-layout "prefix-%016x.suffix" name
+// (wal-<first_lsn>.log segments, ckpt-<lsn>.snap checkpoints); nullopt
+// for names that do not match, the fixed names included.
 inline std::optional<uint64_t> ParseLsnFileName(const std::string& name,
                                                 const std::string& prefix,
                                                 const std::string& suffix) {

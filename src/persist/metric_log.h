@@ -2,16 +2,18 @@
 // per-metric half of the durability subsystem (persist/durability.h owns
 // the directory-level manifest).
 //
-// A metric's directory (data_dir/m<id>/) holds:
+// A metric's directory (data_dir/m<id>/) holds a fixed set of files:
 //
-//   wal-<first_lsn:016x>.log    segmented WAL; record payloads are the
-//                               wire-encoded APPEND requests themselves
-//                               (service/wire_protocol.h), so the log
-//                               format inherits the protocol's versioning
-//                               and its hardened parser for free
-//   ckpt-<lsn:016x>.snap        engine snapshot (kind-tagged serde blob,
-//                               identical bytes to a wire SNAPSHOT) taken
-//                               at WAL position <lsn>
+//   wal-live.log    the WAL, created at CREATE and kept for the metric's
+//                   life; its header names the LSN of its first record.
+//                   Record payloads are the wire-encoded APPEND requests
+//                   themselves (service/wire_protocol.h), so the log
+//                   format inherits the protocol's versioning and its
+//                   hardened parser for free
+//   ckpt-0.slot     checkpoint slots, written in turn, each created at its
+//   ckpt-1.slot     first use: an engine snapshot (kind-tagged serde blob,
+//                   identical bytes to a wire SNAPSHOT) and the LSN it was
+//                   taken at, under one CRC
 //
 // The LSN is the count of APPEND BATCHES since CREATE -- not bytes, not
 // items. Batches are the engines' replay unit: every engine's state is a
@@ -20,21 +22,33 @@
 // so "snapshot at LSN c, replay batches c.." reconstructs the pre-crash
 // state bit-identically.
 //
-// Write protocol per append: frame + CRC the batch, append to the live
-// segment, fsync per policy -- all BEFORE the engine stages the items and
-// the server acknowledges. A torn tail is therefore always an
-// unacknowledged suffix, and recovery may legitimately resurrect slightly
-// MORE than the client saw acknowledged (the record survived, the ack did
-// not) but never less.
+// Write protocol per append: frame + CRC the batch, append to the WAL,
+// fsync per policy -- all BEFORE the engine stages the items and the
+// server acknowledges. A torn tail is therefore always an unacknowledged
+// suffix, and recovery may legitimately resurrect slightly MORE than the
+// client saw acknowledged (the record survived, the ack did not) but
+// never less.
 //
-// Checkpoints (WriteCheckpoint) use tmp+fsync+rename+dir-fsync, then
-// rotate the WAL to a fresh segment at the checkpoint LSN and delete the
-// segments and older checkpoints it made obsolete. A crash between those
-// steps only leaves garbage that the next recovery skips or the next
-// checkpoint deletes -- never a state that parses wrong.
+// Checkpoint protocol (WriteCheckpoint), which creates, renames and
+// unlinks no file once both slots exist:
+//   1. overwrite the slot that does NOT hold the newest valid checkpoint
+//      (one write from offset 0, a truncate to length, an fsync);
+//   2. cut the WAL back to a bare header at the checkpoint's LSN (a
+//      truncate, the header write, an fsync).
+// A crash during 1 tears that slot alone: its CRC fails, and recovery
+// takes the other slot plus the untouched WAL. Between 1 and 2 the WAL
+// holds only records below the new slot's LSN, which recovery skips.
+// During 2 the WAL has no whole header, which recovery resets.
+//
+// Old layout: directories written by earlier versions hold
+// ckpt-<lsn>.snap checkpoints and wal-<first_lsn>.log segments. Recovery
+// reads them alongside the fixed files, and the first checkpoint after it
+// deletes them (and any ckpt.tmp); a crash that undoes the deletes leaves
+// them beside a newer slot, where they change nothing.
 #ifndef REQSKETCH_PERSIST_METRIC_LOG_H_
 #define REQSKETCH_PERSIST_METRIC_LOG_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -74,24 +88,162 @@ struct MetricLogOptions {
   IoInjector* io = nullptr;
 };
 
+// --- per-metric recovery ----------------------------------------------------
+
+// Everything recovery learned from one metric directory.
+struct RecoveredMetricState {
+  // Newest checkpoint that passed its CRC; empty blob => none usable
+  // (replay starts from an empty engine at LSN 0).
+  std::vector<uint8_t> snapshot_blob;
+  uint64_t snapshot_lsn = 0;
+  uint64_t snapshot_accepted_n = 0;
+  // WAL tail to replay on top of the snapshot, in LSN order.
+  std::vector<std::vector<double>> batches;
+  // LSN after the last replayed batch == the reopened MetricLog's next_lsn.
+  uint64_t next_lsn = 0;
+  // For reopening the MetricLog: the slot the snapshot came from (-1:
+  // none, or an old-layout file); the WAL's valid length when its records
+  // end exactly at next_lsn (0: reset the WAL at next_lsn instead), and
+  // whether bytes past it must be cut; old-layout files to delete.
+  int snapshot_slot = -1;
+  uint64_t wal_valid_bytes = 0;
+  bool wal_torn = false;
+  std::vector<std::string> old_layout_files;
+};
+
+// Scans one metric directory: picks the newest valid checkpoint, then
+// walks the WAL for the contiguous batch run that follows it.
+//
+// Checkpoints are tried newest first, and the first that passes its CRC
+// wins: the two slots ordered by the LSN their headers claim (so only one
+// blob is loaded and checked unless it fails), and old-layout
+// ckpt-<lsn>.snap files ordered by name; a slot wins an LSN tie.
+//
+// The WAL scan covers the WAL and any old-layout segments in first-LSN
+// order. It skips records the snapshot covers (a crash between a
+// checkpoint's two steps leaves some), and stops at the first torn
+// record, CRC failure, or LSN gap WITHIN the run -- prefix semantics,
+// matching what was ever acknowledged. Corrupt records never throw;
+// malformed APPEND payloads inside a CRC-valid record do (CRC says the
+// bytes are what was written, so a parse failure means a software bug,
+// not bit rot). Unreadable files are not corruption: a directory that
+// cannot be listed, or a checkpoint or WAL that exists but cannot be
+// read, throws IoError (see ReadFileBytes) rather than recovering less
+// than was acknowledged.
+inline RecoveredMetricState ReadMetricState(const std::string& dir,
+                                            const std::string& metric_name) {
+  RecoveredMetricState state;
+  struct Checkpoint {
+    uint64_t lsn;
+    int slot;  // -1: old-layout file
+    std::string path;
+  };
+  std::vector<Checkpoint> checkpoints;
+  std::vector<std::string> old_segments;
+  using std::filesystem::directory_iterator;
+  std::error_code ec;
+  directory_iterator entry(dir, ec);
+  for (; !ec && entry != directory_iterator(); entry.increment(ec)) {
+    const std::string name = entry->path().filename().string();
+    if (const auto lsn = ParseLsnFileName(name, "ckpt-", ".snap")) {
+      checkpoints.push_back({*lsn, -1, entry->path().string()});
+    } else if (ParseLsnFileName(name, "wal-", ".log")) {
+      old_segments.push_back(entry->path().string());
+    } else if (name != "ckpt.tmp") {
+      continue;
+    }
+    state.old_layout_files.push_back(entry->path().string());
+  }
+  if (ec) throw IoError("cannot list " + dir + ": " + ec.message());
+  for (int slot = 0; slot < 2; ++slot) {
+    std::string path = dir + "/" + kSlotFileNames[slot];
+    if (const auto lsn = ReadCheckpointLsn(path)) {
+      checkpoints.push_back({*lsn, slot, std::move(path)});
+    }
+  }
+  std::sort(checkpoints.begin(), checkpoints.end(),
+            [](const Checkpoint& a, const Checkpoint& b) {
+              return a.lsn != b.lsn ? a.lsn > b.lsn : a.slot > b.slot;
+            });
+  for (const Checkpoint& checkpoint : checkpoints) {
+    if (auto contents = ReadCheckpointFile(checkpoint.path)) {
+      state.snapshot_blob = std::move(contents->blob);
+      state.snapshot_lsn = contents->lsn;
+      state.snapshot_accepted_n = contents->accepted_n;
+      state.snapshot_slot = checkpoint.slot;
+      break;
+    }
+    // Torn or corrupt: fall back to the next newest. A slot torn while
+    // being written has the untouched WAL behind it.
+  }
+  // Equal first LSNs keep insertion order, so the WAL follows an
+  // old-layout segment at its LSN (which can only be empty).
+  std::multimap<uint64_t, SegmentContents> segments;
+  for (const std::string& path : old_segments) {
+    if (auto contents = ReadSegmentFile(path, kSegmentMagic)) {
+      segments.emplace(contents->first_lsn, std::move(*contents));
+    }
+  }
+  std::optional<uint64_t> wal_end;  // LSN after the WAL's valid records
+  if (auto wal = ReadSegmentFile(dir + "/" + kWalFileName, kSegmentMagic)) {
+    wal_end = wal->first_lsn + wal->records.size();
+    state.wal_valid_bytes = wal->valid_bytes;
+    state.wal_torn = !wal->clean_tail;
+    segments.emplace(wal->first_lsn, std::move(*wal));
+  }
+  uint64_t next = state.snapshot_lsn;
+  for (const auto& [first_lsn, contents] : segments) {
+    if (first_lsn > next) break;  // gap: nothing after it was acknowledged
+    uint64_t lsn = first_lsn;
+    for (const auto& record : contents.records) {
+      if (lsn++ < next) continue;  // already covered by the snapshot
+      const service::Request request = service::ParseRequest(record);
+      util::CheckData(request.op == service::Opcode::kAppend &&
+                          request.metric == metric_name,
+                      "WAL record is not an APPEND for this metric");
+      state.batches.push_back(std::move(request.values));
+      ++next;
+    }
+  }
+  state.next_lsn = next;
+  if (wal_end != next) {
+    // Headerless, or beyond a gap: appending there would put records
+    // where no recovery reaches them.
+    state.wal_valid_bytes = 0;
+    state.wal_torn = false;
+  }
+  return state;
+}
+
 class MetricLog {
  public:
-  // Opens a FRESH segment at `next_lsn` (truncating a stale same-named
-  // file: recovery re-creates rotation-produced empty segments in place).
-  // Older segments/checkpoints in `dir` are left for WriteCheckpoint's
-  // garbage collection.
-  MetricLog(std::string dir, std::string metric_name, uint64_t next_lsn,
+  // Opens the metric's WAL to append after `recovered` (what
+  // ReadMetricState found in `dir`; a default state for a CREATE). Appends
+  // continue after the WAL's valid records when they end exactly at
+  // recovered.next_lsn, once a torn tail is cut; otherwise the WAL is reset
+  // to a bare header at next_lsn. Creating the file (a CREATE, or the
+  // first boot of an old-layout directory) fsyncs the directory.
+  MetricLog(std::string dir, std::string metric_name,
+            const RecoveredMetricState& recovered,
             const MetricLogOptions& options)
       : dir_(std::move(dir)),
         metric_name_(std::move(metric_name)),
         options_(options),
-        next_lsn_(next_lsn),
-        segment_first_lsn_(next_lsn),
+        wal_(dir_ + "/" + kWalFileName, /*append=*/true, options.io),
+        next_slot_(recovered.snapshot_slot == 0 ? 1 : 0),
+        old_layout_files_(recovered.old_layout_files),
+        next_lsn_(recovered.next_lsn),
         last_sync_(std::chrono::steady_clock::now()) {
-    segment_ = CreateSegmentFile(dir_ + "/" + SegmentFileName(next_lsn),
-                                 kSegmentMagic, next_lsn, options_.io);
-    segment_.Fsync();
-    FsyncDir(dir_, options_.io);
+    if (recovered.wal_valid_bytes > 0) {
+      if (recovered.wal_torn) wal_.Truncate(recovered.wal_valid_bytes);
+      // The records kept are a replay tail like any appended since.
+      bytes_since_checkpoint_.store(recovered.wal_valid_bytes - 16,
+                                    std::memory_order_relaxed);
+    } else {
+      ResetSegment(&wal_, kSegmentMagic, recovered.next_lsn);
+      wal_.Fsync();
+    }
+    if (wal_.created()) FsyncDir(dir_, options_.io);
   }
 
   MetricLog(const MetricLog&) = delete;
@@ -119,18 +271,17 @@ class MetricLog {
     request.values.assign(data, data + count);
     const std::vector<uint8_t> payload = service::EncodeRequest(request);
     std::lock_guard<std::mutex> lock(mutex_);
-    // A failed/torn write poisons the segment: appending more records
-    // AFTER garbage bytes would put acknowledged data beyond the tear,
-    // where recovery (prefix semantics) can never reach it. The log
-    // refuses further appends until a checkpoint rotates to a fresh
-    // segment; every refusal is an IoError the server answers as kError,
-    // so nothing unrecoverable is ever acknowledged.
+    // A failed/torn write poisons the WAL: appending more records AFTER
+    // garbage bytes would put acknowledged data beyond the tear, where
+    // recovery (prefix semantics) can never reach it. The log refuses
+    // further appends until a checkpoint resets the WAL; every refusal is
+    // an IoError the server answers as kError, so nothing unrecoverable
+    // is ever acknowledged.
     if (failed_) {
-      throw IoError("WAL segment failed; awaiting checkpoint rotation: " +
-                    dir_);
+      throw IoError("WAL write failed; awaiting a checkpoint: " + dir_);
     }
     try {
-      AppendRecord(&segment_, payload);
+      AppendRecord(&wal_, payload);
       MaybeSyncLocked();
     } catch (...) {
       failed_ = true;
@@ -147,52 +298,40 @@ class MetricLog {
            options_.checkpoint_bytes;
   }
 
-  // Persists `blob` (the engine snapshot at WAL position `lsn`), rotates
-  // the WAL to a fresh segment at `lsn`, and deletes the now-covered
-  // segments and superseded checkpoints. Caller context: the engine's
-  // append mutex, with `lsn == next_lsn()` and `blob` serialized from the
-  // state that position corresponds to.
+  // Persists `blob` (the engine snapshot at WAL position `lsn`) into the
+  // slot that does not hold the newest valid checkpoint, then resets the
+  // WAL to a bare header at `lsn` (see the protocol above). The first
+  // call after recovering an old-layout directory then deletes that
+  // layout's files. Caller context: the engine's append mutex, with
+  // `lsn == next_lsn()` and `blob` serialized from the state that
+  // position corresponds to.
   void WriteCheckpoint(uint64_t lsn, uint64_t accepted_n,
                        const std::vector<uint8_t>& blob) {
     if (dropped_.load(std::memory_order_acquire)) return;
     std::lock_guard<std::mutex> lock(mutex_);
-    CheckpointContents contents;
-    contents.lsn = lsn;
-    contents.accepted_n = accepted_n;
-    contents.blob = blob;
-    WriteCheckpointFile(dir_, CheckpointFileName(lsn), contents,
-                        options_.io);
-    // The checkpoint is durable; everything before `lsn` is obsolete.
-    // Rotate first (so a crash mid-GC still has a live segment), then
-    // delete; deletion failures are retried by the next checkpoint.
-    segment_ = CreateSegmentFile(dir_ + "/" + SegmentFileName(lsn),
-                                 kSegmentMagic, lsn, options_.io);
-    segment_.Fsync();
-    FsyncDir(dir_, options_.io);
-    segment_first_lsn_ = lsn;
-    failed_ = false;  // fresh segment: the poisoned bytes are obsolete
-    bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-      const std::string name = entry.path().filename().string();
-      const auto seg_lsn = ParseLsnFileName(name, "wal-", ".log");
-      if (seg_lsn && *seg_lsn < lsn) {
-        std::filesystem::remove(entry.path(), ec);
-        continue;
-      }
-      const auto ckpt_lsn = ParseLsnFileName(name, "ckpt-", ".snap");
-      if (ckpt_lsn && *ckpt_lsn < lsn) {
-        std::filesystem::remove(entry.path(), ec);
-      }
+    WriteCheckpointFile(dir_, kSlotFileNames[next_slot_], lsn, accepted_n,
+                        blob, options_.io);
+    next_slot_ ^= 1;  // the slot just written holds the newest checkpoint
+    try {
+      ResetSegment(&wal_, kSegmentMagic, lsn);
+      wal_.Fsync();
+    } catch (...) {
+      failed_ = true;  // a half-reset WAL takes no records (AppendBatch)
+      throw;
     }
+    failed_ = false;  // the poisoned bytes are gone
+    bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
+    // A failed unlink leaves a file the next recovery lists again.
+    for (const std::string& path : old_layout_files_) ::unlink(path.c_str());
+    old_layout_files_.clear();
   }
 
-  // Flushes the live segment to disk regardless of policy (graceful
-  // shutdown, and tests that need a durable prefix without a checkpoint).
+  // Flushes the WAL to disk regardless of policy (graceful shutdown, and
+  // tests that need a durable prefix without a checkpoint).
   void Sync() {
     if (dropped_.load(std::memory_order_acquire)) return;
     std::lock_guard<std::mutex> lock(mutex_);
-    segment_.Fsync();
+    wal_.Fsync();
   }
 
   // After DROP: in-flight handles may still hold this log; every later
@@ -204,13 +343,13 @@ class MetricLog {
   void MaybeSyncLocked() {
     switch (options_.fsync) {
       case FsyncPolicy::kAlways:
-        segment_.Fsync();
+        wal_.Fsync();
         break;
       case FsyncPolicy::kInterval: {
         const auto now = std::chrono::steady_clock::now();
         if (now - last_sync_ >=
             std::chrono::milliseconds(options_.fsync_interval_ms)) {
-          segment_.Fsync();
+          wal_.Fsync();
           last_sync_ = now;
         }
         break;
@@ -223,97 +362,23 @@ class MetricLog {
   const std::string dir_;
   const std::string metric_name_;
   const MetricLogOptions options_;
-  // Serializes segment writes/rotation against Sync() (engine append
-  // mutex already serializes writers; Sync may come from shutdown).
+  // Serializes WAL writes/resets against Sync() (engine append mutex
+  // already serializes writers; Sync may come from shutdown).
   std::mutex mutex_;
-  AppendFile segment_;
+  FileWriter wal_;
   bool failed_ = false;  // guarded by mutex_; see AppendBatch
+  int next_slot_;        // guarded by mutex_: WriteCheckpoint's target
+  std::vector<std::string> old_layout_files_;  // guarded by mutex_
   std::atomic<uint64_t> next_lsn_;
-  uint64_t segment_first_lsn_;
   std::atomic<uint64_t> bytes_since_checkpoint_{0};
   std::chrono::steady_clock::time_point last_sync_;
   std::atomic<bool> dropped_{false};
 };
 
-// --- per-metric recovery ----------------------------------------------------
-
-// Everything recovery learned from one metric directory.
-struct RecoveredMetricState {
-  // Newest checkpoint that passed its CRC; empty blob => none usable
-  // (replay starts from an empty engine at LSN 0).
-  std::vector<uint8_t> snapshot_blob;
-  uint64_t snapshot_lsn = 0;
-  uint64_t snapshot_accepted_n = 0;
-  // WAL tail to replay on top of the snapshot, in LSN order.
-  std::vector<std::vector<double>> batches;
-  // LSN after the last replayed batch == the new MetricLog's next_lsn.
-  uint64_t next_lsn = 0;
-};
-
-// Scans one metric directory: picks the newest valid checkpoint (falling
-// back to older ones when the newest is torn/corrupt), then walks the
-// segments for the contiguous batch run that follows it. The scan stops
-// at the first torn record, CRC failure, or LSN gap WITHIN the run --
-// prefix semantics, matching what was ever acknowledged -- but continues
-// across a segment boundary when the next segment picks up at exactly the
-// expected LSN (the shape a previous recovery's own torn-tail discard
-// leaves behind). Corrupt records never throw; malformed APPEND payloads
-// inside a CRC-valid record do (CRC says the bytes are what was written,
-// so a parse failure means a software bug, not bit rot). Unreadable files
-// are not corruption: a directory that cannot be listed, or a checkpoint
-// or segment that exists but cannot be read, throws IoError (see
-// ReadFileBytes) rather than recovering less than was acknowledged.
-inline RecoveredMetricState ReadMetricState(const std::string& dir,
-                                            const std::string& metric_name) {
-  RecoveredMetricState state;
-  std::map<uint64_t, std::string> checkpoints;  // lsn -> path
-  std::map<uint64_t, std::string> segments;     // first_lsn -> path
-  using std::filesystem::directory_iterator;
-  std::error_code ec;
-  directory_iterator entry(dir, ec);
-  for (; !ec && entry != directory_iterator(); entry.increment(ec)) {
-    const std::string name = entry->path().filename().string();
-    if (const auto lsn = ParseLsnFileName(name, "ckpt-", ".snap")) {
-      checkpoints.emplace(*lsn, entry->path().string());
-    } else if (const auto first = ParseLsnFileName(name, "wal-", ".log")) {
-      segments.emplace(*first, entry->path().string());
-    }
-  }
-  if (ec) throw IoError("cannot list " + dir + ": " + ec.message());
-  for (auto it = checkpoints.rbegin(); it != checkpoints.rend(); ++it) {
-    if (auto contents = ReadCheckpointFile(it->second)) {
-      state.snapshot_blob = std::move(contents->blob);
-      state.snapshot_lsn = contents->lsn;
-      state.snapshot_accepted_n = contents->accepted_n;
-      break;
-    }
-    // Torn/corrupt checkpoint (crash during rename-era GC, or bit rot):
-    // fall back to the previous one; the WAL still covers the gap.
-  }
-  uint64_t next = state.snapshot_lsn;
-  for (const auto& [first_lsn, path] : segments) {
-    if (first_lsn > next) break;  // gap: nothing after it was acknowledged
-    const auto contents = ReadSegmentFile(path, kSegmentMagic);
-    if (!contents) continue;  // headerless stub: carries no records
-    uint64_t lsn = contents->first_lsn;
-    for (const auto& record : contents->records) {
-      if (lsn++ < next) continue;  // already covered by the snapshot
-      const service::Request request = service::ParseRequest(record);
-      util::CheckData(request.op == service::Opcode::kAppend &&
-                          request.metric == metric_name,
-                      "WAL record is not an APPEND for this metric");
-      state.batches.push_back(std::move(request.values));
-      ++next;
-    }
-  }
-  state.next_lsn = next;
-  return state;
-}
-
 // --- registry-facing lifecycle hook -----------------------------------------
 
 // What OnRehydrate hands back for an evicted metric being touched again:
-// the durable state to rebuild the engine from, plus a fresh WAL opened at
+// the durable state to rebuild the engine from, plus its WAL reopened at
 // the state's next LSN for the rebuilt engine to append to.
 struct RehydratedMetric {
   RecoveredMetricState state;
@@ -336,8 +401,8 @@ class DirectoryHook {
   // manager releases its handle so the engine can be dropped from memory.
   // Default: nothing to release.
   virtual void OnEvict(const std::string& name) { (void)name; }
-  // An evicted metric was touched: return its durable state plus a fresh
-  // WAL to attach to the rebuilt engine. Only meaningful for managers
+  // An evicted metric was touched: return its durable state plus its
+  // reopened WAL to attach to the rebuilt engine. Only meaningful for managers
   // that actually evict; the default refuses.
   virtual RehydratedMetric OnRehydrate(const std::string& name) {
     throw IoError("metric '" + name + "' has no durable state to rehydrate");

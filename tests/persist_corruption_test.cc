@@ -1,13 +1,14 @@
 // Corruption fuzzing for the durability files, the on-disk counterpart
-// of tests/serde_corruption_test.cc: every byte of every WAL segment,
-// checkpoint, and manifest file gets a bit flip, and every file gets
-// truncated at many lengths. The bar (enforced under the CI ASan+UBSan
-// job) is recover-or-reject: the readers return a valid prefix or
-// nothing, full recovery either reconstructs a registry or throws a
-// typed error -- corrupt input NEVER becomes UB or a crash.
+// of tests/serde_corruption_test.cc: every byte of every WAL, checkpoint
+// slot, and manifest file gets a bit flip, and every file gets truncated
+// at many lengths. The bar (enforced under the CI ASan+UBSan job) is
+// recover-or-reject: the readers return a valid prefix or nothing, full
+// recovery either reconstructs a registry or throws a typed error --
+// corrupt input NEVER becomes UB or a crash.
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -44,7 +45,7 @@ void WriteBytes(const std::string& path, const std::vector<uint8_t>& bytes) {
 }
 
 // Builds a representative data dir: two metrics, several WAL batches,
-// one checkpoint (so both snapshot and replay bytes exist on disk).
+// two checkpoints (so both slots and replay bytes exist on disk).
 void BuildFixtureDir(const std::string& dir) {
   DurabilityOptions options;
   options.fsync = FsyncPolicy::kNever;
@@ -65,7 +66,9 @@ void BuildFixtureDir(const std::string& dir) {
     for (double& v : batch) v = rng.NextDouble() * 1e6;
     registry.Require("fix/plain")->Append(batch.data(), batch.size());
     registry.Require("fix/sharded")->Append(batch.data(), batch.size());
-    if (round == 5) registry.Require("fix/plain")->ForceCheckpoint();
+    if (round == 3 || round == 6) {
+      registry.Require("fix/plain")->ForceCheckpoint();
+    }
   }
 }
 
@@ -75,7 +78,7 @@ std::vector<std::string> FixtureFiles(const std::string& dir) {
        std::filesystem::recursive_directory_iterator(dir)) {
     if (entry.is_regular_file()) files.push_back(entry.path().string());
   }
-  EXPECT_GE(files.size(), 4u);  // manifest + >= 2 segments + checkpoint
+  EXPECT_EQ(files.size(), 5u);  // manifest + 2 WALs + 2 slots
   return files;
 }
 
@@ -83,9 +86,10 @@ std::vector<std::string> FixtureFiles(const std::string& dir) {
 
 TEST(PersistCorruption, SegmentReaderSurvivesEveryBitFlip) {
   const std::string dir = MakeTempDir("seg_flip");
-  const std::string path = dir + "/" + SegmentFileName(0);
+  const std::string path = dir + "/" + kWalFileName;
   {
-    AppendFile file = CreateSegmentFile(path, kSegmentMagic, 0, nullptr);
+    FileWriter file(path, /*append=*/true, nullptr);
+    ResetSegment(&file, kSegmentMagic, 0);
     for (uint8_t r = 0; r < 8; ++r) {
       AppendRecord(&file, std::vector<uint8_t>(40 + r * 7, r));
     }
@@ -115,40 +119,101 @@ TEST(PersistCorruption, SegmentReaderSurvivesEveryBitFlip) {
   }
 }
 
-TEST(PersistCorruption, CheckpointReaderIsAllOrNothing) {
-  const std::string dir = MakeTempDir("ckpt_flip");
-  CheckpointContents contents;
-  contents.lsn = 9;
-  contents.accepted_n = 450;
-  contents.blob.resize(300);
-  for (size_t i = 0; i < contents.blob.size(); ++i) {
-    contents.blob[i] = static_cast<uint8_t>(i);
+// Writes every truncation of `bytes` shorter than the whole to `path` and
+// expects the checkpoint reader to reject each one (all-or-nothing).
+void ExpectEveryTruncationRejected(const std::string& path,
+                                   const std::vector<uint8_t>& bytes) {
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    WriteBytes(path, std::vector<uint8_t>(
+                         bytes.begin(),
+                         bytes.begin() + static_cast<ptrdiff_t>(len)));
+    EXPECT_FALSE(ReadCheckpointFile(path).has_value()) << "len " << len;
   }
-  WriteCheckpointFile(dir, CheckpointFileName(9), contents, nullptr);
-  const std::string path = dir + "/" + CheckpointFileName(9);
-  const auto pristine_bytes = ReadFileBytes(path);
-  ASSERT_TRUE(pristine_bytes.has_value());
+}
 
+TEST(PersistCorruption, CheckpointReaderIsAllOrNothing) {
+  // A v1 checkpoint as the old layout wrote it (checked-in bytes; see
+  // Durability.OldLayoutDataDirBootsAndConvertsOnFirstCheckpoint).
+  const auto pristine_bytes = ReadFileBytes(
+      REQSKETCH_TEST_DATA_DIR
+      "/old_layout_data_dir/m0/ckpt-0000000000000006.snap");
+  ASSERT_TRUE(pristine_bytes.has_value());
+  const std::string dir = MakeTempDir("ckpt_flip");
   const std::string scratch = dir + "/scratch";
+  WriteBytes(scratch, *pristine_bytes);
+  const auto pristine = ReadCheckpointFile(scratch);
+  ASSERT_TRUE(pristine.has_value());
+  EXPECT_EQ(pristine->lsn, 6u);
+
   for (size_t byte = 0; byte < pristine_bytes->size(); ++byte) {
     std::vector<uint8_t> corrupt = *pristine_bytes;
     corrupt[byte] ^= static_cast<uint8_t>(1u << (byte % 8));
     WriteBytes(scratch, corrupt);
     const auto result = ReadCheckpointFile(scratch);
     if (!result) continue;
-    // A flip the reader accepts can only live in the CRC-unprotected
+    // A flip the reader accepts can only live in v1's CRC-unprotected
     // header metadata; the blob itself must be untouched.
-    EXPECT_EQ(result->blob, contents.blob) << "byte " << byte;
+    EXPECT_TRUE(byte >= 8 && byte < 24) << "byte " << byte;
+    EXPECT_EQ(result->blob, pristine->blob) << "byte " << byte;
   }
+  ExpectEveryTruncationRejected(scratch, *pristine_bytes);
+}
 
-  // Every truncation length is rejected (all-or-nothing).
-  for (size_t len = 0; len < pristine_bytes->size(); ++len) {
-    WriteBytes(scratch,
-               std::vector<uint8_t>(pristine_bytes->begin(),
-                                    pristine_bytes->begin() +
-                                        static_cast<ptrdiff_t>(len)));
-    EXPECT_FALSE(ReadCheckpointFile(scratch).has_value()) << "len " << len;
+TEST(PersistCorruption, SlotReaderRejectsEveryBitFlipAndTruncation) {
+  // The slot format's CRC covers lsn and accepted_n too: no flip of any
+  // bit anywhere is accepted.
+  const std::string dir = MakeTempDir("slot_flip");
+  std::vector<uint8_t> blob(300);
+  for (size_t i = 0; i < blob.size(); ++i) blob[i] = static_cast<uint8_t>(i);
+  WriteCheckpointFile(dir, kSlotFileNames[1], 9, 450, blob, nullptr);
+  const auto pristine_bytes = ReadFileBytes(dir + "/" + kSlotFileNames[1]);
+  ASSERT_TRUE(pristine_bytes.has_value());
+
+  const std::string scratch = dir + "/scratch";
+  for (size_t byte = 0; byte < pristine_bytes->size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> corrupt = *pristine_bytes;
+      corrupt[byte] ^= static_cast<uint8_t>(1u << bit);
+      WriteBytes(scratch, corrupt);
+      EXPECT_FALSE(ReadCheckpointFile(scratch).has_value())
+          << "byte " << byte << " bit " << bit;
+    }
   }
+  ExpectEveryTruncationRejected(scratch, *pristine_bytes);
+}
+
+TEST(PersistCorruption, RaisedLsnOnTheOlderSlotCannotWin) {
+  // Two valid slots; the older one's LSN field is raised above the newer
+  // one's. Were the LSN outside the CRC (as in v1), the older slot would
+  // win and the WAL records between the two LSNs would be skipped.
+  const std::string dir = MakeTempDir("slot_lsn");
+  MetricLogOptions options;
+  options.fsync = FsyncPolicy::kNever;
+  const std::vector<double> batch = {1.0, 2.0, 3.0};
+  {
+    MetricLog log(dir, "m", {}, options);
+    for (uint8_t c = 1; c <= 2; ++c) {
+      log.AppendBatch(batch.data(), batch.size());
+      log.AppendBatch(batch.data(), batch.size());
+      log.WriteCheckpoint(log.next_lsn(), 6u * c,
+                          std::vector<uint8_t>(40, c));
+    }
+    for (int i = 0; i < 3; ++i) log.AppendBatch(batch.data(), batch.size());
+  }
+  const std::string older = dir + "/" + kSlotFileNames[0];
+  auto bytes = ReadFileBytes(older);
+  ASSERT_TRUE(bytes.has_value());
+  const uint64_t raised = 10;
+  std::memcpy(bytes->data() + 12, &raised, 8);  // v2 lsn field
+  WriteBytes(older, *bytes);
+  ASSERT_EQ(ReadCheckpointLsn(older), std::optional<uint64_t>(raised));
+
+  const RecoveredMetricState state = ReadMetricState(dir, "m");
+  EXPECT_EQ(state.snapshot_lsn, 4u);
+  EXPECT_EQ(state.snapshot_slot, 1);
+  EXPECT_EQ(state.snapshot_blob, std::vector<uint8_t>(40, 2));
+  EXPECT_EQ(state.batches.size(), 3u);
+  EXPECT_EQ(state.next_lsn, 7u);
 }
 
 TEST(PersistCorruption, MetricStateReaderSurvivesTruncationEverywhere) {
@@ -156,7 +221,7 @@ TEST(PersistCorruption, MetricStateReaderSurvivesTruncationEverywhere) {
   MetricLogOptions options;
   options.fsync = FsyncPolicy::kNever;
   {
-    MetricLog log(dir, "m", 0, options);
+    MetricLog log(dir, "m", {}, options);
     std::vector<double> batch = {1.0, 2.0, 3.0};
     for (int i = 0; i < 4; ++i) log.AppendBatch(batch.data(), batch.size());
     log.WriteCheckpoint(4, 12, std::vector<uint8_t>(100, 0x3c));

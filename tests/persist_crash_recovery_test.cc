@@ -27,6 +27,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,6 +157,25 @@ std::vector<uint8_t> ReferenceSnapshot(size_t m, uint64_t n) {
   return engine->Snapshot();
 }
 
+// After a graceful stop, the final checkpoint has cut every metric's WAL
+// back to its 16-byte header, so the next boot replays nothing. Counts
+// the metric directories whose WAL it checked: every metric must have one.
+void ExpectHeaderOnlyWals(const std::string& data_dir) {
+  std::set<std::string> checked_dirs;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(data_dir)) {
+    if (!entry.is_regular_file() ||
+        entry.path().filename() != persist::kWalFileName) {
+      continue;
+    }
+    EXPECT_EQ(entry.file_size(), 16u)
+        << entry.path() << " kept a replay tail past the final checkpoint";
+    checked_dirs.insert(entry.path().parent_path().string());
+  }
+  EXPECT_EQ(checked_dirs.size(), kMetrics)
+      << "metric directories with a WAL file";
+}
+
 TEST(CrashRecovery, KilledDaemonRecoversAckedStateBitIdentically) {
   if (::access(ReqdBinary().c_str(), X_OK) != 0) {
     GTEST_SKIP() << "reqd binary not found at " << ReqdBinary()
@@ -263,17 +283,7 @@ TEST(CrashRecovery, KilledDaemonRecoversAckedStateBitIdentically) {
 
   // --- phase 4: graceful shutdown, third boot, full-state check -------------
   EXPECT_EQ(daemon.Terminate(), 0) << "SIGTERM shutdown was not clean";
-  // The final checkpoint leaves every WAL segment empty (header only):
-  // the next boot replays nothing.
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(data_dir)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    if (persist::ParseLsnFileName(name, "wal-", ".log")) {
-      EXPECT_EQ(entry.file_size(), 16u)
-          << entry.path() << " has a non-empty tail after graceful stop";
-    }
-  }
+  ExpectHeaderOnlyWals(data_dir);
 
   const uint16_t port3 = daemon.Start(data_dir);
   ASSERT_NE(port3, 0) << "reqd failed to boot after graceful stop";
@@ -337,15 +347,7 @@ TEST(CrashRecovery, SigtermUnderLoadCheckpointsEveryAckedItem) {
   EXPECT_EQ(exit_code, 0) << "SIGTERM under load was not a clean exit";
   const uint64_t acked_n = acked.load();
 
-  for (const auto& entry :
-       std::filesystem::recursive_directory_iterator(data_dir)) {
-    if (!entry.is_regular_file()) continue;
-    if (persist::ParseLsnFileName(entry.path().filename().string(), "wal-",
-                                  ".log")) {
-      EXPECT_EQ(entry.file_size(), 16u)
-          << entry.path() << " kept a replay tail past the final checkpoint";
-    }
-  }
+  ExpectHeaderOnlyWals(data_dir);
 
   const uint16_t port2 = daemon.Start(data_dir);
   ASSERT_NE(port2, 0) << "reqd failed to boot after SIGTERM under load";

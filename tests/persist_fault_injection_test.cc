@@ -51,19 +51,20 @@ std::vector<double> ScriptBatch(size_t metric, size_t batch) {
   return values;
 }
 
-// --- AppendFile through the injector ---------------------------------------
+// --- FileWriter through the injector ---------------------------------------
 
 TEST(FaultInjection, WriteFailureTripsAndStaysTripped) {
   const std::string dir = MakeTempDir("trip");
   FaultInjector injector;
   injector.Reset();
   injector.FailAfterOps(2);
-  AppendFile file(dir + "/f", /*truncate=*/true, &injector);
+  FileWriter file(dir + "/f", /*append=*/true, &injector);
   const uint8_t bytes[16] = {};
-  file.Append(bytes, sizeof(bytes));
-  file.Append(bytes, sizeof(bytes));
-  EXPECT_THROW(file.Append(bytes, sizeof(bytes)), IoError);
-  EXPECT_THROW(file.Append(bytes, sizeof(bytes)), IoError);  // stays dead
+  file.Write(bytes, sizeof(bytes));
+  file.Write(bytes, sizeof(bytes));
+  EXPECT_THROW(file.Write(bytes, sizeof(bytes)), IoError);
+  EXPECT_THROW(file.Write(bytes, sizeof(bytes)), IoError);  // stays dead
+  EXPECT_THROW(file.Truncate(0), IoError);
   EXPECT_EQ(std::filesystem::file_size(dir + "/f"), 32u);
 }
 
@@ -72,9 +73,9 @@ TEST(FaultInjection, TornWritePersistsStrictPrefix) {
   FaultInjector injector;
   injector.Reset();
   injector.FailAfterOps(0, /*torn_write=*/true);
-  AppendFile file(dir + "/f", /*truncate=*/true, &injector);
+  FileWriter file(dir + "/f", /*append=*/true, &injector);
   const uint8_t bytes[16] = {};
-  EXPECT_THROW(file.Append(bytes, sizeof(bytes)), IoError);
+  EXPECT_THROW(file.Write(bytes, sizeof(bytes)), IoError);
   EXPECT_EQ(std::filesystem::file_size(dir + "/f"), 8u);  // half landed
 }
 
@@ -87,12 +88,12 @@ TEST(FaultInjection, PoisonedLogRefusesAppendsUntilRotation) {
   MetricLogOptions options;
   options.fsync = FsyncPolicy::kNever;
   options.io = &injector;
-  MetricLog log(dir, "m", 0, options);
+  MetricLog log(dir, "m", {}, options);
   const std::vector<double> batch = {1.0, 2.0, 3.0};
   ASSERT_EQ(log.AppendBatch(batch.data(), batch.size()), 0u);
 
   // Tear the next record's write: the batch is NOT logged (no LSN), and
-  // the segment is poisoned -- appending past the tear would strand any
+  // the WAL is poisoned -- appending past the tear would strand any
   // later acknowledged record beyond recovery's reach.
   injector.FailAfterOps(injector.ops(), /*torn_write=*/true);
   EXPECT_THROW(log.AppendBatch(batch.data(), batch.size()), IoError);
@@ -103,7 +104,8 @@ TEST(FaultInjection, PoisonedLogRefusesAppendsUntilRotation) {
   // Recovery of the poisoned dir sees exactly the pre-fault prefix.
   EXPECT_EQ(ReadMetricState(dir, "m").batches.size(), 1u);
 
-  // A checkpoint rotates to a fresh segment and clears the poison.
+  // A checkpoint resets the WAL past the torn bytes and clears the
+  // poison.
   log.WriteCheckpoint(log.next_lsn(), 3, {7, 7});
   ASSERT_EQ(log.AppendBatch(batch.data(), batch.size()), 1u);
   const RecoveredMetricState state = ReadMetricState(dir, "m");
@@ -119,7 +121,7 @@ TEST(FaultInjection, FsyncFailureSurfacesAsIoErrorBeforeAck) {
   MetricLogOptions options;
   options.fsync = FsyncPolicy::kAlways;
   options.io = &injector;
-  MetricLog log(dir, "m", 0, options);
+  MetricLog log(dir, "m", {}, options);
   const std::vector<double> batch = {4.0, 5.0};
   ASSERT_EQ(log.AppendBatch(batch.data(), batch.size()), 0u);
   injector.FailFsyncs(true);
@@ -154,7 +156,7 @@ TEST(FaultInjection, EngineAppendFailureAcknowledgesNothing) {
   // Queries keep working on the already-acknowledged state.
   EXPECT_NO_THROW(engine->GetQuantiles({0.5}, Criterion::kInclusive));
 
-  // Clearing the fault and checkpointing (fresh segment) restores the
+  // Clearing the fault and checkpointing (WAL reset) restores the
   // append path -- the server does this via ForceCheckpoint on demand.
   injector.Reset();
   engine->ForceCheckpoint();
@@ -199,7 +201,8 @@ void RunScript(const std::string& dir, FaultInjector* injector,
       } catch (const IoError&) {
       }
     }
-    if (round == 3) {
+    // Three checkpoints: slot 0, slot 1, then slot 0 overwritten in place.
+    if (round % 2 == 1) {
       for (const std::string& name : names) {
         auto engine = registry.Find(name);
         if (!engine) continue;
@@ -209,6 +212,37 @@ void RunScript(const std::string& dir, FaultInjector* injector,
         }
       }
     }
+  }
+}
+
+size_t MetricIndex(const std::string& name) {
+  return name == "sweep/a" ? 0 : 1;
+}
+
+// Checks every metric in `expected` against a recovered registry: at
+// least the expected items, on a batch boundary, and bit-identical to a
+// reference engine fed the recovered prefix.
+void ExpectRecovered(SketchRegistry* recovered,
+                     const std::map<std::string, uint64_t>& expected,
+                     const std::string& crash) {
+  for (const auto& [name, n] : expected) {
+    auto engine = recovered->Find(name);
+    ASSERT_NE(engine, nullptr)
+        << "metric " << name << " acked " << n
+        << " items but vanished (" << crash << ")";
+    const uint64_t recovered_n = engine->AcceptedN();
+    EXPECT_GE(recovered_n, n) << "lost acked items at " << crash;
+    EXPECT_EQ(recovered_n % 50, 0u) << "partial batch at " << crash;
+
+    SketchRegistry reference;
+    auto ref_engine = reference.Create(name, PlainSpec());
+    for (size_t b = 0; b < recovered_n / 50; ++b) {
+      const std::vector<double> batch = ScriptBatch(MetricIndex(name), b);
+      ref_engine->Append(batch.data(), batch.size());
+    }
+    ref_engine->Flush();
+    EXPECT_EQ(engine->Snapshot(), ref_engine->Snapshot())
+        << "state diverged at " << crash << " for " << name;
   }
 }
 
@@ -226,44 +260,46 @@ TEST(FaultInjection, CrashPointSweepPreservesAckedPrefix) {
     std::filesystem::remove_all(dir);
   }
 
-  // Sweep every crash point; alternate clean failures and torn writes.
-  for (uint64_t k = 0; k < total_ops; ++k) {
-    const std::string dir =
-        MakeTempDir("sweep_k" + std::to_string(k));
+  // Recovery runs on healthy I/O (the next boot's disk works).
+  DurabilityOptions healthy;
+  healthy.fsync = FsyncPolicy::kNever;
+  // Sweep every crash point, each as a clean failure and as a torn write
+  // (a torn write only differs where op k is a write).
+  for (uint64_t run = 0; run < 2 * total_ops; ++run) {
+    const uint64_t k = run / 2;
+    const std::string dir = MakeTempDir("sweep_run" + std::to_string(run));
     FaultInjector injector;
     injector.Reset();
-    injector.FailAfterOps(k, /*torn_write=*/(k % 2) == 1);
+    injector.FailAfterOps(k, /*torn_write=*/(run % 2) == 1);
     std::map<std::string, uint64_t> acked;
     RunScript(dir, &injector, &acked);
+    const std::string crash = "crash point " + std::to_string(k) +
+                              (run % 2 == 1 ? " (torn write)" : "");
 
-    // Recovery runs on healthy I/O (the next boot's disk works).
-    DurabilityOptions options;
-    options.fsync = FsyncPolicy::kNever;
-    DurabilityManager manager(dir, options);
-    SketchRegistry recovered;
-    manager.RecoverInto(&recovered);
-
-    for (const auto& [name, n] : acked) {
-      auto engine = recovered.Find(name);
-      ASSERT_NE(engine, nullptr)
-          << "metric " << name << " acked " << n
-          << " items but vanished (crash point " << k << ")";
-      const uint64_t recovered_n = engine->AcceptedN();
-      EXPECT_GE(recovered_n, n) << "lost acked items at crash point " << k;
-      EXPECT_EQ(recovered_n % 50, 0u) << "partial batch at crash point "
-                                      << k;
-
-      // Bit-identical to a reference engine fed the recovered prefix.
-      const size_t metric_index = name == "sweep/a" ? 0 : 1;
-      SketchRegistry reference;
-      auto ref_engine = reference.Create(name, PlainSpec());
-      for (size_t b = 0; b < recovered_n / 50; ++b) {
-        const std::vector<double> batch = ScriptBatch(metric_index, b);
-        ref_engine->Append(batch.data(), batch.size());
+    // Recover, then append one more batch to each metric through the
+    // reopened WAL and recover again: a reopen that appended after torn
+    // bytes would leave that batch where no recovery reaches it.
+    std::map<std::string, uint64_t> appended;
+    {
+      DurabilityManager manager(dir, healthy);
+      SketchRegistry recovered;
+      manager.RecoverInto(&recovered);
+      ExpectRecovered(&recovered, acked, crash);
+      for (const auto& [name, n] : acked) {
+        auto engine = recovered.Find(name);
+        if (!engine) continue;
+        const uint64_t have = engine->AcceptedN();
+        const std::vector<double> batch =
+            ScriptBatch(MetricIndex(name), have / 50);
+        engine->Append(batch.data(), batch.size());
+        appended[name] = have + batch.size();
       }
-      ref_engine->Flush();
-      EXPECT_EQ(engine->Snapshot(), ref_engine->Snapshot())
-          << "state diverged at crash point " << k << " for " << name;
+    }
+    {
+      DurabilityManager manager(dir, healthy);
+      SketchRegistry recovered;
+      manager.RecoverInto(&recovered);
+      ExpectRecovered(&recovered, appended, crash);
     }
     std::filesystem::remove_all(dir);
   }

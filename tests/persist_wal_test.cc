@@ -1,14 +1,18 @@
 // Durability-layer unit tests: CRC framing, segment/checkpoint file
-// round trips and torn-tail semantics, MetricLog append/checkpoint/
-// rotation/GC, and full DurabilityManager + SketchRegistry recovery --
+// round trips and torn-tail semantics, MetricLog appends, checkpoint
+// slots, WAL resets and reopens, the old-layout reader, and full
+// DurabilityManager + SketchRegistry recovery --
 // including the bit-identical-state guarantee for all three engine
 // kinds (tests/persist_crash_recovery_test.cc proves the same invariant
 // against a SIGKILLed daemon process).
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -109,27 +113,30 @@ TEST(Crc32c, DetectsSingleBitFlips) {
 
 // --- file naming ------------------------------------------------------------
 
-TEST(LogFileNames, RoundTrip) {
-  EXPECT_EQ(SegmentFileName(0), "wal-0000000000000000.log");
-  EXPECT_EQ(CheckpointFileName(0x1234abcd), "ckpt-000000001234abcd.snap");
-  EXPECT_EQ(ParseLsnFileName(SegmentFileName(42), "wal-", ".log"),
+TEST(LogFileNames, ParsesOldLayoutNamesOnly) {
+  EXPECT_EQ(ParseLsnFileName("wal-000000000000002a.log", "wal-", ".log"),
             std::optional<uint64_t>(42));
-  EXPECT_EQ(ParseLsnFileName(CheckpointFileName(~uint64_t{0}), "ckpt-",
-                             ".snap"),
+  EXPECT_EQ(ParseLsnFileName("ckpt-ffffffffffffffff.snap", "ckpt-", ".snap"),
             std::optional<uint64_t>(~uint64_t{0}));
   EXPECT_FALSE(ParseLsnFileName("wal-123.log", "wal-", ".log"));
   EXPECT_FALSE(ParseLsnFileName("wal-000000000000000G.log", "wal-", ".log"));
   EXPECT_FALSE(ParseLsnFileName("ckpt-0000000000000000.snap", "wal-",
                                 ".log"));
+  // The fixed files never read as old-layout ones.
+  EXPECT_FALSE(ParseLsnFileName(kWalFileName, "wal-", ".log"));
+  for (const char* slot : kSlotFileNames) {
+    EXPECT_FALSE(ParseLsnFileName(slot, "ckpt-", ".snap")) << slot;
+  }
 }
 
 // --- segment files ----------------------------------------------------------
 
 TEST(SegmentFile, RoundTrip) {
   const std::string dir = MakeTempDir("segment_roundtrip");
-  const std::string path = dir + "/" + SegmentFileName(7);
+  const std::string path = dir + "/" + kWalFileName;
   {
-    AppendFile file = CreateSegmentFile(path, kSegmentMagic, 7, nullptr);
+    FileWriter file(path, /*append=*/true, nullptr);
+    ResetSegment(&file, kSegmentMagic, 7);
     AppendRecord(&file, {1, 2, 3});
     AppendRecord(&file, {0xff});
     AppendRecord(&file, std::vector<uint8_t>(1000, 0xab));
@@ -138,6 +145,7 @@ TEST(SegmentFile, RoundTrip) {
   ASSERT_TRUE(contents.has_value());
   EXPECT_EQ(contents->first_lsn, 7u);
   EXPECT_TRUE(contents->clean_tail);
+  EXPECT_EQ(contents->valid_bytes, std::filesystem::file_size(path));
   ASSERT_EQ(contents->records.size(), 3u);
   EXPECT_EQ(contents->records[0], (std::vector<uint8_t>{1, 2, 3}));
   EXPECT_EQ(contents->records[2], std::vector<uint8_t>(1000, 0xab));
@@ -148,9 +156,10 @@ TEST(SegmentFile, RoundTrip) {
 
 TEST(SegmentFile, TornTailYieldsLongestValidPrefix) {
   const std::string dir = MakeTempDir("segment_torn");
-  const std::string path = dir + "/" + SegmentFileName(0);
+  const std::string path = dir + "/" + kWalFileName;
   {
-    AppendFile file = CreateSegmentFile(path, kSegmentMagic, 0, nullptr);
+    FileWriter file(path, /*append=*/true, nullptr);
+    ResetSegment(&file, kSegmentMagic, 0);
     AppendRecord(&file, std::vector<uint8_t>(64, 1));
     AppendRecord(&file, std::vector<uint8_t>(64, 2));
     AppendRecord(&file, std::vector<uint8_t>(64, 3));
@@ -162,11 +171,13 @@ TEST(SegmentFile, TornTailYieldsLongestValidPrefix) {
   ASSERT_TRUE(contents.has_value());
   EXPECT_EQ(contents->records.size(), 2u);
   EXPECT_FALSE(contents->clean_tail);
+  EXPECT_EQ(contents->valid_bytes, 16u + 2 * (8 + 64));
   // Cut into the second record's 8-byte frame header: one record.
   TruncateFile(path, 16 + 8 + 64 + 3);
   contents = ReadSegmentFile(path, kSegmentMagic);
   ASSERT_TRUE(contents.has_value());
   EXPECT_EQ(contents->records.size(), 1u);
+  EXPECT_EQ(contents->valid_bytes, 16u + 8 + 64);
   // Cut into the 16-byte file header: no usable file at all.
   TruncateFile(path, 9);
   EXPECT_FALSE(ReadSegmentFile(path, kSegmentMagic).has_value());
@@ -176,20 +187,27 @@ TEST(SegmentFile, TornTailYieldsLongestValidPrefix) {
 
 TEST(CheckpointFile, RoundTripAndAllOrNothing) {
   const std::string dir = MakeTempDir("ckpt");
-  CheckpointContents contents;
-  contents.lsn = 12;
-  contents.accepted_n = 34567;
-  contents.blob = std::vector<uint8_t>(257, 0x5c);
-  WriteCheckpointFile(dir, CheckpointFileName(12), contents, nullptr);
-  const std::string path = dir + "/" + CheckpointFileName(12);
+  const std::string path = dir + "/" + kSlotFileNames[0];
+  const std::vector<uint8_t> blob(257, 0x5c);
+  WriteCheckpointFile(dir, kSlotFileNames[0], 12, 34567, blob, nullptr);
 
-  const auto loaded = ReadCheckpointFile(path);
+  auto loaded = ReadCheckpointFile(path);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->lsn, 12u);
   EXPECT_EQ(loaded->accepted_n, 34567u);
-  EXPECT_EQ(loaded->blob, contents.blob);
-  // The tmp file must not linger after the rename.
-  EXPECT_FALSE(std::filesystem::exists(dir + "/ckpt.tmp"));
+  EXPECT_EQ(loaded->blob, blob);
+  EXPECT_EQ(ReadCheckpointLsn(path), std::optional<uint64_t>(12));
+
+  // Overwriting in place with a shorter checkpoint leaves exactly its
+  // bytes: the old blob's tail is cut, not left for the reader.
+  const std::vector<uint8_t> shorter(100, 0x3d);
+  WriteCheckpointFile(dir, kSlotFileNames[0], 13, 99, shorter, nullptr);
+  EXPECT_EQ(std::filesystem::file_size(path),
+            kCheckpointHeaderBytes + shorter.size());
+  loaded = ReadCheckpointFile(path);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->lsn, 13u);
+  EXPECT_EQ(loaded->blob, shorter);
 
   // Truncation anywhere rejects the whole checkpoint.
   const size_t full = std::filesystem::file_size(path);
@@ -197,9 +215,24 @@ TEST(CheckpointFile, RoundTripAndAllOrNothing) {
   EXPECT_FALSE(ReadCheckpointFile(path).has_value());
   TruncateFile(path, 20);
   EXPECT_FALSE(ReadCheckpointFile(path).has_value());
+  EXPECT_FALSE(ReadCheckpointLsn(path).has_value());
 }
 
 // --- MetricLog --------------------------------------------------------------
+
+std::set<std::string> DirNames(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  return names;
+}
+
+ino_t InodeOf(const std::string& path) {
+  struct stat st = {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
 
 TEST(MetricLog, AppendsRecoverInOrder) {
   const std::string dir = MakeTempDir("mlog_basic");
@@ -207,12 +240,13 @@ TEST(MetricLog, AppendsRecoverInOrder) {
   const std::vector<double> b1 = {4.5};
   const std::vector<double> b2 = {6.0, 7.0};
   {
-    MetricLog log(dir, "m", /*next_lsn=*/0, TestLogOptions());
+    MetricLog log(dir, "m", {}, TestLogOptions());
     EXPECT_EQ(log.AppendBatch(b0.data(), b0.size()), 0u);
     EXPECT_EQ(log.AppendBatch(b1.data(), b1.size()), 1u);
     EXPECT_EQ(log.AppendBatch(b2.data(), b2.size()), 2u);
     EXPECT_EQ(log.next_lsn(), 3u);
   }
+  EXPECT_EQ(DirNames(dir), std::set<std::string>{kWalFileName});
   const RecoveredMetricState state = ReadMetricState(dir, "m");
   EXPECT_TRUE(state.snapshot_blob.empty());
   EXPECT_EQ(state.snapshot_lsn, 0u);
@@ -223,86 +257,180 @@ TEST(MetricLog, AppendsRecoverInOrder) {
   EXPECT_EQ(state.next_lsn, 3u);
 }
 
-TEST(MetricLog, CheckpointRotatesAndCollectsGarbage) {
+TEST(MetricLog, CheckpointsAlternateSlotsAndResetTheWal) {
   const std::string dir = MakeTempDir("mlog_ckpt");
+  const std::string wal = dir + "/" + kWalFileName;
   const std::vector<double> batch = {1.0, 2.0};
-  const std::vector<uint8_t> blob = {9, 9, 9, 9};
+  ino_t wal_inode = 0, slot0_inode = 0;
   {
-    MetricLog log(dir, "m", 0, TestLogOptions());
-    log.AppendBatch(batch.data(), batch.size());
-    log.AppendBatch(batch.data(), batch.size());
-    log.WriteCheckpoint(log.next_lsn(), /*accepted_n=*/4, blob);
-    // The pre-checkpoint segment and any older checkpoint are gone.
-    EXPECT_FALSE(
-        std::filesystem::exists(dir + "/" + SegmentFileName(0)));
-    EXPECT_TRUE(std::filesystem::exists(dir + "/" + SegmentFileName(2)));
-    EXPECT_TRUE(
-        std::filesystem::exists(dir + "/" + CheckpointFileName(2)));
+    MetricLog log(dir, "m", {}, TestLogOptions());
+    wal_inode = InodeOf(wal);
+    for (uint8_t c = 1; c <= 3; ++c) {
+      log.AppendBatch(batch.data(), batch.size());
+      log.AppendBatch(batch.data(), batch.size());
+      log.WriteCheckpoint(log.next_lsn(), /*accepted_n=*/4u * c,
+                          std::vector<uint8_t>(4, c));
+      // The WAL is cut back to its header; checkpoint c lands in slot
+      // (c - 1) % 2 and the other slot keeps its predecessor.
+      EXPECT_EQ(std::filesystem::file_size(wal), 16u);
+      const std::string slot = dir + "/" + kSlotFileNames[(c - 1) % 2];
+      EXPECT_EQ(ReadCheckpointLsn(slot), std::optional<uint64_t>(2u * c));
+      if (c == 1) slot0_inode = InodeOf(slot);
+    }
     log.AppendBatch(batch.data(), batch.size());
   }
+  // Overwritten in place, never replaced: the same files throughout.
+  EXPECT_EQ(InodeOf(wal), wal_inode);
+  EXPECT_EQ(InodeOf(dir + "/" + kSlotFileNames[0]), slot0_inode);
+  EXPECT_EQ(DirNames(dir),
+            (std::set<std::string>{kWalFileName, kSlotFileNames[0],
+                                   kSlotFileNames[1]}));
+  EXPECT_EQ(ReadCheckpointLsn(dir + "/" + kSlotFileNames[1]),
+            std::optional<uint64_t>(4));
   const RecoveredMetricState state = ReadMetricState(dir, "m");
-  EXPECT_EQ(state.snapshot_blob, blob);
-  EXPECT_EQ(state.snapshot_lsn, 2u);
-  EXPECT_EQ(state.snapshot_accepted_n, 4u);
+  EXPECT_EQ(state.snapshot_blob, std::vector<uint8_t>(4, 3));
+  EXPECT_EQ(state.snapshot_lsn, 6u);
+  EXPECT_EQ(state.snapshot_accepted_n, 12u);
+  EXPECT_EQ(state.snapshot_slot, 0);
   ASSERT_EQ(state.batches.size(), 1u);  // only the post-checkpoint tail
-  EXPECT_EQ(state.next_lsn, 3u);
+  EXPECT_EQ(state.next_lsn, 7u);
 }
 
-TEST(MetricLog, RecoveryContinuesAcrossSegmentBoundary) {
-  const std::string dir = MakeTempDir("mlog_boundary");
+TEST(MetricLog, RecoveryContinuesInTheSameWal) {
+  const std::string dir = MakeTempDir("mlog_reopen");
   const std::vector<double> batch = {3.25};
   {
-    MetricLog log(dir, "m", 0, TestLogOptions());
+    MetricLog log(dir, "m", {}, TestLogOptions());
     for (int i = 0; i < 3; ++i) log.AppendBatch(batch.data(), batch.size());
   }
-  // A second log generation starting where the first left off -- the
-  // shape a recovery (which opens a fresh segment at next_lsn) leaves.
+  // A second log generation, reopened from what recovery read, appends
+  // after the first one's records in the same file.
   {
-    MetricLog log(dir, "m", 3, TestLogOptions());
+    MetricLog log(dir, "m", ReadMetricState(dir, "m"), TestLogOptions());
+    EXPECT_EQ(log.next_lsn(), 3u);
     for (int i = 0; i < 2; ++i) log.AppendBatch(batch.data(), batch.size());
   }
+  const RecoveredMetricState state = ReadMetricState(dir, "m");
+  EXPECT_EQ(state.batches.size(), 5u);
+  EXPECT_EQ(state.next_lsn, 5u);
+  EXPECT_EQ(state.wal_valid_bytes,
+            std::filesystem::file_size(dir + "/" + kWalFileName));
+  EXPECT_EQ(DirNames(dir), std::set<std::string>{kWalFileName});
+}
+
+TEST(MetricLog, WalEndingShortOfTheNewestSlotIsReset) {
+  // A slot newer than the WAL's last record (the WAL lost records the
+  // slot covers, e.g. unsynced ones): appending after those records would
+  // number new batches below the slot's LSN, where recovery skips them.
+  const std::string dir = MakeTempDir("mlog_short_wal");
+  const std::vector<double> batch = {8.5};
+  {
+    MetricLog log(dir, "m", {}, TestLogOptions());
+    for (int i = 0; i < 2; ++i) log.AppendBatch(batch.data(), batch.size());
+  }
+  WriteCheckpointFile(dir, kSlotFileNames[0], 5, 5, {1, 2, 3}, nullptr);
+  RecoveredMetricState state = ReadMetricState(dir, "m");
+  EXPECT_EQ(state.snapshot_lsn, 5u);
+  EXPECT_TRUE(state.batches.empty());
+  EXPECT_EQ(state.wal_valid_bytes, 0u);  // reset, not continued
+  {
+    MetricLog log(dir, "m", state, TestLogOptions());
+    EXPECT_EQ(log.AppendBatch(batch.data(), batch.size()), 5u);
+  }
+  state = ReadMetricState(dir, "m");
+  EXPECT_EQ(state.batches.size(), 1u);
+  EXPECT_EQ(state.next_lsn, 6u);
+}
+
+// An old-layout segment: wal-<first_lsn>.log holding `count` copies of
+// `batch` as APPEND records for metric "m".
+void WriteOldSegment(const std::string& dir, uint64_t first_lsn,
+                     size_t count, const std::vector<double>& batch) {
+  char name[32];
+  std::snprintf(name, sizeof(name), "wal-%016llx.log",
+                static_cast<unsigned long long>(first_lsn));
+  FileWriter file(dir + "/" + name, /*append=*/true, nullptr);
+  ResetSegment(&file, kSegmentMagic, first_lsn);
+  service::Request request;
+  request.op = service::Opcode::kAppend;
+  request.metric = "m";
+  request.values = batch;
+  for (size_t i = 0; i < count; ++i) {
+    AppendRecord(&file, service::EncodeRequest(request));
+  }
+}
+
+TEST(MetricLog, RecoveryContinuesAcrossOldLayoutSegments) {
+  const std::string dir = MakeTempDir("mlog_old_segments");
+  const std::vector<double> batch = {3.25};
+  WriteOldSegment(dir, 0, 3, batch);
+  WriteOldSegment(dir, 3, 2, batch);
   RecoveredMetricState state = ReadMetricState(dir, "m");
   EXPECT_EQ(state.batches.size(), 5u);
   EXPECT_EQ(state.next_lsn, 5u);
-
-  // A GAP between segments (lost file) stops the scan at the gap:
-  // nothing past it was ever acknowledged contiguously.
+  EXPECT_EQ(state.old_layout_files.size(), 2u);
+  EXPECT_EQ(state.wal_valid_bytes, 0u);  // no WAL yet: created at 5
   {
-    MetricLog log(dir, "m", 9, TestLogOptions());
-    log.AppendBatch(batch.data(), batch.size());
+    MetricLog log(dir, "m", state, TestLogOptions());
+    EXPECT_EQ(log.AppendBatch(batch.data(), batch.size()), 5u);
   }
   state = ReadMetricState(dir, "m");
-  EXPECT_EQ(state.batches.size(), 5u);
-  EXPECT_EQ(state.next_lsn, 5u);
+  EXPECT_EQ(state.batches.size(), 6u);
+  EXPECT_EQ(state.next_lsn, 6u);
+
+  // A GAP (lost file) stops the scan there: nothing past it was ever
+  // acknowledged contiguously.
+  WriteOldSegment(dir, 9, 1, batch);
+  state = ReadMetricState(dir, "m");
+  EXPECT_EQ(state.batches.size(), 6u);
+  EXPECT_EQ(state.next_lsn, 6u);
 }
 
 TEST(MetricLog, TornTailIsDiscardedOnRecovery) {
   const std::string dir = MakeTempDir("mlog_torn");
+  const std::string wal = dir + "/" + kWalFileName;
   const std::vector<double> batch = {1.0, 2.0, 3.0, 4.0};
   {
-    MetricLog log(dir, "m", 0, TestLogOptions());
+    MetricLog log(dir, "m", {}, TestLogOptions());
     for (int i = 0; i < 4; ++i) log.AppendBatch(batch.data(), batch.size());
   }
-  const std::string seg = dir + "/" + SegmentFileName(0);
-  TruncateFile(seg, std::filesystem::file_size(seg) - 5);
-  const RecoveredMetricState state = ReadMetricState(dir, "m");
+  TruncateFile(wal, std::filesystem::file_size(wal) - 5);
+  RecoveredMetricState state = ReadMetricState(dir, "m");
   EXPECT_EQ(state.batches.size(), 3u);
   EXPECT_EQ(state.next_lsn, 3u);
+  EXPECT_TRUE(state.wal_torn);
+  // The reopened log cuts the torn bytes before appending, so the next
+  // recovery reaches the new record.
+  {
+    MetricLog log(dir, "m", state, TestLogOptions());
+    EXPECT_EQ(log.AppendBatch(batch.data(), batch.size()), 3u);
+  }
+  state = ReadMetricState(dir, "m");
+  EXPECT_EQ(state.batches.size(), 4u);
+  EXPECT_EQ(state.next_lsn, 4u);
+  EXPECT_FALSE(state.wal_torn);
 }
 
 TEST(MetricLog, UnreadableCheckpointThrowsInsteadOfFallingBack) {
-  // A checkpoint name that cannot be read (here a directory: read fails
-  // with EISDIR) is not corruption. Falling back to an older checkpoint
-  // would silently recover less than the WAL rotation already discarded.
-  const std::string dir = MakeTempDir("mlog_unreadable_ckpt");
+  // A slot, WAL or old-layout checkpoint that cannot be read (here a
+  // directory: read fails with EISDIR) is not corruption. Falling back to
+  // the other slot would silently recover less than the WAL reset already
+  // discarded.
   const std::vector<double> batch = {1.0, 2.0};
-  {
-    MetricLog log(dir, "m", 0, TestLogOptions());
-    log.AppendBatch(batch.data(), batch.size());
-    log.WriteCheckpoint(log.next_lsn(), /*accepted_n=*/2, {7, 7, 7});
+  const std::vector<std::string> names = {
+      kSlotFileNames[0], kSlotFileNames[1], kWalFileName,
+      "ckpt-0000000000000005.snap"};
+  for (size_t i = 0; i < names.size(); ++i) {
+    const std::string dir = MakeTempDir("mlog_unreadable" + std::to_string(i));
+    {
+      MetricLog log(dir, "m", {}, TestLogOptions());
+      log.AppendBatch(batch.data(), batch.size());
+      log.WriteCheckpoint(log.next_lsn(), /*accepted_n=*/2, {7, 7, 7});
+    }
+    std::filesystem::remove(dir + "/" + names[i]);
+    std::filesystem::create_directory(dir + "/" + names[i]);
+    EXPECT_THROW(ReadMetricState(dir, "m"), IoError) << names[i];
   }
-  std::filesystem::create_directory(dir + "/" + CheckpointFileName(5));
-  EXPECT_THROW(ReadMetricState(dir, "m"), IoError);
 }
 
 TEST(MetricLog, UnlistableMetricDirectoryThrows) {
@@ -497,6 +625,102 @@ TEST(Durability, GracefulCheckpointLeavesEmptyReplayTail) {
     manager.RecoverInto(&registry);
     EXPECT_EQ(registry.Require("m")->Snapshot(), reference);
   }
+}
+
+// tests/data/old_layout_data_dir was written by the code before the fixed
+// file set (ckpt-<lsn>.snap checkpoints, wal-<first_lsn>.log segments).
+// Its plain metric "old/plain" (k_base 32) got batches 0-5, a checkpoint
+// at LSN 6 and batches 6-8; a second boot opened wal-0000000000000009.log
+// and got batches 9-12; then the last record was cut by 7 bytes, a torn
+// and unacknowledged batch 12. Batch b is 50 values
+// Xoshiro256(7000 + b).NextDouble() * 1e6.
+constexpr size_t kOldLayoutBatches = 12;
+
+std::vector<double> OldLayoutBatch(size_t b) {
+  util::Xoshiro256 rng(7000 + b);
+  std::vector<double> values(50);
+  for (double& v : values) v = rng.NextDouble() * 1e6;
+  return values;
+}
+
+std::string CopyOldLayoutDir(const std::string& tag) {
+  const std::string dir = MakeTempDir(tag);
+  std::filesystem::copy(REQSKETCH_TEST_DATA_DIR "/old_layout_data_dir", dir,
+                        std::filesystem::copy_options::recursive);
+  return dir;
+}
+
+// Snapshot bytes of a memory-only engine fed old-layout batches 0..n-1.
+std::vector<uint8_t> OldLayoutReference(size_t batches) {
+  SketchRegistry reference;
+  auto engine = reference.Create("old/plain", SpecOf(EngineKind::kPlain));
+  for (size_t b = 0; b < batches; ++b) {
+    const std::vector<double> batch = OldLayoutBatch(b);
+    engine->Append(batch.data(), batch.size());
+  }
+  engine->Flush();
+  return engine->Snapshot();
+}
+
+std::vector<uint8_t> BootSnapshot(const std::string& dir) {
+  DurabilityManager manager(dir, TestDurabilityOptions());
+  SketchRegistry registry;
+  manager.RecoverInto(&registry);
+  EXPECT_EQ(registry.size(), 1u);
+  return registry.Require("old/plain")->Snapshot();
+}
+
+TEST(Durability, OldLayoutDataDirBootsAndConvertsOnFirstCheckpoint) {
+  const std::string dir = CopyOldLayoutDir("old_layout");
+  const std::string metric_dir = dir + "/m0";
+  std::ofstream(metric_dir + "/ckpt.tmp") << "stray";
+  const std::set<std::string> old_files = {
+      "ckpt-0000000000000006.snap", "wal-0000000000000006.log",
+      "wal-0000000000000009.log", "ckpt.tmp"};
+  ASSERT_EQ(DirNames(metric_dir), old_files);
+  const std::vector<uint8_t> reference =
+      OldLayoutReference(kOldLayoutBatches);
+  {
+    DurabilityManager manager(dir, TestDurabilityOptions());
+    SketchRegistry registry;
+    manager.RecoverInto(&registry);
+    auto engine = registry.Require("old/plain");
+    EXPECT_EQ(engine->AcceptedN(), kOldLayoutBatches * 50);
+    EXPECT_EQ(engine->Snapshot(), reference);
+    // Booting touches no old file; it only adds the WAL.
+    std::set<std::string> booted = old_files;
+    booted.insert(kWalFileName);
+    EXPECT_EQ(DirNames(metric_dir), booted);
+    engine->ForceCheckpoint();
+    EXPECT_EQ(DirNames(metric_dir),
+              (std::set<std::string>{kWalFileName, kSlotFileNames[0]}));
+  }
+  EXPECT_EQ(BootSnapshot(dir), reference);
+}
+
+TEST(Durability, OldLayoutFilesBesideANewerSlotChangeNothing) {
+  // A crash that undoes the first checkpoint's deletes leaves the old
+  // files beside the slot and the reset WAL: they hold nothing newer.
+  const std::string dir = CopyOldLayoutDir("old_layout_leftover");
+  const std::string metric_dir = dir + "/m0";
+  const std::string saved = MakeTempDir("old_layout_saved");
+  std::filesystem::copy(metric_dir, saved);
+  {
+    DurabilityManager manager(dir, TestDurabilityOptions());
+    SketchRegistry registry;
+    manager.RecoverInto(&registry);
+    auto engine = registry.Require("old/plain");
+    engine->ForceCheckpoint();
+    const std::vector<double> batch = OldLayoutBatch(kOldLayoutBatches);
+    engine->Append(batch.data(), batch.size());
+  }
+  for (const auto& entry : std::filesystem::directory_iterator(saved)) {
+    std::filesystem::copy_file(entry.path(),
+                               metric_dir + "/" +
+                                   entry.path().filename().string());
+  }
+  EXPECT_EQ(DirNames(metric_dir).size(), 5u);  // 3 old + WAL + slot
+  EXPECT_EQ(BootSnapshot(dir), OldLayoutReference(kOldLayoutBatches + 1));
 }
 
 TEST(Durability, MetricNamesWithSlashesGetSafeDirectories) {

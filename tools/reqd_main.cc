@@ -23,8 +23,9 @@
 //                      checkpoints under DIR, recovered on startup
 //   --fsync POLICY     always | interval | never (default interval):
 //                      when WAL appends reach disk; see README
-//   --checkpoint-bytes N   snapshot + rotate a metric's WAL after N
-//                      logged bytes (default 4194304)
+//   --checkpoint-bytes N   checkpoint a metric (overwrite one of its two
+//                      snapshot slots, cut its WAL back to the header)
+//                      after N logged bytes (default 4194304)
 //   --port-file PATH   write the bound port to PATH (tmp + rename) once
 //                      listening -- how the crash-recovery test finds an
 //                      ephemeral-port daemon
