@@ -1,5 +1,5 @@
 // E16 -- Query-engine benchmarks: incremental sorted-view maintenance,
-// weight-indexed bulk-rank kernels, and contiguous (arena) level storage.
+// weight-indexed bulk-rank kernels, and per-level item storage.
 //
 // Quantifies each layer of the query-engine overhaul, for k_base in
 // {16, 64, 256} on a lognormal stream:
@@ -24,7 +24,7 @@
 //     kernel, versus the seed-era scalar loop (one GetRank per point) and
 //     versus a per-point view binary search;
 //   * GetCDF over 1k ascending splits (the sort-free co-scan case);
-//   * serialization of the whole sketch (one contiguous arena pass);
+//   * serialization of the whole sketch (one contiguous copy per level);
 //   * sliding-window post-rotation query cost (merged-view rebuild from
 //     per-bucket sorted runs) and warm window rank latency.
 //
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
 
   req::bench::PrintBanner(
       "E16: query-engine benchmarks (incremental views, bulk-rank "
-      "kernels, arena storage)",
+      "kernels, serialization)",
       "incremental repair beats full rebuild on warm point-update query "
       "loops; the bulk co-scan beats the scalar rank loop");
   std::printf("items: %zu   reps: %d   warm iters: %zu   bulk: %zu pts\n\n",

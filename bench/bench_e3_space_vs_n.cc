@@ -7,12 +7,18 @@
 // giving comparable mid-table footprint: its normalized-by-log^1.5 column
 // *grows*, showing the extra log^1.5 factor the REQ sketch removes.
 //
+// Each row also records what the REQ sketch holds in memory
+// (MemoryBytes()) beside its serialized size, the payload a checkpoint
+// carries; their ratio shows how close resident bytes stay to the space
+// bound as n grows.
+//
 // Usage: bench_e3_space_vs_n [--out report.json] [--smoke]
 #include <cmath>
 #include <cstdio>
 
 #include "baselines/zhang_wang_sketch.h"
 #include "bench/bench_util.h"
+#include "core/req_serde.h"
 #include "core/req_sketch.h"
 #include "core/theory.h"
 #include "workload/distributions.h"
@@ -26,8 +32,9 @@ int main(int argc, char** argv) {
       "REQ space / log^1.5 is ~flat; Zhang-Wang / log^1.5 grows (it is "
       "log^3)");
 
-  std::printf("%10s %10s %14s %10s %14s %12s\n", "n", "REQ ret",
-              "REQ/log^1.5", "ZW ret", "ZW/log^1.5", "REQ levels");
+  std::printf("%10s %10s %14s %10s %14s %12s %10s\n", "n", "REQ ret",
+              "REQ/log^1.5", "ZW ret", "ZW/log^1.5", "REQ levels",
+              "res/blob");
   const uint32_t k_base = 32;
   const double zw_eps = 0.04;
   const int max_log_n = args.smoke ? 16 : 21;
@@ -56,9 +63,12 @@ int main(int argc, char** argv) {
         static_cast<double>(sketch.RetainedItems()) / (k_base * log_term);
     const double zw_norm = static_cast<double>(zw.RetainedItems()) /
                            ((1.0 / zw_eps) * log_term);
-    std::printf("%10zu %10zu %14.3f %10zu %14.3f %12zu\n", n,
+    const size_t resident = sketch.MemoryBytes();
+    const size_t blob = req::SerializeSketch(sketch).size();
+    std::printf("%10zu %10zu %14.3f %10zu %14.3f %12zu %10.2f\n", n,
                 sketch.RetainedItems(), req_norm, zw.RetainedItems(),
-                zw_norm, sketch.num_levels());
+                zw_norm, sketch.num_levels(),
+                static_cast<double>(resident) / static_cast<double>(blob));
     json.BeginObject()
         .Field("n", static_cast<uint64_t>(n))
         .Field("req_retained", static_cast<uint64_t>(sketch.RetainedItems()))
@@ -66,6 +76,8 @@ int main(int argc, char** argv) {
         .Field("zw_retained", static_cast<uint64_t>(zw.RetainedItems()))
         .Field("zw_norm", zw_norm)
         .Field("levels", static_cast<uint64_t>(sketch.num_levels()))
+        .Field("req_resident_bytes", static_cast<uint64_t>(resident))
+        .Field("req_blob_bytes", static_cast<uint64_t>(blob))
         .EndObject();
   }
   json.EndArray().EndObject();

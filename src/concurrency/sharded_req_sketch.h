@@ -151,9 +151,10 @@ class ShardedReqSketch {
   }
 
   // Releases allocator slack on every shard (view caches, flush scratch,
-  // arena slack) and drops the cached merged view. Requires the producers
-  // to be quiescent, like Merge; concurrent queries remain safe (a query
-  // holding the old merged view keeps it alive through its shared_ptr).
+  // level-buffer slack) and drops the cached merged view. Requires the
+  // producers to be quiescent, like Merge; concurrent queries remain safe
+  // (a query holding the old merged view keeps it alive through its
+  // shared_ptr).
   void TrimMemory() {
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);

@@ -63,12 +63,15 @@
 // items that compare equal but are distinguishable (e.g. -0.0 and +0.0
 // under std::less) may sit in a different relative order.
 //
-// Storage: items live in a LevelArena slot, NOT in a per-compactor
-// std::vector. A standalone compactor (unit tests, ablation harnesses)
-// owns a private single-slot arena; inside a ReqSketch every level is a
-// slot of the sketch's shared arena, so the whole retained set is one
-// contiguous allocation (see core/level_arena.h). The compactor's logic is
-// storage-agnostic: all operations address the arena through (arena, slot).
+// Storage: each compactor owns its items in one std::vector<T>, whose
+// capacity follows a single growth rule (Grow): it starts at 16 items,
+// so an idle level stays cheap; doubles up to the nominal capacity B;
+// grows once to B + B/4 past it; and beyond that only to exactly what is
+// needed. Level 0 never passes B (the sketch's batch update chunks by the
+// room left), and an upper level compacts as soon as it reaches B, so it
+// passes B only by the items one promotion brings; merges and restores are
+// what reach the exact-size step. No level keeps slack beyond what it can
+// hold.
 //
 // Change tracking: version() is a monotone counter bumped by every
 // content mutation (inserts, compactions, clear, restore). The sketch's
@@ -84,18 +87,50 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
-#include <memory>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/level_arena.h"
 #include "core/req_common.h"
 #include "util/bits.h"
 #include "util/random.h"
 #include "util/validation.h"
 
 namespace req {
+
+// Minimal non-owning view over a contiguous item run (a level's items()).
+// Interface mirrors the read-only subset of std::vector that callers
+// (serde, merge, tests) actually use.
+template <typename T>
+class ItemSpan {
+ public:
+  ItemSpan() = default;
+  ItemSpan(const T* data, size_t size) : data_(data), size_(size) {}
+
+  const T* data() const { return data_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+  const T& operator[](size_t i) const { return data_[i]; }
+  const T& front() const { return data_[0]; }
+  const T& back() const { return data_[size_ - 1]; }
+
+  friend bool operator==(const ItemSpan& a, const ItemSpan& b) {
+    if (a.size_ != b.size_) return false;
+    for (size_t i = 0; i < a.size_; ++i) {
+      if (!(a.data_[i] == b.data_[i])) return false;
+    }
+    return true;
+  }
+  friend bool operator!=(const ItemSpan& a, const ItemSpan& b) {
+    return !(a == b);
+  }
+
+ private:
+  const T* data_ = nullptr;
+  size_t size_ = 0;
+};
 
 namespace detail {
 
@@ -274,20 +309,9 @@ void SortPrefixSortedRun(T* first, T* mid, T* last, const Order& order,
 template <typename T, typename Compare = std::less<T>>
 class RelativeCompactor {
  public:
-  // Standalone form: the compactor owns a private single-slot arena.
   RelativeCompactor(uint32_t section_size, uint32_t num_sections,
                     RankAccuracy accuracy, SchedulePolicy schedule,
                     CoinMode coin, Compare comp = Compare())
-      : RelativeCompactor(nullptr, section_size, num_sections, accuracy,
-                          schedule, coin, std::move(comp)) {}
-
-  // Arena-backed form: appends a slot to `arena` (which must outlive the
-  // compactor; the owner re-points it on copies/moves via RebindArena).
-  // Passing nullptr selects the standalone form.
-  RelativeCompactor(LevelArena<T>* arena, uint32_t section_size,
-                    uint32_t num_sections, RankAccuracy accuracy,
-                    SchedulePolicy schedule, CoinMode coin,
-                    Compare comp = Compare())
       : comp_(std::move(comp)),
         section_size_(section_size),
         num_sections_(num_sections),
@@ -297,93 +321,6 @@ class RelativeCompactor {
     util::CheckArg(section_size >= 2 && section_size % 2 == 0,
                    "section size must be even and >= 2");
     util::CheckArg(num_sections >= 2, "num_sections must be >= 2");
-    if (arena == nullptr) {
-      own_arena_ = std::make_unique<LevelArena<T>>();
-      arena = own_arena_.get();
-    }
-    arena_ = arena;
-    slot_ = arena_->AddSlot(capacity());
-  }
-
-  // A standalone compactor deep-copies its private arena. An arena-backed
-  // one copies the binding only -- its owner copies the shared arena
-  // wholesale and rebinds every level (see ReqSketch's copy constructor).
-  RelativeCompactor(const RelativeCompactor& other)
-      : comp_(other.comp_),
-        own_arena_(other.own_arena_
-                       ? std::make_unique<LevelArena<T>>(*other.own_arena_)
-                       : nullptr),
-        arena_(own_arena_ ? own_arena_.get() : other.arena_),
-        slot_(other.slot_),
-        section_size_(other.section_size_),
-        num_sections_(other.num_sections_),
-        accuracy_(other.accuracy_),
-        schedule_(other.schedule_),
-        coin_(other.coin_),
-        state_(other.state_),
-        num_compactions_(other.num_compactions_),
-        version_(other.version_),
-        sorted_prefix_(other.sorted_prefix_) {}
-
-  RelativeCompactor(RelativeCompactor&& other) noexcept
-      : comp_(std::move(other.comp_)),
-        own_arena_(std::move(other.own_arena_)),
-        arena_(own_arena_ ? own_arena_.get() : other.arena_),
-        slot_(other.slot_),
-        section_size_(other.section_size_),
-        num_sections_(other.num_sections_),
-        accuracy_(other.accuracy_),
-        schedule_(other.schedule_),
-        coin_(other.coin_),
-        state_(other.state_),
-        num_compactions_(other.num_compactions_),
-        version_(other.version_),
-        sorted_prefix_(other.sorted_prefix_) {}
-
-  RelativeCompactor& operator=(const RelativeCompactor& other) {
-    if (this == &other) return *this;
-    RelativeCompactor copy(other);
-    *this = std::move(copy);
-    return *this;
-  }
-
-  RelativeCompactor& operator=(RelativeCompactor&& other) noexcept {
-    comp_ = std::move(other.comp_);
-    own_arena_ = std::move(other.own_arena_);
-    arena_ = own_arena_ ? own_arena_.get() : other.arena_;
-    slot_ = other.slot_;
-    section_size_ = other.section_size_;
-    num_sections_ = other.num_sections_;
-    accuracy_ = other.accuracy_;
-    schedule_ = other.schedule_;
-    coin_ = other.coin_;
-    state_ = other.state_;
-    num_compactions_ = other.num_compactions_;
-    version_ = other.version_;
-    sorted_prefix_ = other.sorted_prefix_;
-    return *this;
-  }
-
-  // Re-points an arena-backed compactor at (a copy of) its storage; called
-  // by the owning sketch after copying/moving the shared arena. No-op for
-  // standalone compactors (they carry their arena with them).
-  void RebindArena(LevelArena<T>* arena) {
-    if (!own_arena_) arena_ = arena;
-  }
-
-  // Deep-copies this compactor into a slot of `arena` (used by the merge
-  // path to special-compact a scratch copy of a source sketch's levels
-  // without touching the source's storage).
-  RelativeCompactor CloneInto(LevelArena<T>* arena) const {
-    RelativeCompactor clone(arena, section_size_, num_sections_, accuracy_,
-                            schedule_, coin_, comp_);
-    arena->Reserve(clone.slot_, size());
-    arena->Append(clone.slot_, begin(), end());
-    clone.state_ = state_;
-    clone.num_compactions_ = num_compactions_;
-    clone.version_ = version_;
-    clone.sorted_prefix_ = sorted_prefix_;
-    return clone;
   }
 
   // --- accessors -----------------------------------------------------------
@@ -393,7 +330,7 @@ class RelativeCompactor {
   uint32_t capacity() const {
     return params::Capacity(section_size_, num_sections_);
   }
-  size_t size() const { return arena_->Size(slot_); }
+  size_t size() const { return items_.size(); }
   bool empty() const { return size() == 0; }
   bool IsFull() const { return size() >= capacity(); }
 
@@ -409,38 +346,44 @@ class RelativeCompactor {
   // Monotone content-change counter (see header comment).
   uint64_t version() const { return version_; }
 
-  ItemSpan<T> items() const { return ItemSpan<T>(begin(), size()); }
+  ItemSpan<T> items() const { return ItemSpan<T>(items_.data(), size()); }
+  // Items the buffer can hold before it next grows (see Grow).
+  size_t buffer_capacity() const { return items_.capacity(); }
 
   // --- updates -------------------------------------------------------------
 
-  void Insert(const T& item) {
-    arena_->PushBack(slot_, item);
-    ExtendSortedPrefix();
-    ++version_;
-  }
-  void Insert(T&& item) {
-    arena_->PushBack(slot_, std::move(item));
+  // Taken by value: `item` may alias this buffer, which MakeRoom can
+  // reallocate.
+  void Insert(T item) {
+    MakeRoom(1);
+    items_.push_back(std::move(item));
     ExtendSortedPrefix();
     ++version_;
   }
 
   // Bulk insert used by the sketch's batch update: appends `count` items
   // in order. Equivalent to `count` scalar Insert calls (including the
-  // sorted-prefix bookkeeping) minus the per-call overhead.
+  // sorted-prefix bookkeeping) minus the per-call overhead. The range must
+  // not alias this buffer.
   void Insert(const T* data, size_t count) {
-    arena_->Append(slot_, data, data + count);
+    MakeRoom(count);
+    items_.insert(items_.end(), data, data + count);
     ExtendSortedPrefix();
     ++version_;
   }
 
-  // Grows the slot's capacity (never shrinks, never changes contents);
-  // used by merges to size a level once up front.
-  void Reserve(size_t total) { arena_->Reserve(slot_, total); }
+  // Grows the buffer to hold `total` items exactly (never shrinks, never
+  // changes contents); used by merges to size a level once up front.
+  void Reserve(size_t total) { items_.reserve(total); }
+
+  // Releases the buffer's slack (the sketch's TrimMemory).
+  void ShrinkToFit() { items_.shrink_to_fit(); }
 
   // Bulk insert used by merge: appends all items from a sibling buffer.
   void InsertAll(ItemSpan<T> other_items) {
     if (other_items.empty()) return;
-    arena_->Append(slot_, other_items.begin(), other_items.end());
+    MakeRoom(other_items.size());
+    items_.insert(items_.end(), other_items.begin(), other_items.end());
     ExtendSortedPrefix();
     ++version_;
   }
@@ -450,19 +393,19 @@ class RelativeCompactor {
   // buffer) but its items are moved, not copied.
   void InsertAll(std::vector<T>&& other_items) {
     if (other_items.empty()) return;
-    arena_->Append(slot_,
-                   std::make_move_iterator(other_items.begin()),
-                   std::make_move_iterator(other_items.end()));
+    MakeRoom(other_items.size());
+    items_.insert(items_.end(), std::make_move_iterator(other_items.begin()),
+                  std::make_move_iterator(other_items.end()));
     other_items.clear();
     ExtendSortedPrefix();
     ++version_;
   }
 
-  // Drops all contents and schedule state but keeps the slot's region:
-  // the cheap-retirement primitive behind ReqSketch::Reset(), which the
-  // sliding-window wrapper calls every bucket rotation.
+  // Drops all contents and schedule state but keeps the buffer's
+  // allocation: the cheap-retirement primitive behind ReqSketch::Reset(),
+  // which the sliding-window wrapper calls every bucket rotation.
   void Clear() {
-    arena_->ClearSlot(slot_);
+    items_.clear();
     sorted_prefix_ = 0;
     state_ = 0;
     num_compactions_ = 0;
@@ -596,13 +539,11 @@ class RelativeCompactor {
 
   // Restores buffer contents and schedule state; used by deserialization
   // (core/req_serde.h) only. Items may come in any order: the sorted
-  // prefix is recomputed from the data.
+  // prefix is recomputed from the data. The buffer becomes `items`, sized
+  // as the caller allocated it.
   void Restore(std::vector<T> items, uint64_t state,
                uint64_t num_compactions) {
-    arena_->ClearSlot(slot_);
-    arena_->Reserve(slot_, items.size());
-    arena_->Append(slot_, std::make_move_iterator(items.begin()),
-                   std::make_move_iterator(items.end()));
+    items_ = std::move(items);
     sorted_prefix_ = WithOrder([this](const auto& order) {
       return static_cast<size_t>(
           std::is_sorted_until(begin(), end(), order) - begin());
@@ -649,9 +590,31 @@ class RelativeCompactor {
   }
 
  private:
-  const T* begin() const { return arena_->Data(slot_); }
-  const T* end() const { return arena_->Data(slot_) + size(); }
-  T* begin_mutable() { return arena_->Data(slot_); }
+  // Levels start this small so an idle metric stays cheap; see the
+  // header comment for the whole growth rule.
+  static constexpr size_t kInitialCapacity = 16;
+
+  const T* begin() const { return items_.data(); }
+  const T* end() const { return items_.data() + items_.size(); }
+  T* begin_mutable() { return items_.data(); }
+
+  // Makes room for `count` more items.
+  void MakeRoom(size_t count) {
+    const size_t needed = items_.size() + count;
+    if (needed > items_.capacity()) Grow(needed);
+  }
+
+  // Grows the buffer to hold at least `needed` items by the rule in the
+  // header comment: double up to B, then B + B/4 once, then exactly what
+  // is needed.
+  void Grow(size_t needed) {
+    const size_t cap = items_.capacity();
+    const size_t nominal = capacity();
+    const size_t grown =
+        cap < nominal ? std::min(std::max(2 * cap, kInitialCapacity), nominal)
+                      : nominal + nominal / 4;
+    items_.reserve(std::max(grown, needed));
+  }
 
   // comp_ with its arguments swapped: the compaction order of HRA levels.
   struct Reversed {
@@ -710,18 +673,13 @@ class RelativeCompactor {
     for (size_t i = start + (odd_offsets ? 1 : 0); i < n; i += 2) {
       promoted->push_back(std::move(data[i]));
     }
-    arena_->Truncate(slot_, start);
+    items_.erase(items_.begin() + start, items_.end());
     sorted_prefix_ = size();
     ++version_;
   }
 
   Compare comp_;
-  // Storage: (arena_, slot_). own_arena_ is non-null only for standalone
-  // compactors; inside a sketch, arena_ points at the sketch's shared
-  // arena and the sketch rebinds it on copies/moves.
-  std::unique_ptr<LevelArena<T>> own_arena_;
-  LevelArena<T>* arena_ = nullptr;
-  uint32_t slot_ = 0;
+  std::vector<T> items_;
   uint32_t section_size_;
   uint32_t num_sections_;
   RankAccuracy accuracy_;

@@ -87,7 +87,7 @@ struct ReqSerde {
     for (const auto& level : sketch.levels_) {
       writer.Write<uint64_t>(level.state());
       writer.Write<uint64_t>(level.num_compactions());
-      // One contiguous copy per level, straight out of the shared arena.
+      // One contiguous copy per level, straight out of its buffer.
       const ItemSpan<T> items = level.items();
       writer.WriteArray<T>(items.data(), items.size());
     }
@@ -164,10 +164,8 @@ struct ReqSerde {
     // Restore() recomputes each level's sorted-prefix bookkeeping from the
     // payload, and the freshly constructed sketch starts with a cold
     // sorted-view cache, so the deserialized object's query hot paths are
-    // in the same state as the original's after its last update. The
-    // arena's slots are torn down with the scaffolding level stack.
+    // in the same state as the original's after its last update.
     sketch.levels_.clear();
-    sketch.arena_.TruncateSlots(0);
     for (uint32_t h = 0; h < num_levels; ++h) {
       sketch.levels_.emplace_back(sketch.MakeLevel());
       const uint64_t state = reader.Read<uint64_t>();

@@ -24,14 +24,14 @@
 //     batch in one co-scan of the sorted view, and GetCDF shares the same
 //     kernel.
 //
-// Storage: every level lives in ONE shared LevelArena (core/level_arena.h),
-// so the whole retained set is a single contiguous allocation -- queries,
-// merges and serde walk flat memory instead of a vector-of-vectors. Each
+// Storage: each level owns a buffer sized to what it can hold (the growth
+// rule in core/relative_compactor.h), so between queries a sketch's
+// resident bytes stay close to its retained items -- the payload its
+// checkpoint blob carries. No compaction scratch is kept per sketch: the
+// streaming path's is per thread, a merge's lives for the call. Each
 // level is stored in compaction order (descending for HRA; see
 // core/relative_compactor.h); schedule, coin flips, per-level multisets
-// and query answers do not depend on it. The item type T must be
-// default-constructible and copy/move-assignable (see the requirements
-// note in core/level_arena.h).
+// and query answers do not depend on it.
 //
 // Query engine: GetRank sums per-level binary-search counts, and
 // GetQuantile(s) select from the levels through a query-local index (the
@@ -79,7 +79,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/level_arena.h"
 #include "core/relative_compactor.h"
 #include "core/req_common.h"
 #include "core/sorted_view.h"
@@ -96,9 +95,9 @@ namespace detail {
 struct CopyableAtomicBool {
   std::atomic<bool> value{false};
   CopyableAtomicBool() = default;
-  CopyableAtomicBool(const CopyableAtomicBool& other)
+  CopyableAtomicBool(const CopyableAtomicBool& other) noexcept
       : value(other.value.load(std::memory_order_acquire)) {}
-  CopyableAtomicBool& operator=(const CopyableAtomicBool& other) {
+  CopyableAtomicBool& operator=(const CopyableAtomicBool& other) noexcept {
     value.store(other.value.load(std::memory_order_acquire),
                 std::memory_order_release);
     return *this;
@@ -111,8 +110,8 @@ struct CopyableAtomicBool {
 struct CopyableMutex {
   std::mutex mutex;
   CopyableMutex() = default;
-  CopyableMutex(const CopyableMutex&) {}
-  CopyableMutex& operator=(const CopyableMutex&) { return *this; }
+  CopyableMutex(const CopyableMutex&) noexcept {}
+  CopyableMutex& operator=(const CopyableMutex&) noexcept { return *this; }
 };
 
 }  // namespace detail
@@ -141,72 +140,13 @@ class ReqSketch {
     view_cache_.view = SortedView<T, Compare>(comp_);
   }
 
-  // Copies re-point every level at the copied arena; the view cache is
-  // value data and travels as-is. Only made while the source is quiescent
-  // (same contract as the atomics in the cache machinery).
-  ReqSketch(const ReqSketch& other)
-      : config_(other.config_),
-        comp_(other.comp_),
-        rng_(other.rng_),
-        arena_(other.arena_),
-        levels_(other.levels_),
-        n_(other.n_),
-        n_bound_(other.n_bound_),
-        section_size_(other.section_size_),
-        num_sections_(other.num_sections_),
-        fixed_n_(other.fixed_n_),
-        min_item_(other.min_item_),
-        max_item_(other.max_item_),
-        view_cache_(other.view_cache_),
-        view_ready_(other.view_ready_) {
-    RebindLevels();
-  }
-
-  ReqSketch(ReqSketch&& other) noexcept
-      : config_(std::move(other.config_)),
-        comp_(std::move(other.comp_)),
-        rng_(other.rng_),
-        arena_(std::move(other.arena_)),
-        levels_(std::move(other.levels_)),
-        n_(other.n_),
-        n_bound_(other.n_bound_),
-        section_size_(other.section_size_),
-        num_sections_(other.num_sections_),
-        fixed_n_(other.fixed_n_),
-        min_item_(std::move(other.min_item_)),
-        max_item_(std::move(other.max_item_)),
-        view_cache_(std::move(other.view_cache_)),
-        view_ready_(other.view_ready_) {
-    RebindLevels();
-  }
-
-  ReqSketch& operator=(const ReqSketch& other) {
-    if (this == &other) return *this;
-    ReqSketch copy(other);
-    *this = std::move(copy);
-    return *this;
-  }
-
-  ReqSketch& operator=(ReqSketch&& other) noexcept {
-    if (this == &other) return *this;
-    config_ = std::move(other.config_);
-    comp_ = std::move(other.comp_);
-    rng_ = other.rng_;
-    arena_ = std::move(other.arena_);
-    levels_ = std::move(other.levels_);
-    n_ = other.n_;
-    n_bound_ = other.n_bound_;
-    section_size_ = other.section_size_;
-    num_sections_ = other.num_sections_;
-    fixed_n_ = other.fixed_n_;
-    min_item_ = std::move(other.min_item_);
-    max_item_ = std::move(other.max_item_);
-    promote_scratch_.clear();
-    view_cache_ = std::move(other.view_cache_);
-    view_ready_ = other.view_ready_;
-    RebindLevels();
-    return *this;
-  }
+  // Copies and moves carry the view cache as value data. They are only
+  // made while the source is quiescent (same contract as the atomics in
+  // the cache machinery).
+  ReqSketch(const ReqSketch&) = default;
+  ReqSketch(ReqSketch&&) = default;
+  ReqSketch& operator=(const ReqSketch&) = default;
+  ReqSketch& operator=(ReqSketch&&) = default;
 
   // --- basic accessors -----------------------------------------------------
 
@@ -225,8 +165,12 @@ class ReqSketch {
   const std::vector<Level>& levels() const { return levels_; }
 
   // Number of items currently stored across all levels (the paper's space
-  // measure, "number of universe items stored"). One arena pass.
-  size_t RetainedItems() const { return arena_.TotalSize(); }
+  // measure, "number of universe items stored").
+  size_t RetainedItems() const {
+    size_t total = 0;
+    for (const Level& level : levels_) total += level.size();
+    return total;
+  }
 
   // Total weight represented by stored items; equals n() at all times
   // (compactions always promote exactly half of an even-sized range).
@@ -252,16 +196,17 @@ class ReqSketch {
     return levels_.size() * static_cast<size_t>(level_capacity());
   }
 
-  // Resident heap footprint of the sketch in bytes: object header, arena
-  // storage at capacity, level table, promotion scratch, and the memoized
-  // view cache (runs, upper-run, merge scratch, published view). This is
-  // the figure quota accounting charges per metric, so it counts what the
-  // allocator holds, not just live items. Takes the view lock briefly so a
-  // concurrent view rebuild cannot race the cache walk.
+  // Resident heap footprint of the sketch in bytes: object header, level
+  // table, level buffers at capacity, and the memoized view cache (runs,
+  // upper run, published view). This is the figure quota accounting
+  // charges per metric, so it counts what the allocator holds, not just
+  // live items. Takes the view lock briefly so a concurrent view rebuild
+  // cannot race the cache walk.
   size_t MemoryBytes() const {
-    size_t bytes = sizeof(*this) + arena_.AllocatedBytes() +
-                   levels_.capacity() * sizeof(Level) +
-                   promote_scratch_.capacity() * sizeof(T);
+    size_t bytes = sizeof(*this) + levels_.capacity() * sizeof(Level);
+    for (const Level& level : levels_) {
+      bytes += level.buffer_capacity() * sizeof(T);
+    }
     std::lock_guard<std::mutex> lock(view_mutex_.mutex);
     const ViewCacheState& c = view_cache_;
     bytes += c.runs.capacity() * sizeof(std::vector<T>);
@@ -272,28 +217,23 @@ class ReqSketch {
     bytes += c.run_valid.capacity() * sizeof(char);
     bytes += c.upper_items.capacity() * sizeof(T);
     bytes += c.upper_weights.capacity() * sizeof(uint64_t);
-    bytes += c.scratch_items.capacity() * sizeof(T);
-    bytes += c.scratch_weights.capacity() * sizeof(uint64_t);
     bytes += c.view.items().capacity() * sizeof(T);
     bytes += c.view.cum_weights().capacity() * sizeof(uint64_t);
     return bytes;
   }
 
   // Releases everything except the sketch payload itself: drops the
-  // memoized view cache, frees the promotion scratch, and compacts the
-  // arena's slack capacity. Accuracy and query answers are unaffected --
-  // the next rank/CDF query simply rebuilds its view, and levels regrow
-  // their slots on demand. Requires exclusive access, like any mutator;
-  // the idle-metric steady state after a trim is the paper's O(k log n)
-  // payload plus fixed object headers.
+  // memoized view cache and each level buffer's slack. Accuracy and query
+  // answers are unaffected -- the next rank/CDF query simply rebuilds its
+  // view, and levels regrow their buffers on demand. Requires exclusive
+  // access, like any mutator; the idle-metric steady state after a trim
+  // is the paper's O(k log n) payload plus fixed object headers.
   void TrimMemory() {
     {
       std::lock_guard<std::mutex> lock(view_mutex_.mutex);
       ResetViewCache();
     }
-    promote_scratch_.clear();
-    promote_scratch_.shrink_to_fit();
-    arena_.ShrinkToFit();
+    for (Level& level : levels_) level.ShrinkToFit();
   }
 
   // Exact stream minimum / maximum (tracked outside the buffers).
@@ -399,12 +339,10 @@ class ReqSketch {
       fixed_n_ = false;
     }
     RecomputeGeometry();
-    // Keep level 0 (and its arena region); upper levels are torn down --
-    // slots included, so recycled buckets never leak retired regions --
-    // and the level stack matches a fresh sketch exactly. (erase, not
-    // resize: Level has no default constructor.)
+    // Keep level 0 (and its buffer); upper levels are torn down, so the
+    // level stack matches a fresh sketch exactly. (erase, not resize:
+    // Level has no default constructor.)
     levels_.erase(levels_.begin() + 1, levels_.end());
-    arena_.TruncateSlots(1);
     levels_[0].Clear();
     levels_[0].SetGeometry(section_size_, num_sections_);
     min_item_.reset();
@@ -466,24 +404,20 @@ class ReqSketch {
     EnsureLevel(max_levels - 1);
 
     // Lines 10-11: a source sketch built under a smaller bound is
-    // special-compacted first, on a scratch copy of its levels under
-    // *its* parameters (CloneInto a local arena, so the source's storage
-    // is never touched). When the bounds already agree the deep copy is
-    // skipped and the source buffers are read in place. All regrowth
-    // happens BEFORE the reservation below, in source order (the coin
-    // flips it draws are therefore the same as regrowing lazily), so the
-    // reservation can use the post-compaction sizes.
-    LevelArena<T> scratch_arena;
+    // special-compacted first, on a copy of its levels under *its*
+    // parameters, so the source's storage is never touched. When the
+    // bounds already agree the copy is skipped and the source buffers are
+    // read in place. All regrowth happens BEFORE the reservation below, in
+    // source order (the coin flips it draws are therefore the same as
+    // regrowing lazily), so the reservation can use the post-compaction
+    // sizes.
     std::vector<std::vector<Level>> regrown(count);
     std::vector<const std::vector<Level>*> level_stacks(count, nullptr);
     for (size_t i = 0; i < count; ++i) {
       const ReqSketch& src = *sources[i];
       if (src.is_empty()) continue;
       if (src.n_bound_ < n_bound_) {
-        regrown[i].reserve(src.levels_.size());
-        for (const Level& level : src.levels_) {
-          regrown[i].push_back(level.CloneInto(&scratch_arena));
-        }
+        regrown[i] = src.levels_;
         SpecialCompactLevels(&regrown[i]);
         level_stacks[i] = &regrown[i];
       } else {
@@ -491,20 +425,15 @@ class ReqSketch {
       }
     }
 
-    // Pre-size each level's arena slot once for everything about to
-    // arrive -- one shift pass over the arena instead of a reallocation
-    // (or slot shift) per level per source.
-    {
-      std::vector<size_t> caps(levels_.size(), 0);
-      for (size_t h = 0; h < levels_.size(); ++h) caps[h] = levels_[h].size();
+    // Size each level once for everything about to arrive, instead of a
+    // reallocation per level per source.
+    for (size_t h = 0; h < levels_.size(); ++h) {
+      size_t total = levels_[h].size();
       for (size_t i = 0; i < count; ++i) {
-        if (level_stacks[i] == nullptr) continue;
-        const std::vector<Level>& stack = *level_stacks[i];
-        for (size_t h = 0; h < stack.size() && h < caps.size(); ++h) {
-          caps[h] += stack[h].size();
-        }
+        const std::vector<Level>* stack = level_stacks[i];
+        if (stack != nullptr && h < stack->size()) total += (*stack)[h].size();
       }
-      arena_.ReserveSlots(caps);
+      levels_[h].Reserve(total);
     }
 
     for (size_t i = 0; i < count; ++i) {
@@ -534,12 +463,14 @@ class ReqSketch {
     // Lines 22-24: at most one scheduled compaction per level, bottom-up.
     // Compact() consumes everything beyond the nominal capacity, so a
     // level that received items from many sources still settles in one
-    // pass.
+    // pass. Such a level can hold many times B items, so its scratch is
+    // freed on return rather than kept as the thread's PromoteScratch.
+    std::vector<T> promoted;
     for (size_t h = 0; h < levels_.size(); ++h) {
       if (levels_[h].size() >= levels_[h].capacity()) {
         EnsureLevel(h + 1);
-        levels_[h].Compact(rng_, &promote_scratch_);
-        levels_[h + 1].InsertAll(std::move(promote_scratch_));
+        levels_[h].Compact(rng_, &promoted);
+        levels_[h + 1].InsertAll(std::move(promoted));
       }
     }
     InvalidateView();
@@ -757,9 +688,6 @@ class ReqSketch {
     std::vector<uint64_t> upper_weights;
     size_t upper_levels = 0;  // level count the upper run was built for
     bool upper_valid = false;
-    // Merge scratch, reused across rebuilds.
-    std::vector<T> scratch_items;
-    std::vector<uint64_t> scratch_weights;
     // The published view; rebuilt in place (AssignMerged) so its arrays'
     // capacity is reused across repairs.
     SortedView<T, Compare> view;
@@ -919,10 +847,6 @@ class ReqSketch {
     std::vector<T> tails_;
   };
 
-  void RebindLevels() {
-    for (Level& level : levels_) level.RebindArena(&arena_);
-  }
-
   // Drops the memoized view but keeps the cached runs for incremental
   // repair. Mutators run with exclusive access (no concurrent readers by
   // contract), so plain stores suffice.
@@ -971,9 +895,7 @@ class ReqSketch {
   // buffer's sorted prefix, only the tail is sorted (long runs in it --
   // promoted runs, or sorted source buffers concatenated by a merge -- are
   // merged, not re-sorted), and the result joins the prefix in one merge.
-  // The sort's scratch is temporary, like the merge's: the cache's own
-  // merge scratch stays empty in a sketch with fewer than three levels,
-  // and growing it for the sort would add memory to every small metric.
+  // The sort's scratch is temporary, so the cache holds only the runs.
   // An HRA level stores its prefix, and the runs promoted into its tail,
   // descending: the copy's prefix and tail are each reversed, so both come
   // out ascending and the prefix still leads.
@@ -993,34 +915,73 @@ class ReqSketch {
     detail::SortPrefixSortedRun(first, mid, last, comp_, &scratch);
   }
 
-  // Merges the cached runs of all levels >= 1 into one weighted run.
+  // Merges the cached runs of all levels >= 1 into one weighted run, in
+  // one k-way pass straight into upper_items/upper_weights, reserved to
+  // the exact total. A heap of run cursors yields the smallest head next;
+  // equal items go lower level first, so the run is the stable merge of
+  // the levels in level order.
   void RebuildUpperRun() const {
     ViewCacheState& c = view_cache_;
-    c.upper_items.clear();
-    c.upper_weights.clear();
+    struct Cursor {
+      const T* next;
+      const T* end;
+      size_t level;
+    };
+    std::vector<Cursor> heap;
+    size_t total = 0;
     for (size_t h = 1; h < levels_.size(); ++h) {
       const std::vector<T>& run = c.runs[h];
       if (run.empty()) continue;
-      const uint64_t weight = uint64_t{1} << h;
-      if (c.upper_items.empty()) {
-        c.upper_items.assign(run.begin(), run.end());
-        c.upper_weights.assign(run.size(), weight);
-        continue;
+      heap.push_back(Cursor{run.data(), run.data() + run.size(), h});
+      total += run.size();
+    }
+    // True when a's head is emitted after b's: the heap keeps the cursor
+    // to emit from at its front.
+    const auto after = [this](const Cursor& a, const Cursor& b) {
+      if (comp_(*b.next, *a.next)) return true;
+      return !comp_(*a.next, *b.next) && a.level > b.level;
+    };
+    std::make_heap(heap.begin(), heap.end(), after);
+    c.upper_items.clear();
+    c.upper_weights.clear();
+    c.upper_items.reserve(total);
+    c.upper_weights.reserve(total);
+    while (!heap.empty()) {
+      Cursor& top = heap.front();
+      c.upper_items.push_back(*top.next);
+      c.upper_weights.push_back(uint64_t{1} << top.level);
+      if (++top.next == top.end) {
+        // The exhausted run leaves; the last cursor takes the root.
+        top = heap.back();
+        heap.pop_back();
       }
-      MergeWeightedRuns(c.upper_items.data(), c.upper_weights.data(),
-                        c.upper_items.size(), run.data(), nullptr, weight,
-                        run.size(), &c.scratch_items, &c.scratch_weights,
-                        comp_);
-      std::swap(c.upper_items, c.scratch_items);
-      std::swap(c.upper_weights, c.scratch_weights);
+      // Sift the root down to its place.
+      size_t i = 0;
+      for (size_t child = 1; child < heap.size(); child = 2 * i + 1) {
+        if (child + 1 < heap.size() && after(heap[child], heap[child + 1])) {
+          ++child;
+        }
+        if (!after(heap[i], heap[child])) break;
+        std::swap(heap[i], heap[child]);
+        i = child;
+      }
     }
     c.upper_levels = levels_.size();
     c.upper_valid = true;
   }
 
   Level MakeLevel() {
-    return Level(&arena_, section_size_, num_sections_, config_.accuracy,
+    return Level(section_size_, num_sections_, config_.accuracy,
                  config_.schedule, config_.coin, comp_);
+  }
+
+  // Promotion and sort scratch of the streaming and regrowth compactions,
+  // one per thread rather than per sketch, so a metric keeps no scratch
+  // between appends. Every use is contained in one call: Compact fills
+  // it, and InsertAll moves the items out and leaves it empty.
+  static std::vector<T>& PromoteScratch() {
+    thread_local std::vector<T> scratch;
+    return scratch;
   }
 
   void EnsureLevel(size_t h) {
@@ -1068,22 +1029,24 @@ class ReqSketch {
   // promoting survivors upward.
   void SpecialCompactLevels(std::vector<Level>* levels) {
     if (levels->size() < 2) return;
+    std::vector<T>& promoted = PromoteScratch();
     for (size_t h = 0; h + 1 < levels->size(); ++h) {
-      (*levels)[h].SpecialCompact(rng_, &promote_scratch_);
-      (*levels)[h + 1].InsertAll(std::move(promote_scratch_));
+      (*levels)[h].SpecialCompact(rng_, &promoted);
+      (*levels)[h + 1].InsertAll(std::move(promoted));
     }
   }
 
   // Streaming compaction cascade: compact level h when full; promotions may
   // fill level h+1, which is then compacted in turn (Algorithm 2's
-  // recursive Insert). Promotions go through promote_scratch_, whose
-  // allocation is reused across compactions (InsertAll moves the items out
-  // but leaves the vector's capacity in place).
+  // recursive Insert). Promotions go through the thread's PromoteScratch,
+  // whose allocation is reused across compactions (InsertAll moves the
+  // items out but leaves the vector's capacity in place).
   void CompactCascade(size_t h) {
+    std::vector<T>& promoted = PromoteScratch();
     while (h < levels_.size() && levels_[h].IsFull()) {
       EnsureLevel(h + 1);
-      levels_[h].Compact(rng_, &promote_scratch_);
-      levels_[h + 1].InsertAll(std::move(promote_scratch_));
+      levels_[h].Compact(rng_, &promoted);
+      levels_[h + 1].InsertAll(std::move(promoted));
       ++h;
     }
   }
@@ -1111,9 +1074,6 @@ class ReqSketch {
   ReqConfig config_;
   Compare comp_;
   util::Xoshiro256 rng_;
-  // Contiguous storage for every level; declared before levels_ so it is
-  // constructed first and outlives them on destruction.
-  LevelArena<T> arena_;
   std::vector<Level> levels_;
   uint64_t n_ = 0;
   uint64_t n_bound_ = 0;
@@ -1122,9 +1082,6 @@ class ReqSketch {
   bool fixed_n_ = false;
   std::optional<T> min_item_;
   std::optional<T> max_item_;
-  // Scratch buffer for promoted items; reused across compactions so the
-  // steady-state update path performs no allocations.
-  std::vector<T> promote_scratch_;
   // Memoized sorted view for the bulk rank/CDF queries; invalidated by
   // Update/Merge, repaired incrementally on the next query that uses it.
   // view_ready_ is the double-checked publication flag: readers acquire-load

@@ -69,11 +69,9 @@ inline uint64_t QuantileTarget(double q, uint64_t total_weight,
 
 // Merges two sorted weighted runs into out_items/out_weights (cleared
 // first; ties go to run A). Run B's entry weights come from b_weights
-// when non-null, else uniformly b_uniform_weight. Shared by the sketch's
-// upper-level run maintenance and the chain's closed-run folding so the
-// tie-breaking and weight handling cannot drift apart;
-// SortedView::AssignMerged* fuses the same loop with the cumulative-
-// weight pass for the published view.
+// when non-null, else uniformly b_uniform_weight. The chain's closed-run
+// folding uses it; SortedView::AssignMerged* fuses the same loop with the
+// cumulative-weight pass for the published view.
 template <typename T, typename Compare>
 void MergeWeightedRuns(const T* a_items, const uint64_t* a_weights,
                        size_t a_n, const T* b_items,

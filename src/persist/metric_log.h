@@ -197,7 +197,7 @@ inline RecoveredMetricState ReadMetricState(const std::string& dir,
     uint64_t lsn = first_lsn;
     for (const auto& record : contents.records) {
       if (lsn++ < next) continue;  // already covered by the snapshot
-      const service::Request request = service::ParseRequest(record);
+      service::Request request = service::ParseRequest(record);
       util::CheckData(request.op == service::Opcode::kAppend &&
                           request.metric == metric_name,
                       "WAL record is not an APPEND for this metric");

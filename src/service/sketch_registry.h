@@ -176,7 +176,7 @@ class MetricEngine {
   // and may be briefly stale against concurrent appends.
   virtual size_t MemoryFootprint() const = 0;
 
-  // Releases allocator slack (query views, scratch, arena slack)
+  // Releases allocator slack (query views, scratch, level-buffer slack)
   // without changing any answer. The memory-only idle path; durable idle
   // metrics get evicted outright via RetireForEviction instead.
   virtual void TrimMemory() {}
@@ -249,8 +249,9 @@ class MetricEngine {
   virtual std::vector<uint8_t> SnapshotLocked() = 0;
 
   // Every Append implementation calls this under append_mutex_, so no
-  // batch can slip past a completed retirement (its WAL segment is
-  // closed; an append landing there would be lost on rehydrate).
+  // batch can slip past a completed retirement (the engine has released
+  // the metric's WAL; an append applied there would be logged nowhere and
+  // lost on rehydrate).
   void CheckNotRetired() const {
     if (retired_.load(std::memory_order_relaxed)) throw MetricRetired();
   }
@@ -381,8 +382,8 @@ class StagedEngineBase : public MetricEngine {
   }
 
   // Memory-only idle path: drain, then release the query view, scratch
-  // and arena slack. Answers are unchanged; the next query rebuilds its
-  // view.
+  // and level-buffer slack. Answers are unchanged; the next query rebuilds
+  // its view.
   void TrimMemory() override {
     std::lock_guard<std::mutex> produce(append_mutex_);
     std::lock_guard<std::mutex> lock(state_mutex_);

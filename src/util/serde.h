@@ -42,7 +42,7 @@ class BinaryWriter {
   }
 
   // Length-prefixed write of a contiguous run; the span form lets callers
-  // stream directly out of arena-backed storage without materializing a
+  // stream directly out of a sketch level's buffer without materializing a
   // vector first.
   template <typename T>
   void WriteArray(const T* data, size_t count) {

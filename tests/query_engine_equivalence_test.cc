@@ -1,8 +1,8 @@
-// Query-engine equivalence: the overhauled query stack -- arena-backed
-// contiguous level storage, incrementally repaired weight-indexed sorted
-// views, and the bulk-rank co-scan kernels -- must produce *bit-identical*
-// answers to the seed-era scalar paths, on randomized streams, across
-// every query surface (plain sketch, Section 5 chain, sharded, windowed).
+// Query-engine equivalence: the overhauled query stack -- per-level item
+// storage, incrementally repaired weight-indexed sorted views, and the
+// bulk-rank co-scan kernels -- must produce *bit-identical* answers to the
+// seed-era scalar paths, on randomized streams, across every query
+// surface (plain sketch, Section 5 chain, sharded, windowed).
 //
 // The reference implementation below is the seed-era algorithm verbatim:
 // collect all (item, weight) pairs, std::sort them, scan cumulative
@@ -385,9 +385,9 @@ TEST(QueryEngineEquivalenceTest, WindowedBulkMatchesScalarLoop) {
   EXPECT_GT(windowed.rotations(), 0u);
 }
 
-TEST(QueryEngineEquivalenceTest, ArenaSerdeRoundTripIsByteStable) {
-  // Arena-backed storage must serialize exactly like the level layout it
-  // replaced: round-tripping is byte-stable and query-equivalent.
+TEST(QueryEngineEquivalenceTest, SerdeRoundTripIsByteStable) {
+  // A restored sketch's levels hold exactly the serialized items:
+  // round-tripping is byte-stable and query-equivalent.
   ReqConfig config;
   config.k_base = 64;
   config.seed = 47;

@@ -385,5 +385,29 @@ TEST(RelativeCompactorTest, TailSortReturnsSortedPermutation) {
   }
 }
 
+// A level's buffer starts at 16 items, doubles up to the nominal capacity
+// B, grows once to B + B/4 past it, and beyond that only to exactly what
+// is needed. Clear keeps the allocation.
+TEST(RelativeCompactorTest, BufferGrowsToWhatTheLevelCanHold) {
+  Compactor c = MakeCompactor(4, 10);  // B = 80
+  EXPECT_EQ(c.buffer_capacity(), 0u);
+  std::vector<size_t> capacities;
+  for (int i = 0; i < 103; ++i) {
+    c.Insert(static_cast<double>(i));
+    if (capacities.empty() || capacities.back() != c.buffer_capacity()) {
+      capacities.push_back(c.buffer_capacity());
+    }
+  }
+  EXPECT_EQ(capacities,
+            (std::vector<size_t>{16, 32, 64, 80, 100, 101, 102, 103}));
+  const std::vector<double> more(7, 1.0);
+  c.Insert(more.data(), more.size());
+  EXPECT_EQ(c.buffer_capacity(), 110u);
+  c.Clear();
+  EXPECT_EQ(c.buffer_capacity(), 110u);
+  c.ShrinkToFit();
+  EXPECT_EQ(c.buffer_capacity(), 0u);
+}
+
 }  // namespace
 }  // namespace req

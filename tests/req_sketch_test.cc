@@ -6,6 +6,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/req_common.h"
@@ -464,6 +466,115 @@ TEST(ReqSketchTest, EstimateRetainedItemsIsCheapUpperBound) {
   EXPECT_GE(sketch.EstimateRetainedItems(), sketch.RetainedItems());
   EXPECT_EQ(sketch.EstimateRetainedItems(),
             sketch.num_levels() * sketch.level_capacity());
+}
+
+// Between queries a sketch holds little more than the payload its
+// checkpoint blob carries: each level's buffer grows only to what the
+// level can hold, and no scratch stays behind. Right after N squares a
+// special compaction halves the retained set while the buffers keep their
+// capacity, so the bound at every batch boundary is relative to the
+// largest blob seen so far; at a few fixed sizes it is relative to the
+// current blob.
+TEST(ReqSketchTest, ResidentBytesStayNearTheCheckpointBlob) {
+  const std::vector<uint64_t> checkpoints = {10000, 100000, 1000000};
+  for (uint32_t k : {16u, 64u, 256u}) {
+    for (RankAccuracy acc :
+         {RankAccuracy::kLowRanks, RankAccuracy::kHighRanks}) {
+      SCOPED_TRACE(testing::Message() << "k=" << k << " acc="
+                                      << static_cast<int>(acc));
+      ReqSketch<double> sketch(MakeConfig(k, acc));
+      size_t next = 0;
+      size_t peak_blob = 0;
+      uint64_t seed = 1;
+      while (next < checkpoints.size()) {
+        const uint64_t batch =
+            std::min<uint64_t>(512, checkpoints[next] - sketch.n());
+        sketch.Update(workload::GenerateLognormal(batch, seed++));
+        const size_t blob = SerializeSketch(sketch).size();
+        peak_blob = std::max(peak_blob, blob);
+        const size_t resident = sketch.MemoryBytes();
+        // Level 0 is filled by room, so its buffer never passes B.
+        ASSERT_LE(sketch.levels()[0].buffer_capacity(),
+                  sketch.level_capacity());
+        if (sketch.n() > 10000) {
+          ASSERT_LE(resident, 1.75 * peak_blob) << "n=" << sketch.n();
+        }
+        if (sketch.n() == checkpoints[next]) {
+          EXPECT_LE(resident, 1.5 * blob) << "n=" << sketch.n();
+          ++next;
+        }
+      }
+    }
+  }
+}
+
+// Copies and moves own their levels: each continues exactly as the
+// original does under the same further batches, and updates to one never
+// reach the other.
+TEST(ReqSketchTest, CopiesAndMovesAreIndependentOfTheSource) {
+  static_assert(std::is_nothrow_move_constructible_v<ReqSketch<double>>,
+                "containers of sketches must move, not copy, on growth");
+  const ReqConfig config = MakeConfig(32, RankAccuracy::kHighRanks, 7);
+  const auto feed = [](ReqSketch<double>* sketch, uint64_t seed) {
+    for (uint64_t b = 0; b < 24; ++b) {
+      sketch->Update(workload::GenerateLognormal(512, seed * 100 + b));
+    }
+  };
+  const std::vector<double> splits = {0.5, 1.0, 2.0};
+  ReqSketch<double> original(config);
+  feed(&original, 1);
+  original.GetCDF(splits);  // copies also carry a warm view cache
+  const std::vector<uint8_t> before = SerializeSketch(original);
+
+  ReqSketch<double> copy_constructed(original);
+  ReqSketch<double> copy_assigned(config);
+  copy_assigned.Update(5.0);
+  copy_assigned = original;
+  ReqSketch<double> move_source(original);
+  ReqSketch<double> move_constructed(std::move(move_source));
+  ReqSketch<double> move_assign_source(original);
+  ReqSketch<double> move_assigned(config);
+  move_assigned.Update(5.0);
+  move_assigned = std::move(move_assign_source);
+
+  ReqSketch<double>* results[] = {&copy_constructed, &copy_assigned,
+                                  &move_constructed, &move_assigned};
+  for (ReqSketch<double>* result : results) {
+    EXPECT_EQ(SerializeSketch(*result), before);
+    feed(result, 2);
+    EXPECT_EQ(SerializeSketch(original), before);
+  }
+  feed(&original, 2);
+  const std::vector<uint8_t> after = SerializeSketch(original);
+  EXPECT_NE(after, before);
+  for (ReqSketch<double>* result : results) {
+    EXPECT_EQ(SerializeSketch(*result), after);
+    EXPECT_EQ(result->GetCDF(splits), original.GetCDF(splits));
+  }
+}
+
+// A merge reads its sources and never writes them: neither the sources
+// special-compacted on a copy of their levels (a smaller N bound than the
+// target's) nor the ones read in place (the same bound).
+TEST(ReqSketchTest, MergeLeavesEverySourceUnchanged) {
+  std::vector<ReqSketch<double>> sources;
+  const size_t sizes[] = {2000, 5000, 9000, 100000};
+  for (size_t i = 0; i < 4; ++i) {
+    sources.emplace_back(MakeConfig(16, RankAccuracy::kHighRanks, 10 + i));
+    sources.back().Update(workload::GenerateLognormal(sizes[i], 20 + i));
+  }
+  std::vector<std::vector<uint8_t>> before;
+  for (const auto& source : sources) before.push_back(SerializeSketch(source));
+  ReqSketch<double> target(MakeConfig(16, RankAccuracy::kHighRanks, 3));
+  target.Update(workload::GenerateLognormal(100000, 30));
+  ASSERT_LT(sources[0].n_bound(), target.n_bound());
+  ASSERT_EQ(sources[3].n_bound(), target.n_bound());
+  target.Merge(sources.data(), sources.size());
+  target.Merge(sources[1]);
+  for (size_t i = 0; i < sources.size(); ++i) {
+    EXPECT_EQ(SerializeSketch(sources[i]), before[i]) << "source " << i;
+  }
+  EXPECT_EQ(target.n(), 100000u + 2000 + 2 * 5000 + 9000 + 100000);
 }
 
 }  // namespace

@@ -36,6 +36,8 @@ SCHEMAS = {
                 "zw_retained",
                 "zw_norm",
                 "levels",
+                "req_resident_bytes",
+                "req_blob_bytes",
             },
         },
     },

@@ -148,6 +148,25 @@ def valid_e16():
     }
 
 
+def valid_e3():
+    return {
+        "experiment": "e3_space_vs_n",
+        "smoke": True,
+        "results": [
+            {
+                "n": 8192,
+                "req_retained": 900,
+                "req_norm": 2.0,
+                "zw_retained": 1500,
+                "zw_norm": 3.0,
+                "levels": 5,
+                "req_resident_bytes": 9000,
+                "req_blob_bytes": 7300,
+            },
+        ],
+    }
+
+
 class CheckSchemaTest(unittest.TestCase):
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
@@ -162,6 +181,15 @@ class CheckSchemaTest(unittest.TestCase):
         self.assertEqual(self.check(valid_e17()), [])
         self.assertEqual(self.check(valid_e18()), [])
         self.assertEqual(self.check(valid_e16()), [])
+        self.assertEqual(self.check(valid_e3()), [])
+
+    def test_e3_results_rows_need_resident_and_blob_bytes(self):
+        for key in ("req_resident_bytes", "req_blob_bytes"):
+            report = valid_e3()
+            del report["results"][0][key]
+            errors = self.check(report)
+            self.assertTrue(any("results[0]" in e and key in e
+                                for e in errors), key)
 
     def test_e16_results_rows_need_post_write_quantiles_us(self):
         report = valid_e16()
