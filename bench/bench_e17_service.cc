@@ -3,8 +3,8 @@
 //
 // Claim under test: the reqd service layer serves multi-tenant quantile
 // traffic at wire speed -- aggregate append throughput scales with client
-// count until the transport saturates (appends stage into per-metric SPSC
-// buffers and drain on the batch path), quantile queries answer from
+// count until the transport saturates (each append applies its batch to
+// the metric's sketch on the batch path), quantile queries answer from
 // their metric's live sketch by selecting from its levels (no sorted view
 // is built, so a query after a write pays no view rebuild, and a query
 // repeated on an unchanged metric pays the selection again), and (since
@@ -15,14 +15,16 @@
 // pool.
 //
 // Setup: an in-process ReqdServer on an ephemeral loopback port.
-//   Sweep 1 (throughput): for each engine kind (plain, sharded) and
-//   client count C: C threads, each with its own connection and its own
-//   metric, append items in batches, then issue quantile queries one at
-//   a time, recording per-request latency.
+//   Sweep 1 (throughput): for each client count C: C threads, each with
+//   its own connection and its own plain metric, append items in
+//   batches, then issue quantile queries one at a time, recording
+//   per-request latency.
 //   Sweep 2 (highconn): C connections multiplexed over a fixed driver
-//   pool; every connection stays open for the whole run and issues
-//   closed-loop APPEND round trips (one untimed warmup round first).
-//   Reported: append RTT p50/p99 across all connections.
+//   pool, every driver's connections appending to one shared plain
+//   metric (many clients on one metric); every connection stays open
+//   for the whole run and issues closed-loop APPEND round trips (one
+//   untimed warmup round first). Reported: append RTT p50/p99 across all
+//   connections.
 //
 // Hard gates (exit 1):
 //   * reactor thread budget -- starting the server must add at most
@@ -60,7 +62,6 @@ namespace {
 using req::bench::Clock;
 using req::bench::JsonWriter;
 using req::bench::SecondsSince;
-using req::service::EngineKind;
 using req::service::MetricSpec;
 using req::service::ReqClient;
 
@@ -104,9 +105,8 @@ size_t UsableConnections() {
   return soft > 256 ? (soft - 256) / 2 : 0;
 }
 
-RunResult RunLoad(uint16_t port, const std::string& engine_name,
-                  EngineKind kind, size_t clients, size_t items,
-                  size_t batch, size_t queries) {
+RunResult RunLoad(uint16_t port, size_t clients, size_t items, size_t batch,
+                  size_t queries) {
   std::vector<std::thread> threads;
   std::vector<double> append_seconds(clients, 0.0);
   std::vector<std::vector<double>> latencies(clients);
@@ -122,12 +122,9 @@ RunResult RunLoad(uint16_t port, const std::string& engine_name,
       try {
         ReqClient client;
         client.Connect("127.0.0.1", port);
-        const std::string metric =
-            "e17." + engine_name + ".c" + std::to_string(c);
+        const std::string metric = "e17.plain.c" + std::to_string(c);
         MetricSpec spec;
-        spec.kind = kind;
         spec.base.k_base = 64;
-        spec.num_shards = 4;
         client.Create(metric, spec);
         req::util::Xoshiro256 rng(1234 + c);
         std::vector<double> chunk(batch);
@@ -232,9 +229,7 @@ HighConnResult RunHighConn(uint16_t port, size_t connections,
           client.Connect("127.0.0.1", port);
         }
         MetricSpec spec;
-        spec.kind = EngineKind::kSharded;
         spec.base.k_base = 64;
-        spec.num_shards = 4;
         clients.front().Create(metric, spec);
         req::util::Xoshiro256 rng(99 + d);
         std::vector<double> chunk(batch);
@@ -247,8 +242,9 @@ HighConnResult RunHighConn(uint16_t port, size_t connections,
           std::this_thread::yield();
         }
 
-        // Warmup round: first touch pays connection/adoption and
-        // engine-staging setup -- not the steady-state RTT under test.
+        // Warmup round: first touch pays connection adoption and the
+        // sketch's first level allocations -- not the steady-state RTT
+        // under test.
         for (ReqClient& client : clients) {
           client.Append(metric, chunk.data(), chunk.size());
         }
@@ -384,7 +380,6 @@ int main(int argc, char** argv) {
   }
 
   struct Row {
-    std::string engine;
     size_t clients;
     double append_mups;
     double wall_s;
@@ -393,39 +388,30 @@ int main(int argc, char** argv) {
     size_t queries;
   };
   std::vector<Row> rows;
-  const std::vector<std::pair<std::string, EngineKind>> engines = {
-      {"plain", EngineKind::kPlain},
-      {"sharded", EngineKind::kSharded},
-  };
 
   std::printf("%9s %8s %14s %12s %12s\n", "engine", "clients",
               "append Mups", "query p50", "query p99");
-  for (const auto& [name, kind] : engines) {
-    for (size_t clients : client_counts) {
-      RunResult r;
-      try {
-        r = RunLoad(server.port(), name, kind, clients, items, batch,
-                    queries);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "e17 %s/%zu-client run failed: %s\n",
-                     name.c_str(), clients, e.what());
-        server.Stop();
-        return 1;
-      }
-      Row row;
-      row.engine = name;
-      row.clients = clients;
-      row.wall_s = r.append_wall_s;
-      row.append_mups = static_cast<double>(items) *
-                        static_cast<double>(clients) /
-                        r.append_wall_s / 1e6;
-      row.queries = r.query_latency_us.size();
-      row.p50_us = Percentile(&r.query_latency_us, 0.50);
-      row.p99_us = Percentile(&r.query_latency_us, 0.99);
-      rows.push_back(row);
-      std::printf("%9s %8zu %14.2f %9.1f us %9.1f us\n", name.c_str(),
-                  clients, row.append_mups, row.p50_us, row.p99_us);
+  for (size_t clients : client_counts) {
+    RunResult r;
+    try {
+      r = RunLoad(server.port(), clients, items, batch, queries);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "e17 %zu-client run failed: %s\n", clients,
+                   e.what());
+      server.Stop();
+      return 1;
     }
+    Row row;
+    row.clients = clients;
+    row.wall_s = r.append_wall_s;
+    row.append_mups = static_cast<double>(items) *
+                      static_cast<double>(clients) / r.append_wall_s / 1e6;
+    row.queries = r.query_latency_us.size();
+    row.p50_us = Percentile(&r.query_latency_us, 0.50);
+    row.p99_us = Percentile(&r.query_latency_us, 0.99);
+    rows.push_back(row);
+    std::printf("%9s %8zu %14.2f %9.1f us %9.1f us\n", "plain", clients,
+                row.append_mups, row.p50_us, row.p99_us);
   }
 
   // Sweep 2: connection scalability.
@@ -479,9 +465,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Per-engine summary: peak aggregate throughput and the p99 at the
-  // largest client count (the "does latency survive load" number; the
-  // _us suffix keeps it direction-aware for compare_bench.py).
+  // Summary: peak aggregate throughput and the p99 at the largest client
+  // count (the "does latency survive load" number; the _us suffix keeps
+  // it direction-aware for compare_bench.py).
   JsonWriter json;
   json.BeginObject()
       .Field("experiment", "e17_service")
@@ -492,7 +478,7 @@ int main(int argc, char** argv) {
       .BeginArray("results");
   for (const Row& row : rows) {
     json.BeginObject()
-        .Field("engine", row.engine)
+        .Field("engine", "plain")
         .Field("clients", static_cast<uint64_t>(row.clients))
         .Field("append_mups", row.append_mups)
         .Field("append_wall_s", row.wall_s)
@@ -512,25 +498,21 @@ int main(int argc, char** argv) {
         .EndObject();
   }
   json.EndArray().BeginArray("summary");
-  for (const auto& [name, kind] : engines) {
-    (void)kind;
-    double peak = 0.0;
-    double p99_at_max = 0.0;
-    size_t max_clients = 0;
-    for (const Row& row : rows) {
-      if (row.engine != name) continue;
-      peak = std::max(peak, row.append_mups);
-      if (row.clients >= max_clients) {
-        max_clients = row.clients;
-        p99_at_max = row.p99_us;
-      }
+  double peak = 0.0;
+  double p99_at_max = 0.0;
+  size_t max_clients = 0;
+  for (const Row& row : rows) {
+    peak = std::max(peak, row.append_mups);
+    if (row.clients >= max_clients) {
+      max_clients = row.clients;
+      p99_at_max = row.p99_us;
     }
-    json.BeginObject()
-        .Field("engine", name)
-        .Field("peak_append_mups", peak)
-        .Field("max_clients_p99_us", p99_at_max)
-        .EndObject();
   }
+  json.BeginObject()
+      .Field("engine", "plain")
+      .Field("peak_append_mups", peak)
+      .Field("max_clients_p99_us", p99_at_max)
+      .EndObject();
   json.EndArray().EndObject();
   if (!json.WriteFile(args.out)) {
     std::fprintf(stderr, "cannot write %s\n", args.out.c_str());

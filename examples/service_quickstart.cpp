@@ -1,5 +1,5 @@
 // Service-layer quickstart: an in-process reqd server on an ephemeral
-// loopback port, three tenants on three engine kinds, and a snapshot
+// loopback port, three tenants on the two engine kinds, and a snapshot
 // shipped back through the wire and verified against a local sketch --
 // the whole multi-tenant story in one file.
 //
@@ -28,7 +28,7 @@ int main() {
   server.Start();
   std::printf("reqd on 127.0.0.1:%u\n", server.port());
 
-  // 2. Three tenants, three engine kinds.
+  // 2. Three tenants, two engine kinds.
   req::service::ReqClient client;
   client.Connect("127.0.0.1", server.port());
 
@@ -36,10 +36,9 @@ int main() {
   plain.base.k_base = 64;
   client.Create("checkout.latency_ms", plain);
 
-  MetricSpec sharded;  // multi-shard ingest for the hottest stream
-  sharded.kind = EngineKind::kSharded;
-  sharded.num_shards = 4;
-  client.Create("gateway.latency_ms", sharded);
+  MetricSpec fine;  // a larger k for the stream whose tail matters most
+  fine.base.k_base = 128;
+  client.Create("gateway.latency_ms", fine);
 
   MetricSpec windowed;  // last ~80k items only
   windowed.kind = EngineKind::kWindowed;

@@ -18,11 +18,14 @@
 //
 // Recovery (RecoverInto, called before the server starts accepting):
 //   1. replay the manifest's valid prefix -> the live id/name/spec map
-//      (a torn manifest tail is an unacknowledged CREATE/DROP: dropped);
+//      (a torn manifest tail is an unacknowledged CREATE/DROP: dropped;
+//      a CREATE of the retired sharded kind loads as a plain spec, which
+//      the compaction right after records);
 //   2. per metric, load the newest CRC-valid checkpoint and replay the
 //      WAL tail through the registry's CreateRecovered engine -- the
 //      engines' batch determinism plus ReqSerde v2's exact PRNG state
-//      make the result bit-identical to the pre-crash engine state;
+//      make the result bit-identical to the pre-crash engine state (a
+//      sharded checkpoint first merges into one plain sketch);
 //   3. fsync each metric directory, reopen its WAL in a MetricLog AFTER
 //      replay (replayed batches must not be re-logged), and delete
 //      directories the compacted manifest no longer references.
@@ -164,13 +167,12 @@ class DurabilityManager : public DirectoryHook {
       std::error_code ec;
       std::filesystem::create_directories(dir, ec);  // CREATE-crash case
       RecoveredMetricState state = ReadMetricState(dir, name);
-      auto engine = registry->CreateRecovered(
-          name, entry.spec, state.snapshot_blob, state.snapshot_accepted_n,
-          state.snapshot_lsn);
+      auto engine = registry->CreateRecovered(name, entry.spec,
+                                              state.snapshot_blob,
+                                              state.snapshot_accepted_n);
       for (const auto& batch : state.batches) {
         engine->Append(batch.data(), batch.size());
       }
-      engine->Flush();
       // A run that crashed may have created files here without the
       // directory fsync that makes their names durable, and the log reuses
       // them without creating: sync the names once per boot.
@@ -257,7 +259,12 @@ class DurabilityManager : public DirectoryHook {
           std::vector<uint8_t>(record.begin() + 8, record.end()));
       if (id >= next_id_) next_id_ = id + 1;
       if (request.op == service::Opcode::kCreate) {
-        live_[request.metric] = Entry{id, request.spec, nullptr};
+        service::MetricSpec spec = request.spec;
+        // The retired sharded kind boots as a plain metric.
+        if (spec.kind == service::EngineKind::kSharded) {
+          spec.kind = service::EngineKind::kPlain;
+        }
+        live_[request.metric] = Entry{id, spec, nullptr};
       } else if (request.op == service::Opcode::kDrop) {
         live_.erase(request.metric);
       } else {

@@ -17,13 +17,12 @@
 //
 // The LSN is the count of APPEND BATCHES since CREATE -- not bytes, not
 // items. Batches are the engines' replay unit: every engine's state is a
-// pure function of the batch sequence (the sharded engine routes whole
-// batches round-robin; ReqSerde v2 checkpoints carry exact PRNG state),
-// so "snapshot at LSN c, replay batches c.." reconstructs the pre-crash
-// state bit-identically.
+// pure function of the batch sequence (ReqSerde v2 checkpoints carry
+// exact PRNG state), so "snapshot at LSN c, replay batches c.."
+// reconstructs the pre-crash state bit-identically.
 //
 // Write protocol per append: frame + CRC the batch, append to the WAL,
-// fsync per policy -- all BEFORE the engine stages the items and the
+// fsync per policy -- all BEFORE the engine applies the items and the
 // server acknowledges. A torn tail is therefore always an unacknowledged
 // suffix, and recovery may legitimately resurrect slightly MORE than the
 // client saw acknowledged (the record survived, the ack did not) but

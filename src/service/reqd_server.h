@@ -891,13 +891,11 @@ class ReqdServer {
         engine->MaybeCheckpoint();
         break;
       }
-      case Opcode::kFlush: {
-        SketchRegistry::EnginePtr engine =
-            registry_->Require(request.metric);
-        engine->Flush();
-        response.n = engine->AcceptedN();
+      case Opcode::kFlush:
+        // Every acknowledged append is already query-visible; FLUSH
+        // answers the metric's accepted count.
+        response.n = registry_->Require(request.metric)->AcceptedN();
         break;
-      }
       case Opcode::kRank:
         response.ranks = registry_->Require(request.metric)
                              ->GetRanks(request.values, request.criterion);

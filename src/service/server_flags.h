@@ -49,7 +49,7 @@ struct ServerFlags {
   persist::DurabilityOptions durability;
 };
 
-// Parses "NAME:KIND[:K_BASE]" (KIND: plain|sharded|windowed).
+// Parses "NAME:KIND[:K_BASE]" (KIND: plain|windowed).
 inline bool ParseCreateSpec(const std::string& arg, std::string* name,
                             MetricSpec* spec) {
   const size_t first = arg.find(':');
@@ -61,8 +61,6 @@ inline bool ParseCreateSpec(const std::string& arg, std::string* name,
                                              : second - first - 1);
   if (kind == "plain") {
     spec->kind = EngineKind::kPlain;
-  } else if (kind == "sharded") {
-    spec->kind = EngineKind::kSharded;
   } else if (kind == "windowed") {
     spec->kind = EngineKind::kWindowed;
   } else {

@@ -6,30 +6,27 @@
 //                serialize byte-identically to an in-process ReqSketch fed
 //                the same stream with the same config (the loopback e2e
 //                test holds this bit-exactly).
-//   kSharded  -> ShardedReqSketch<double>: multi-shard ingest with
-//                merge-on-query, for metrics hot enough that one
-//                compaction cascade would bottleneck.
 //   kWindowed -> WindowedReqSketch<double>: count-driven sliding window
 //                (bucket_items per bucket, num_buckets buckets).
 //
-// Ingest path (all kinds): APPEND batches are staged through an SPSC
-// buffer (concurrency/spsc_buffer.h) and drained into the underlying
-// sketch in batches, so the per-item cost stays on the batch fast path and
-// appends never hold the sketch lock for more than one drain. The staging
-// producer role is serialized by a per-engine append mutex (many
-// connections may append to one metric; they take turns as the SPSC
-// producer), the consumer role by the engine state mutex.
+// The sharded kind is retired: CREATE refuses it, and a data dir that
+// still holds one boots it as a plain metric (its shards merge into one
+// sketch -- REQ is fully mergeable, Theorem 3 -- see MakeRecoveredEngine).
 //
-// Query path (plain/windowed): a query drains staged items (so every
-// APPEND acknowledged before the query is visible) and runs the sketch's
-// or window's own query in the same state-lock critical section.
+// Ingest path (both kinds): an APPEND batch is logged, then applied with
+// one batch Update(data, count) on the underlying structure. A per-engine
+// append mutex orders appending connections (many may append to one
+// metric) and the engine state mutex guards the structure against
+// queries.
+//
+// Query path: a query runs the sketch's or window's own query under the
+// state mutex, so every APPEND acknowledged before it is visible.
 // QUANTILES select from the sketch's levels and build no view, so a query
 // after a write pays no view rebuild and leaves no memory behind. RANK
 // and CDF co-scan ReqSketch's memoized, incrementally repaired sorted
 // view. A windowed engine answers both from its memoized merged sketch,
 // rebuilt once per write epoch. These memoized structures are the only
-// query caches. The sharded engine delegates to ShardedReqSketch's own
-// epoch-cached merged view.
+// query caches.
 //
 // Tenancy spine (the million-metric refactor): the name->engine map is
 // sharded by name hash into kRegistryShards independent mutex+map shards,
@@ -73,7 +70,6 @@
 
 #include "concurrency/epoch_snapshot.h"
 #include "concurrency/sharded_req_sketch.h"
-#include "concurrency/spsc_buffer.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
 #include "persist/metric_log.h"
@@ -113,16 +109,11 @@ struct MetricRetired : std::runtime_error {
 // fails with a precise message instead of surfacing from a constructor
 // deep in the stack.
 inline void ValidateMetricSpec(const MetricSpec& spec) {
+  util::CheckArg(spec.kind != EngineKind::kSharded,
+                 "sharded engines are retired; create a plain metric");
   params::ValidateConfig(spec.base);
   util::CheckArg(spec.base.n_hint <= params::kMaxN,
                  "n_hint must not exceed 2^62");
-  util::CheckArg(spec.buffer_capacity >= 1 &&
-                     spec.buffer_capacity <= (uint64_t{1} << 32),
-                 "buffer_capacity must be in [1, 2^32]");
-  if (spec.kind == EngineKind::kSharded) {
-    util::CheckArg(spec.num_shards >= 1 && spec.num_shards <= 4096,
-                   "num_shards must be in [1, 4096]");
-  }
   if (spec.kind == EngineKind::kWindowed) {
     util::CheckArg(spec.num_buckets >= 2 &&
                        spec.num_buckets <= (uint32_t{1} << 16),
@@ -143,7 +134,7 @@ inline void ValidateMetricSpec(const MetricSpec& spec) {
 //
 // Durability: when a WAL is attached (SetLog, done by the registry's
 // durability hook or the recovery path), every Append logs its batch
-// BEFORE staging it, under the same append mutex -- so the WAL's batch
+// BEFORE applying it, under the same append mutex -- so the WAL's batch
 // order IS the engine's apply order, and the engine's state at WAL
 // position L is exactly "the first L batches applied". Snapshot() and the
 // checkpoint hooks quiesce the append path to pin that correspondence.
@@ -160,24 +151,22 @@ class MetricEngine {
     return accepted_n_.load(std::memory_order_acquire);
   }
 
-  // Stages `count` items; rejects NaN up front (strong guarantee: nothing
-  // is applied on throw -- including a WAL write failure, which surfaces
-  // as persist::IoError before any state change). Returns AcceptedN() as
-  // of this batch's apply point, read under the append mutex: a later
-  // read of AcceptedN() may already include a concurrent append.
+  // Applies `count` items; rejects NaN up front (strong guarantee:
+  // nothing is applied on throw -- including a WAL write failure, which
+  // surfaces as persist::IoError before any state change). Returns
+  // AcceptedN() as of this batch's apply point, read under the append
+  // mutex: a later read of AcceptedN() may already include a concurrent
+  // append.
   virtual uint64_t Append(const double* data, size_t count) = 0;
 
-  // Makes every staged item query-visible.
-  virtual void Flush() = 0;
-
-  // Resident heap bytes this engine holds (sketch payload, staging,
-  // query views, allocator slack). The registry's quota accounting
-  // charges this figure per metric; it is a measurement, not a contract,
-  // and may be briefly stale against concurrent appends.
+  // Resident heap bytes this engine holds (sketch payload, query views,
+  // allocator slack). The registry's quota accounting charges this
+  // figure per metric; it is a measurement, not a contract, and may be
+  // briefly stale against concurrent appends.
   virtual size_t MemoryFootprint() const = 0;
 
-  // Releases allocator slack (query views, scratch, level-buffer slack)
-  // without changing any answer. The memory-only idle path; durable idle
+  // Releases allocator slack (query views, level-buffer slack) without
+  // changing any answer. The memory-only idle path; durable idle
   // metrics get evicted outright via RetireForEviction instead.
   virtual void TrimMemory() {}
 
@@ -204,7 +193,7 @@ class MetricEngine {
   }
 
   // Order-based queries. Observe every append acknowledged before the
-  // call (each query drains staging first).
+  // call.
   virtual std::vector<uint64_t> GetRanks(const std::vector<double>& ys,
                                          Criterion criterion) = 0;
   virtual std::vector<double> GetQuantiles(const std::vector<double>& qs,
@@ -213,8 +202,8 @@ class MetricEngine {
                                      Criterion criterion) = 0;
 
   // Serialized engine state: u8 engine kind | engine-specific serde bytes
-  // (ReqSerde / sharded serde / windowed serde). Quiesces the append path
-  // so the blob sits on a WAL batch boundary.
+  // (ReqSerde / windowed serde). Quiesces the append path so the blob
+  // sits on a WAL batch boundary.
   std::vector<uint8_t> Snapshot() {
     std::lock_guard<std::mutex> produce(append_mutex_);
     return SnapshotLocked();
@@ -256,9 +245,9 @@ class MetricEngine {
     if (retired_.load(std::memory_order_relaxed)) throw MetricRetired();
   }
 
-  // Serializes the producer role (SPSC producer / shard rotation) across
-  // appending connections, and pins the WAL-position <-> engine-state
-  // correspondence for snapshots and checkpoints.
+  // Orders appending connections, so WAL position and apply order agree,
+  // and pins the WAL-position <-> engine-state correspondence for
+  // snapshots and checkpoints (which hold it to quiesce appends).
   std::mutex append_mutex_;
   std::atomic<uint64_t> accepted_n_{0};
   std::atomic<bool> retired_{false};
@@ -280,330 +269,150 @@ inline std::vector<uint8_t> SnapshotBlobPayload(
   return std::vector<uint8_t>(blob.begin() + 1, blob.end());
 }
 
-namespace detail {
-
-inline void CheckAppendable(const double* data, size_t count) {
-  for (size_t i = 0; i < count; ++i) {
-    util::CheckArg(!std::isnan(data[i]), "cannot append NaN");
-  }
+// The structure's own serde bytes, as a snapshot blob carries them.
+inline std::vector<uint8_t> SerializeUnderlying(const ReqSketch<double>& s) {
+  return SerializeSketch(s);
+}
+inline std::vector<uint8_t> SerializeUnderlying(
+    const window::WindowedReqSketch<double>& window) {
+  return window.Serialize();
 }
 
-}  // namespace detail
+// --- engines (plain / windowed) -------------------------------------------
 
-// --- staged engines (plain / windowed) -------------------------------------
-
-// Shared machinery for the engines that stage appends through one SPSC
-// buffer into a single underlying structure and answer queries from it.
-// Derived classes choose the underlying type and how to serialize it; the
-// staging protocol lives here exactly once.
+// Shared machinery for both engine kinds: one underlying structure behind
+// the two locks, with one ingest path. Derived classes choose the
+// underlying type and its kind tag.
 //
-// Queries drain staging and call the underlying structure's own query in
-// one state_mutex_ critical section, so the structure's memoized caches
-// (the sorted view RANK and CDF use, the window's merged sketch) are the
-// only query caches: no copy of the sketch or window is ever kept.
-//
-// Lazy staging: the SPSC buffer does not exist until a second connection
-// is actually observed appending (a try-lock miss on the append mutex).
-// Until then appends take the direct batch path -- one state-lock'd
-// Update(data, count) -- with zero staging allocation, which is what
-// makes a million single-writer metrics affordable. The two paths build
-// bit-identical sketches: the batch Update is documented to chunk
-// invariantly, so where the drain boundaries fall cannot change the
-// result.
+// Append holds append_mutex_ (see MetricEngine), logs the batch, and
+// applies it with one batch Update(data, count) under state_mutex_.
+// Queries take state_mutex_ alone and call the underlying structure's own
+// query, so a query never waits on WAL I/O, and the structure's memoized
+// caches (the sorted view RANK and CDF use, the window's merged sketch)
+// are the only query caches: no copy of the sketch or window is ever
+// kept.
 template <typename Underlying>
-class StagedEngineBase : public MetricEngine {
+class SketchEngineBase : public MetricEngine {
  public:
   const MetricSpec& spec() const override { return spec_; }
 
   uint64_t Append(const double* data, size_t count) override {
-    detail::CheckAppendable(data, count);
-    // A try-lock miss is the one observable signature of a concurrent
-    // writer; record it, then queue normally. The flag is sticky -- once
-    // contended, the metric keeps its staging buffer for life.
-    std::unique_lock<std::mutex> produce(append_mutex_, std::try_to_lock);
-    if (!produce.owns_lock()) {
-      contended_.store(true, std::memory_order_relaxed);
-      produce.lock();
+    for (size_t i = 0; i < count; ++i) {
+      util::CheckArg(!std::isnan(data[i]), "cannot append NaN");
     }
+    std::lock_guard<std::mutex> produce(append_mutex_);
     CheckNotRetired();
-    // WAL before staging: if the log write fails (persist::IoError),
+    // WAL before apply: if the log write fails (persist::IoError),
     // nothing was applied and nothing gets acknowledged. The reverse
     // order could acknowledge a batch that never reached the log.
     if (log_) log_->AppendBatch(data, count);
-    if (!staging_ && contended_.load(std::memory_order_relaxed)) {
-      // Materialize under BOTH locks: DrainLocked reads the pointer under
-      // the state mutex, this appender owns the append mutex.
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      staging_ = std::make_unique<concurrency::SpscBuffer<double>>(
-          spec_.buffer_capacity);
-    }
-    if (!staging_) {
-      // Single-writer direct path: apply the batch in place. Same result
-      // as staging + draining, without touching a buffer.
+    {
       std::lock_guard<std::mutex> lock(state_mutex_);
       underlying_.Update(data, count);
-    } else {
-      size_t left = count;
-      while (left > 0) {
-        const size_t pushed = staging_->TryPushBulk(data, left);
-        data += pushed;
-        left -= pushed;
-        if (left > 0) Flush();
-      }
     }
     return accepted_n_.fetch_add(count, std::memory_order_release) + count;
   }
 
-  void Flush() override {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    DrainLocked();
-  }
-
-  // Whether the staging buffer has been materialized (tests and
-  // footprint diagnostics: a serial metric must never pay for one).
-  bool StagingMaterialized() const {
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    return staging_ != nullptr;
-  }
+  // Always false: nothing is staged. Kept only for reqbench's ladder,
+  // which reads it for engine.contended_metrics.
+  bool StagingMaterialized() const { return false; }
 
   size_t MemoryFootprint() const override {
     std::lock_guard<std::mutex> lock(state_mutex_);
     // underlying_ is embedded, so its MemoryBytes() (which counts
     // sizeof(Underlying)) must replace -- not add to -- its share of
     // sizeof(*this).
-    size_t bytes = sizeof(*this) - sizeof(Underlying) +
-                   underlying_.MemoryBytes() +
-                   drain_scratch_.capacity() * sizeof(double);
-    if (staging_) {
-      bytes += sizeof(concurrency::SpscBuffer<double>) +
-               staging_->capacity() * sizeof(double);
-    }
-    return bytes;
+    return sizeof(*this) - sizeof(Underlying) + underlying_.MemoryBytes();
   }
 
-  // Memory-only idle path: drain, then release the query view, scratch
-  // and level-buffer slack. Answers are unchanged; the next query rebuilds
-  // its view.
+  // Memory-only idle path: release the query view and level-buffer
+  // slack. Answers are unchanged; the next query rebuilds its view.
   void TrimMemory() override {
-    std::lock_guard<std::mutex> produce(append_mutex_);
     std::lock_guard<std::mutex> lock(state_mutex_);
-    DrainLocked();
     underlying_.TrimMemory();
-    drain_scratch_.clear();
-    drain_scratch_.shrink_to_fit();
   }
 
   std::vector<uint64_t> GetRanks(const std::vector<double>& ys,
                                  Criterion criterion) override {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    DrainLocked();
     return underlying_.GetRanks(ys, criterion);
   }
   std::vector<double> GetQuantiles(const std::vector<double>& qs,
                                    Criterion criterion) override {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    DrainLocked();
     return underlying_.GetQuantiles(qs, criterion);
   }
   std::vector<double> GetCDF(const std::vector<double>& splits,
                              Criterion criterion) override {
     std::lock_guard<std::mutex> lock(state_mutex_);
-    DrainLocked();
     return underlying_.GetCDF(splits, criterion);
   }
 
  protected:
   // accepted_n != 0 only on the recovery path, restoring the checkpoint's
   // acknowledged-item count before WAL replay re-appends the tail.
-  StagedEngineBase(const MetricSpec& spec, Underlying underlying,
+  SketchEngineBase(const MetricSpec& spec, Underlying underlying,
                    uint64_t accepted_n = 0)
       : spec_(spec), underlying_(std::move(underlying)) {
     accepted_n_.store(accepted_n, std::memory_order_release);
   }
 
-  // Applies every staged item to underlying_; called with state_mutex_
-  // held.
-  void DrainLocked() {
-    if (!staging_) return;  // direct-path appends are already applied
-    drain_scratch_.clear();
-    if (staging_->PopAll(&drain_scratch_) > 0) {
-      underlying_.Update(drain_scratch_.data(), drain_scratch_.size());
-    }
+  // Serializes the live structure under the state lock: a plain blob
+  // equals an in-process sketch's fed the same stream; a windowed blob
+  // holds the window itself (ring, rotations, bucket epochs), not its
+  // merged view, so a restored window keeps expiring correctly.
+  // Checkpoints, evictions and wire SNAPSHOTs neither copy the structure
+  // nor build a view no query asked for.
+  std::vector<uint8_t> SnapshotLocked() override {
+    std::lock_guard<std::mutex> lock(state_mutex_);
+    std::vector<uint8_t> blob{static_cast<uint8_t>(kind())};
+    const std::vector<uint8_t> bytes = SerializeUnderlying(underlying_);
+    blob.insert(blob.end(), bytes.begin(), bytes.end());
+    return blob;
   }
 
   const MetricSpec spec_;
-  // Null until a concurrent writer is observed; see the class comment.
-  std::unique_ptr<concurrency::SpscBuffer<double>> staging_;
-  std::atomic<bool> contended_{false};
-  // Guards underlying_, drain_scratch_, the staging pointer, and the
-  // staging consumer role. (The SPSC producer role is serialized by the
-  // base append_mutex_.)
+  // Guards underlying_ against concurrent appends, queries and snapshots.
   mutable std::mutex state_mutex_;
   Underlying underlying_;
-  std::vector<double> drain_scratch_;
 };
 
 // --- plain -----------------------------------------------------------------
 
-class PlainReqEngine final : public StagedEngineBase<ReqSketch<double>> {
+class PlainReqEngine final : public SketchEngineBase<ReqSketch<double>> {
  public:
   using Sketch = ReqSketch<double>;
 
   explicit PlainReqEngine(const MetricSpec& spec)
-      : StagedEngineBase(spec, Sketch(spec.base)) {}
+      : SketchEngineBase(spec, Sketch(spec.base)) {}
 
   // Recovery: adopts a checkpoint-restored sketch (ReqSerde v2 carries
   // the exact PRNG state, so continuation is bit-identical).
   PlainReqEngine(const MetricSpec& spec, Sketch&& restored,
                  uint64_t accepted_n)
-      : StagedEngineBase(spec, std::move(restored), accepted_n) {}
+      : SketchEngineBase(spec, std::move(restored), accepted_n) {}
 
   EngineKind kind() const override { return EngineKind::kPlain; }
-
- protected:
-  std::vector<uint8_t> SnapshotLocked() override {
-    // Serialize the live sketch under the state lock, as the windowed
-    // engine does: the bytes equal an in-process sketch's fed the same
-    // stream, and checkpoints, evictions and wire SNAPSHOTs neither copy
-    // the sketch nor build a sorted view no query asked for.
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    DrainLocked();
-    std::vector<uint8_t> blob{static_cast<uint8_t>(EngineKind::kPlain)};
-    const std::vector<uint8_t> bytes = SerializeSketch(underlying_);
-    blob.insert(blob.end(), bytes.begin(), bytes.end());
-    return blob;
-  }
-};
-
-// --- sharded ---------------------------------------------------------------
-
-class ShardedReqEngine final : public MetricEngine {
- public:
-  using Sharded = concurrency::ShardedReqSketch<double>;
-
-  explicit ShardedReqEngine(const MetricSpec& spec)
-      : spec_(spec), sharded_(MakeConfig(spec)) {}
-
-  // Recovery: restores the serialized shard set and resumes the
-  // round-robin rotation where batch number `batches` left it, so WAL
-  // replay routes every batch to the same shard it originally hit.
-  ShardedReqEngine(const MetricSpec& spec,
-                   const std::vector<uint8_t>& payload, uint64_t accepted_n,
-                   uint64_t batches)
-      : spec_(spec),
-        next_shard_(static_cast<size_t>(batches % spec.num_shards)),
-        sharded_(Sharded::Deserialize(payload)) {
-    util::CheckData(sharded_.num_shards() == spec.num_shards,
-                    "sharded snapshot shard count differs from spec");
-    accepted_n_.store(accepted_n, std::memory_order_release);
-  }
-
-  EngineKind kind() const override { return EngineKind::kSharded; }
-  const MetricSpec& spec() const override { return spec_; }
-
-  uint64_t Append(const double* data, size_t count) override {
-    detail::CheckAppendable(data, count);
-    std::lock_guard<std::mutex> produce(append_mutex_);
-    CheckNotRetired();
-    if (log_) log_->AppendBatch(data, count);
-    // Whole batches rotate round-robin across shards: each shard's stream
-    // (and therefore its sketch) is a pure function of the batch arrival
-    // order, and the per-shard single-writer contract holds because the
-    // append mutex serializes the producer role.
-    sharded_.Update(next_shard_, data, count);
-    next_shard_ = (next_shard_ + 1) % sharded_.num_shards();
-    return accepted_n_.fetch_add(count, std::memory_order_release) + count;
-  }
-
-  // FlushAll is safe concurrently with producers (drains under the shard
-  // locks), so queries need not take the append mutex.
-  void Flush() override { sharded_.FlushAll(); }
-
-  size_t MemoryFootprint() const override {
-    return sizeof(*this) - sizeof(Sharded) + sharded_.MemoryBytes();
-  }
-
-  void TrimMemory() override {
-    std::lock_guard<std::mutex> produce(append_mutex_);
-    sharded_.FlushAll();
-    sharded_.TrimMemory();
-  }
-
-  std::vector<uint64_t> GetRanks(const std::vector<double>& ys,
-                                 Criterion criterion) override {
-    Flush();
-    return sharded_.GetRanks(ys, criterion);
-  }
-  std::vector<double> GetQuantiles(const std::vector<double>& qs,
-                                   Criterion criterion) override {
-    Flush();
-    return sharded_.GetQuantiles(qs, criterion);
-  }
-  std::vector<double> GetCDF(const std::vector<double>& splits,
-                             Criterion criterion) override {
-    Flush();
-    return sharded_.GetCDF(splits, criterion);
-  }
-
- protected:
-  std::vector<uint8_t> SnapshotLocked() override {
-    // The caller (MetricEngine::Snapshot / ForceCheckpoint) holds the
-    // append mutex, quiescing producers for the serialize: the sharded
-    // serde requires empty staging buffers (buffered items would be
-    // silently lost).
-    sharded_.FlushAll();
-    std::vector<uint8_t> blob{static_cast<uint8_t>(EngineKind::kSharded)};
-    const std::vector<uint8_t> bytes = sharded_.Serialize();
-    blob.insert(blob.end(), bytes.begin(), bytes.end());
-    return blob;
-  }
-
- private:
-  static concurrency::ShardedReqConfig MakeConfig(const MetricSpec& spec) {
-    concurrency::ShardedReqConfig config;
-    config.num_shards = spec.num_shards;
-    config.buffer_capacity = spec.buffer_capacity;
-    config.base = spec.base;
-    return config;
-  }
-
-  const MetricSpec spec_;
-  size_t next_shard_ = 0;
-  Sharded sharded_;
 };
 
 // --- windowed --------------------------------------------------------------
 
 class WindowedReqEngine final
-    : public StagedEngineBase<window::WindowedReqSketch<double>> {
+    : public SketchEngineBase<window::WindowedReqSketch<double>> {
  public:
   using Window = window::WindowedReqSketch<double>;
 
   explicit WindowedReqEngine(const MetricSpec& spec)
-      : StagedEngineBase(spec, Window(MakeConfig(spec))) {}
+      : SketchEngineBase(spec, Window(MakeConfig(spec))) {}
 
   // Recovery: adopts a checkpoint-restored window (rotation is
   // count-driven, and each bucket's sketch carries its exact PRNG state,
   // so WAL replay rotates and compacts identically).
   WindowedReqEngine(const MetricSpec& spec, Window&& restored,
                     uint64_t accepted_n)
-      : StagedEngineBase(spec, std::move(restored), accepted_n) {}
+      : SketchEngineBase(spec, std::move(restored), accepted_n) {}
 
   EngineKind kind() const override { return EngineKind::kWindowed; }
-
- protected:
-  std::vector<uint8_t> SnapshotLocked() override {
-    // Serialize the window itself (ring, rotations, bucket epochs), not
-    // its merged view: a restored snapshot keeps expiring correctly.
-    // (Count-driven rotation happens inside the base drain's batch
-    // update, at the same boundaries per-item feeding would produce.)
-    std::lock_guard<std::mutex> lock(state_mutex_);
-    DrainLocked();
-    std::vector<uint8_t> blob{static_cast<uint8_t>(EngineKind::kWindowed)};
-    const std::vector<uint8_t> bytes = underlying_.Serialize();
-    blob.insert(blob.end(), bytes.begin(), bytes.end());
-    return blob;
-  }
 
  private:
   static window::WindowedReqConfig MakeConfig(const MetricSpec& spec) {
@@ -694,21 +503,20 @@ class SketchRegistry {
   }
 
   // Recovery-path Create: installs an engine rebuilt from a checkpoint
-  // blob (empty => fresh engine) positioned at WAL batch `batches`,
-  // WITHOUT notifying the durability hook -- the metric already exists on
-  // disk; the caller replays the WAL tail and then attaches the log via
-  // SetLog. Quotas are accounted but NOT enforced: recovery must never
-  // refuse state that was already acknowledged. Single-threaded use,
-  // before the server starts.
+  // blob (empty => fresh engine), WITHOUT notifying the durability hook
+  // -- the metric already exists on disk; the caller replays the WAL tail
+  // and then attaches the log via SetLog. Quotas are accounted but NOT
+  // enforced: recovery must never refuse state that was already
+  // acknowledged. Single-threaded use, before the server starts.
   EnginePtr CreateRecovered(const std::string& name, const MetricSpec& spec,
                             const std::vector<uint8_t>& snapshot_blob,
-                            uint64_t accepted_n, uint64_t batches) {
+                            uint64_t accepted_n) {
     ValidateMetricName(name);
     ValidateMetricSpec(spec);
-    EnginePtr engine =
-        snapshot_blob.empty()
-            ? MakeEngine(spec)
-            : MakeRecoveredEngine(spec, snapshot_blob, accepted_n, batches);
+    EnginePtr engine = snapshot_blob.empty()
+                           ? MakeEngine(spec)
+                           : MakeRecoveredEngine(spec, snapshot_blob,
+                                                 accepted_n);
     const uint64_t footprint = engine->MemoryFootprint();
     Shard& shard = ShardFor(name);
     {
@@ -1082,12 +890,10 @@ class SketchRegistry {
         r.state.snapshot_blob.empty()
             ? MakeEngine(entry->spec)
             : MakeRecoveredEngine(entry->spec, r.state.snapshot_blob,
-                                  r.state.snapshot_accepted_n,
-                                  r.state.snapshot_lsn);
+                                  r.state.snapshot_accepted_n);
     for (const std::vector<double>& batch : r.state.batches) {
       fresh->Append(batch.data(), batch.size());
     }
-    fresh->Flush();
     fresh->SetLog(std::move(r.log));
     AccountEntry(*entry, fresh->MemoryFootprint());
     // Refresh the idle clock before publishing: rehydration can wait out
@@ -1163,42 +969,45 @@ class SketchRegistry {
     return prefix;
   }
 
+  // `spec` passed ValidateMetricSpec, so it is plain or windowed.
   static EnginePtr MakeEngine(const MetricSpec& spec) {
-    switch (spec.kind) {
-      case EngineKind::kPlain:
-        return std::make_shared<PlainReqEngine>(spec);
-      case EngineKind::kSharded:
-        return std::make_shared<ShardedReqEngine>(spec);
-      case EngineKind::kWindowed:
-        return std::make_shared<WindowedReqEngine>(spec);
+    if (spec.kind == EngineKind::kWindowed) {
+      return std::make_shared<WindowedReqEngine>(spec);
     }
-    throw std::invalid_argument("unknown engine kind");
+    return std::make_shared<PlainReqEngine>(spec);
   }
 
   // Rebuilds an engine from a kind-tagged checkpoint blob. The blob is
   // untrusted (it came off disk): kind mismatches and serde corruption
   // throw runtime_error, which recovery surfaces at startup rather than
   // serving a metric whose state silently disagrees with its spec.
+  //
+  // A checkpoint of the retired sharded engine restores into a plain
+  // metric (the manifest load made its spec plain): its shards merge into
+  // one sketch, with Theorem 3's accuracy but not the shards' bytes. Every
+  // boot before the first plain checkpoint converts again, so the merge
+  // is deterministic.
   static EnginePtr MakeRecoveredEngine(const MetricSpec& spec,
                                        const std::vector<uint8_t>& blob,
-                                       uint64_t accepted_n,
-                                       uint64_t batches) {
-    util::CheckData(SnapshotBlobKind(blob) == spec.kind,
-                    "snapshot engine kind differs from metric spec");
+                                       uint64_t accepted_n) {
+    const EngineKind blob_kind = SnapshotBlobKind(blob);
     const std::vector<uint8_t> payload = SnapshotBlobPayload(blob);
-    switch (spec.kind) {
-      case EngineKind::kPlain:
-        return std::make_shared<PlainReqEngine>(
-            spec, DeserializeSketch<double>(payload), accepted_n);
-      case EngineKind::kSharded:
-        return std::make_shared<ShardedReqEngine>(spec, payload, accepted_n,
-                                                  batches);
-      case EngineKind::kWindowed:
-        return std::make_shared<WindowedReqEngine>(
-            spec, window::WindowedReqSketch<double>::Deserialize(payload),
-            accepted_n);
+    if (spec.kind == EngineKind::kPlain &&
+        blob_kind == EngineKind::kSharded) {
+      return std::make_shared<PlainReqEngine>(
+          spec, concurrency::ShardedReqSketch<double>::Deserialize(payload)
+                    .Merged(),
+          accepted_n);
     }
-    throw std::invalid_argument("unknown engine kind");
+    util::CheckData(blob_kind == spec.kind,
+                    "snapshot engine kind differs from metric spec");
+    if (spec.kind == EngineKind::kWindowed) {
+      return std::make_shared<WindowedReqEngine>(
+          spec, window::WindowedReqSketch<double>::Deserialize(payload),
+          accepted_n);
+    }
+    return std::make_shared<PlainReqEngine>(
+        spec, DeserializeSketch<double>(payload), accepted_n);
   }
 
   std::array<Shard, kRegistryShards> shards_;

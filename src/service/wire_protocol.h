@@ -17,7 +17,7 @@
 //
 //   PING      (empty)
 //   CREATE    name | u8 kind | u32 k_base | u8 accuracy | u64 n_hint |
-//             u64 seed | u32 num_shards | u64 buffer_capacity |
+//             u64 seed | u32 reserved | u64 reserved |
 //             u32 num_buckets | u64 bucket_items
 //   APPEND    name | f64[] items
 //   FLUSH     name
@@ -129,23 +129,23 @@ enum class Status : uint8_t {
 // Which engine a metric runs on (chosen once, at CREATE).
 enum class EngineKind : uint8_t {
   kPlain = 0,     // single ReqSketch: deterministic, byte-stable snapshots
-  kSharded = 1,   // ShardedReqSketch: multi-shard ingest, merge-on-query
+  kSharded = 1,   // reserved: the retired sharded engine, still on disk
   kWindowed = 2,  // WindowedReqSketch: count-driven sliding window
 };
 
 // Per-metric engine configuration carried by CREATE. Fields beyond the
 // engine's kind are ignored by the other kinds (e.g. num_buckets for a
 // plain metric), matching how the registry validates only what it uses.
+// The CREATE body keeps 12 reserved bytes after the seed, where the
+// retired sharded engine's shard count and staging capacity travelled:
+// encoders write zero and parsers skip them, so every manifest an older
+// server wrote still parses. CREATE of kSharded is refused; an old data
+// dir boots such a metric as plain (service/sketch_registry.h).
 struct MetricSpec {
   EngineKind kind = EngineKind::kPlain;
   // base.k_base / base.accuracy / base.n_hint / base.seed travel on the
   // wire; coin and schedule stay at their defaults (the paper's algorithm).
   ReqConfig base;
-  // kSharded: shard count. kPlain/kWindowed ignore it.
-  uint32_t num_shards = 4;
-  // SPSC staging capacity in items, all kinds (every engine routes ingest
-  // through a staging buffer; see service/sketch_registry.h).
-  uint64_t buffer_capacity = 4096;
   // kWindowed: ring size and count-driven rotation threshold.
   uint32_t num_buckets = 8;
   uint64_t bucket_items = uint64_t{1} << 16;
@@ -306,8 +306,8 @@ inline std::vector<uint8_t> EncodeRequest(const Request& request) {
           static_cast<uint8_t>(request.spec.base.accuracy));
       writer.Write<uint64_t>(request.spec.base.n_hint);
       writer.Write<uint64_t>(request.spec.base.seed);
-      writer.Write<uint32_t>(request.spec.num_shards);
-      writer.Write<uint64_t>(request.spec.buffer_capacity);
+      writer.Write<uint32_t>(0);  // reserved
+      writer.Write<uint64_t>(0);  // reserved
       writer.Write<uint32_t>(request.spec.num_buckets);
       writer.Write<uint64_t>(request.spec.bucket_items);
       break;
@@ -366,8 +366,8 @@ inline Request ParseRequest(const std::vector<uint8_t>& payload) {
       request.spec.base.accuracy = static_cast<RankAccuracy>(accuracy);
       request.spec.base.n_hint = reader.Read<uint64_t>();
       request.spec.base.seed = reader.Read<uint64_t>();
-      request.spec.num_shards = reader.Read<uint32_t>();
-      request.spec.buffer_capacity = reader.Read<uint64_t>();
+      reader.Read<uint32_t>();  // reserved
+      reader.Read<uint64_t>();  // reserved
       request.spec.num_buckets = reader.Read<uint32_t>();
       request.spec.bucket_items = reader.Read<uint64_t>();
       break;

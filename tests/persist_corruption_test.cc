@@ -55,17 +55,17 @@ void BuildFixtureDir(const std::string& dir) {
   MetricSpec plain;
   plain.kind = EngineKind::kPlain;
   plain.base.k_base = 32;
-  MetricSpec sharded;
-  sharded.kind = EngineKind::kSharded;
-  sharded.base.k_base = 32;
+  MetricSpec windowed;
+  windowed.kind = EngineKind::kWindowed;
+  windowed.base.k_base = 32;
   registry.Create("fix/plain", plain);
-  registry.Create("fix/sharded", sharded);
+  registry.Create("fix/windowed", windowed);
   for (size_t round = 0; round < 10; ++round) {
     util::Xoshiro256 rng(round);
     std::vector<double> batch(50);
     for (double& v : batch) v = rng.NextDouble() * 1e6;
     registry.Require("fix/plain")->Append(batch.data(), batch.size());
-    registry.Require("fix/sharded")->Append(batch.data(), batch.size());
+    registry.Require("fix/windowed")->Append(batch.data(), batch.size());
     if (round == 3 || round == 6) {
       registry.Require("fix/plain")->ForceCheckpoint();
     }

@@ -153,7 +153,6 @@ std::vector<uint8_t> ReferenceSnapshot(size_t m, uint64_t n) {
     const size_t len = std::min(kBatch, static_cast<size_t>(n) - i);
     engine->Append(stream.data() + i, len);
   }
-  engine->Flush();
   return engine->Snapshot();
 }
 
@@ -255,8 +254,9 @@ TEST(CrashRecovery, KilledDaemonRecoversAckedStateBitIdentically) {
   std::vector<uint64_t> recovered(kMetrics, 0);
   {
     ReqClient client;
-    client.Connect("127.0.0.1", port2);
-    client.EnableReconnect();
+    ClientOptions options;
+    options.reconnect_enabled = true;
+    client.Connect("127.0.0.1", port2, options);
     for (size_t m = 0; m < kMetrics; ++m) {
       recovered[m] = client.Flush(MetricName(m));
       EXPECT_GE(recovered[m], acked[m])

@@ -240,7 +240,6 @@ void ExpectRecovered(SketchRegistry* recovered,
       const std::vector<double> batch = ScriptBatch(MetricIndex(name), b);
       ref_engine->Append(batch.data(), batch.size());
     }
-    ref_engine->Flush();
     EXPECT_EQ(engine->Snapshot(), ref_engine->Snapshot())
         << "state diverged at " << crash << " for " << name;
   }

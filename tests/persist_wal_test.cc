@@ -2,17 +2,21 @@
 // round trips and torn-tail semantics, MetricLog appends, checkpoint
 // slots, WAL resets and reopens, the old-layout reader, and full
 // DurabilityManager + SketchRegistry recovery --
-// including the bit-identical-state guarantee for all three engine
-// kinds (tests/persist_crash_recovery_test.cc proves the same invariant
-// against a SIGKILLed daemon process).
+// including the bit-identical-state guarantee for both engine kinds
+// (tests/persist_crash_recovery_test.cc proves the same invariant
+// against a SIGKILLed daemon process) and the boot of a data dir that
+// holds the retired sharded kind.
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,8 @@
 #include "persist/durability.h"
 #include "persist/log_file.h"
 #include "persist/metric_log.h"
+#include "service/req_client.h"
+#include "service/reqd_server.h"
 #include "service/sketch_registry.h"
 #include "util/random.h"
 
@@ -459,7 +465,6 @@ TEST(Durability, RecoversAllEngineKindsBitIdentically) {
   const std::string dir = MakeTempDir("recover_all_kinds");
   const std::vector<std::pair<std::string, EngineKind>> metrics = {
       {"svc/plain", EngineKind::kPlain},
-      {"svc/sharded", EngineKind::kSharded},
       {"svc/window", EngineKind::kWindowed},
   };
   std::vector<std::vector<uint8_t>> reference(metrics.size());
@@ -486,7 +491,6 @@ TEST(Durability, RecoversAllEngineKindsBitIdentically) {
     }
     for (size_t m = 0; m < metrics.size(); ++m) {
       auto engine = registry.Require(metrics[m].first);
-      engine->Flush();
       reference[m] = engine->Snapshot();
       reference_n[m] = engine->AcceptedN();
     }
@@ -602,7 +606,6 @@ TEST(Durability, GracefulCheckpointLeavesEmptyReplayTail) {
     auto engine = registry.Require("m");
     const std::vector<double> stream = TestStream(7, 5000);
     engine->Append(stream.data(), stream.size());
-    engine->Flush();
     engine->ForceCheckpoint();
     reference = engine->Snapshot();
   }
@@ -658,7 +661,6 @@ std::vector<uint8_t> OldLayoutReference(size_t batches) {
     const std::vector<double> batch = OldLayoutBatch(b);
     engine->Append(batch.data(), batch.size());
   }
-  engine->Flush();
   return engine->Snapshot();
 }
 
@@ -721,6 +723,158 @@ TEST(Durability, OldLayoutFilesBesideANewerSlotChangeNothing) {
   }
   EXPECT_EQ(DirNames(metric_dir).size(), 5u);  // 3 old + WAL + slot
   EXPECT_EQ(BootSnapshot(dir), OldLayoutReference(kOldLayoutBatches + 1));
+}
+
+// --- the retired sharded kind -----------------------------------------------
+
+TEST(Durability, ShardedCreateIsRefusedAndLeavesNoTrace) {
+  const std::string dir = MakeTempDir("sharded_create");
+  {
+    DurabilityManager manager(dir, TestDurabilityOptions());
+    SketchRegistry registry;
+    manager.RecoverInto(&registry);
+    EXPECT_THROW(registry.Create("retired", SpecOf(EngineKind::kSharded)),
+                 std::invalid_argument);
+    EXPECT_EQ(registry.size(), 0u);
+    EXPECT_EQ(manager.live_metrics(), 0u);
+  }
+  // No manifest record and no metric directory.
+  const auto manifest =
+      ReadSegmentFile(dir + "/manifest.log", kManifestMagic);
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_TRUE(manifest->records.empty());
+  EXPECT_EQ(DirNames(dir), std::set<std::string>{"manifest.log"});
+}
+
+// tests/data/sharded_data_dir was written by the code before the sharded
+// engine was retired. Both metrics are sharded, k_base 32 (HRA, default
+// seed), 3 shards with 256-item staging. Batch b of a metric with stream
+// seed s is 100 + 50 * (b % 3) values Xoshiro256(s + b).NextDouble() * 1e6.
+//   "sharded/ckpt" (m0): seed 9100, batches 0-23; checkpoint after batch
+//                        15 (LSN 16), batches 16-23 in the WAL tail.
+//   "sharded/wal"  (m1): seed 9200, batches 0-9, WAL only.
+struct ShardedDirMetric {
+  const char* name;
+  uint64_t seed;
+  size_t batches;
+};
+constexpr ShardedDirMetric kShardedDirMetrics[] = {{"sharded/ckpt", 9100, 24},
+                                                   {"sharded/wal", 9200, 10}};
+
+std::vector<double> ShardedDirBatch(const ShardedDirMetric& metric,
+                                    size_t b) {
+  util::Xoshiro256 rng(metric.seed + b);
+  std::vector<double> values(100 + 50 * (b % 3));
+  for (double& v : values) v = rng.NextDouble() * 1e6;
+  return values;
+}
+
+std::string CopyShardedDir(const std::string& tag) {
+  const std::string dir = MakeTempDir(tag);
+  std::filesystem::copy(REQSKETCH_TEST_DATA_DIR "/sharded_data_dir", dir,
+                        std::filesystem::copy_options::recursive);
+  return dir;
+}
+
+std::vector<uint8_t> BootedSnapshot(const std::string& dir,
+                                    const char* name) {
+  DurabilityManager manager(dir, TestDurabilityOptions());
+  SketchRegistry registry;
+  manager.RecoverInto(&registry);
+  auto engine = registry.Require(name);
+  EXPECT_EQ(engine->kind(), EngineKind::kPlain) << name;
+  return engine->Snapshot();
+}
+
+TEST(Durability, ShardedDataDirBootsAsPlainMetrics) {
+  const std::string dir = CopyShardedDir("sharded_boot");
+  std::vector<double> probes;
+  for (int i = 1; i < 100; ++i) probes.push_back(i * 1e4);
+  // reqbench's Theorem-1 allowance: 4 standard errors of the relative
+  // rank error, measured from the top (HRA).
+  const double eps = 4 * params::RelativeStdErr(32);
+  std::vector<std::vector<uint8_t>> booted;
+  {
+    DurabilityManager manager(dir, TestDurabilityOptions());
+    SketchRegistry registry;
+    manager.RecoverInto(&registry);
+    service::ReqdServer server(&registry);
+    server.Start();
+    service::ReqClient client;
+    client.Connect("127.0.0.1", server.port());
+    for (const ShardedDirMetric& metric : kShardedDirMetrics) {
+      std::vector<double> stream;
+      for (size_t b = 0; b < metric.batches; ++b) {
+        const std::vector<double> batch = ShardedDirBatch(metric, b);
+        stream.insert(stream.end(), batch.begin(), batch.end());
+      }
+      EXPECT_EQ(client.Flush(metric.name), stream.size()) << metric.name;
+      booted.push_back(client.Snapshot(metric.name));
+      EXPECT_EQ(service::SnapshotBlobKind(booted.back()), EngineKind::kPlain)
+          << metric.name;
+      std::sort(stream.begin(), stream.end());
+      const double n = static_cast<double>(stream.size());
+      const std::vector<uint64_t> ranks = client.GetRanks(metric.name, probes);
+      ASSERT_EQ(ranks.size(), probes.size());
+      for (size_t i = 0; i < probes.size(); ++i) {
+        const double exact = static_cast<double>(
+            std::upper_bound(stream.begin(), stream.end(), probes[i]) -
+            stream.begin());
+        EXPECT_LE(std::fabs(static_cast<double>(ranks[i]) - exact),
+                  eps * (n - exact) + 1)
+            << metric.name << " rank of " << probes[i];
+      }
+    }
+    server.Stop();
+  }
+  // Until a converted metric's first plain checkpoint, every boot converts
+  // it again (a crash there is an ordinary restart), so the conversion
+  // must be deterministic: a second copy boots to the same bytes.
+  const std::string twin = CopyShardedDir("sharded_twin");
+  for (size_t m = 0; m < booted.size(); ++m) {
+    EXPECT_EQ(BootedSnapshot(twin, kShardedDirMetrics[m].name), booted[m])
+        << kShardedDirMetrics[m].name;
+  }
+  // One more append and a checkpoint: the next boot reads a plain slot
+  // and answers bit-identically.
+  std::vector<std::vector<uint8_t>> checkpointed;
+  std::vector<std::vector<uint64_t>> ranks;
+  {
+    DurabilityManager manager(dir, TestDurabilityOptions());
+    SketchRegistry registry;
+    manager.RecoverInto(&registry);
+    for (size_t m = 0; m < booted.size(); ++m) {
+      const ShardedDirMetric& metric = kShardedDirMetrics[m];
+      auto engine = registry.Require(metric.name);
+      EXPECT_EQ(engine->Snapshot(), booted[m]) << metric.name;
+      const std::vector<double> batch =
+          ShardedDirBatch(metric, metric.batches);
+      engine->Append(batch.data(), batch.size());
+      engine->ForceCheckpoint();
+      checkpointed.push_back(engine->Snapshot());
+      ranks.push_back(engine->GetRanks(probes, Criterion::kInclusive));
+    }
+  }
+  // The manifest records both metrics as plain.
+  const auto manifest =
+      ReadSegmentFile(dir + "/manifest.log", kManifestMagic);
+  ASSERT_TRUE(manifest.has_value());
+  ASSERT_EQ(manifest->records.size(), booted.size());
+  for (const std::vector<uint8_t>& record : manifest->records) {
+    const service::Request request = service::ParseRequest(
+        std::vector<uint8_t>(record.begin() + 8, record.end()));
+    EXPECT_EQ(request.op, service::Opcode::kCreate);
+    EXPECT_EQ(request.spec.kind, EngineKind::kPlain) << request.metric;
+    EXPECT_EQ(request.spec.base.k_base, 32u) << request.metric;
+  }
+  DurabilityManager manager(dir, TestDurabilityOptions());
+  SketchRegistry registry;
+  manager.RecoverInto(&registry);
+  for (size_t m = 0; m < booted.size(); ++m) {
+    auto engine = registry.Require(kShardedDirMetrics[m].name);
+    EXPECT_EQ(engine->Snapshot(), checkpointed[m]);
+    EXPECT_EQ(engine->GetRanks(probes, Criterion::kInclusive), ranks[m]);
+  }
 }
 
 TEST(Durability, MetricNamesWithSlashesGetSafeDirectories) {

@@ -89,15 +89,22 @@ class ServiceChaosTest : public ::testing::Test {
     }
   }
 
-  // A client dialed through the proxy, with deadlines tight enough that
-  // every blocked operation resolves well inside the test bounds.
+  // Deadlines tight enough that every blocked operation through the
+  // proxy resolves well inside the test bounds.
+  static ClientOptions ProxyOptions(uint64_t request_timeout_ms = 2000) {
+    ClientOptions options;
+    options.deadlines.connect_timeout_ms = 2000;
+    options.deadlines.request_timeout_ms = request_timeout_ms;
+    return options;
+  }
+
+  // A client dialed through the proxy.
   ReqClient ConnectViaProxy(uint64_t request_timeout_ms = 2000) {
+    return ConnectViaProxy(ProxyOptions(request_timeout_ms));
+  }
+  ReqClient ConnectViaProxy(const ClientOptions& options) {
     ReqClient client;
-    DeadlinePolicy deadlines;
-    deadlines.connect_timeout_ms = 2000;
-    deadlines.request_timeout_ms = request_timeout_ms;
-    client.SetDeadlines(deadlines);
-    client.Connect("127.0.0.1", proxy_->port());
+    client.Connect("127.0.0.1", proxy_->port(), options);
     return client;
   }
 
@@ -241,8 +248,9 @@ TEST_F(ServiceChaosTest, BlackholeBoundedByDeadlineThenHeals) {
   // create behind it crosses into the hole.
   chaos.up.blackhole_after_bytes = 8;
   StartProxy(chaos);
-  ReqClient via = ConnectViaProxy(/*request_timeout_ms=*/300);
-  via.EnableReconnect();
+  ClientOptions options = ProxyOptions(/*request_timeout_ms=*/300);
+  options.reconnect_enabled = true;
+  ReqClient via = ConnectViaProxy(options);
   const auto start = Clock::now();
   // Ping (tiny) passes; the create request crosses the threshold and
   // vanishes into the blackhole. The sockets stay open -- only the
@@ -270,17 +278,14 @@ TEST_F(ServiceChaosTest, RefusedConnectsFailFastThenRecover) {
   chaos.refuse_first = 1;  // first connection dies, the next behaves
   StartProxy(chaos);
   ReqClient via;
-  DeadlinePolicy deadlines;
-  deadlines.connect_timeout_ms = 2000;
-  deadlines.request_timeout_ms = 2000;
-  via.SetDeadlines(deadlines);
+  ClientOptions options = ProxyOptions();
+  options.reconnect_enabled = true;
   const auto start = Clock::now();
   // The TCP handshake may complete before the RST lands, so the refusal
   // surfaces either at Connect or on the first round trip -- both typed,
   // both fast.
   try {
-    via.Connect("127.0.0.1", proxy_->port());
-    via.EnableReconnect();
+    via.Connect("127.0.0.1", proxy_->port(), options);
     EXPECT_EQ(via.Ping(), kProtocolVersion);  // redials past the refusal
   } catch (const std::runtime_error&) {
     via.Close();
@@ -326,12 +331,11 @@ TEST_F(ServiceChaosTest, ConnectDeadlineFiresOnNeverAcceptingSocket) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   ReqClient client;
-  DeadlinePolicy deadlines;
-  deadlines.connect_timeout_ms = 250;
-  client.SetDeadlines(deadlines);
+  ClientOptions options;
+  options.deadlines.connect_timeout_ms = 250;
   const auto start = Clock::now();
   try {
-    client.Connect("127.0.0.1", ntohs(bound.sin_port));
+    client.Connect("127.0.0.1", ntohs(bound.sin_port), options);
     // A connect that squeezed into the queue is acceptable -- the point
     // is the bound, proven below either way.
   } catch (const std::runtime_error&) {
@@ -414,12 +418,11 @@ TEST_F(ServiceChaosTest, OverloadedRetryBacksOffIntoFreedSlot) {
   ReqClient holder = ConnectDirect();
   EXPECT_EQ(holder.Ping(), kProtocolVersion);
 
-  ReqClient waiter = ConnectViaProxy();
-  waiter.EnableReconnect();
-  DeadlinePolicy deadlines = waiter.deadlines();
-  deadlines.retry_budget_ms = 8000;
-  deadlines.overloaded_backoff_ms = 20;
-  waiter.SetDeadlines(deadlines);
+  ClientOptions options = ProxyOptions();
+  options.reconnect_enabled = true;
+  options.deadlines.retry_budget_ms = 8000;
+  options.deadlines.overloaded_backoff_ms = 20;
+  ReqClient waiter = ConnectViaProxy(options);
   // Free the slot while the waiter is mid-backoff: its retry must land.
   std::thread releaser([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
@@ -553,10 +556,10 @@ TEST_F(ServiceChaosTest, DrainAnswersInFlightThenClosesAndSheds) {
   EXPECT_EQ(server_->LiveConnections(), 0u);
   // The drained server is gone; a fresh dial must fail, not hang.
   ReqClient after;
-  DeadlinePolicy deadlines;
-  deadlines.connect_timeout_ms = 500;
-  after.SetDeadlines(deadlines);
-  EXPECT_THROW(after.Connect("127.0.0.1", port), std::runtime_error);
+  ClientOptions options;
+  options.deadlines.connect_timeout_ms = 500;
+  EXPECT_THROW(after.Connect("127.0.0.1", port, options),
+               std::runtime_error);
 }
 
 // --- chaos x durability -----------------------------------------------------
@@ -596,12 +599,11 @@ TEST_F(ServiceChaosTest, ResetsOverDurabilityNeverLoseAckedItems) {
     proxy.Start();
 
     ReqClient via;
-    DeadlinePolicy deadlines;
-    deadlines.connect_timeout_ms = 2000;
-    deadlines.request_timeout_ms = 5000;
-    via.SetDeadlines(deadlines);
-    via.Connect("127.0.0.1", proxy.port());
-    via.EnableReconnect();
+    ClientOptions options;
+    options.deadlines.connect_timeout_ms = 2000;
+    options.deadlines.request_timeout_ms = 5000;
+    options.reconnect_enabled = true;
+    via.Connect("127.0.0.1", proxy.port(), options);
     CreateMetric(&via, metric);
     size_t i = 0;
     const auto start = Clock::now();
@@ -651,7 +653,6 @@ TEST_F(ServiceChaosTest, ResetsOverDurabilityNeverLoseAckedItems) {
   reference.Create(metric, spec);
   SketchRegistry::EnginePtr ref_engine = reference.Require(metric);
   ref_engine->Append(stream.data(), stream.size());
-  ref_engine->Flush();
   EXPECT_EQ(engine->Snapshot(), ref_engine->Snapshot());
 
   std::filesystem::remove_all(dir);

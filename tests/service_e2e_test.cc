@@ -162,7 +162,7 @@ TEST_F(ServiceE2ETest, ParallelClientsOnSeparateMetrics) {
         const std::string metric = "par" + std::to_string(c);
         MetricSpec spec;
         spec.kind = (c % 2 == 0) ? EngineKind::kPlain
-                                 : EngineKind::kSharded;
+                                 : EngineKind::kWindowed;
         client.Create(metric, spec);
         const std::vector<double> stream = Stream(c, kItems);
         for (size_t i = 0; i < kItems; i += 977) {
@@ -346,10 +346,6 @@ TEST_F(ServiceE2ETest, SnapshotRoundTripsThroughWireForEveryEngine) {
   MetricSpec plain;
   plain.base.k_base = 64;
   client.Create("snap.plain", plain);
-  MetricSpec sharded;
-  sharded.kind = EngineKind::kSharded;
-  sharded.num_shards = 3;
-  client.Create("snap.sharded", sharded);
   MetricSpec windowed;
   windowed.kind = EngineKind::kWindowed;
   windowed.num_buckets = 4;
@@ -370,14 +366,6 @@ TEST_F(ServiceE2ETest, SnapshotRoundTripsThroughWireForEveryEngine) {
     EXPECT_EQ(restored.GetQuantile(0.5),
               client.GetQuantiles("snap.plain", {0.5})[0]);
   }
-  // Sharded: sharded serde.
-  {
-    const std::vector<uint8_t> blob = client.Snapshot("snap.sharded");
-    ASSERT_EQ(SnapshotBlobKind(blob), EngineKind::kSharded);
-    auto restored = concurrency::ShardedReqSketch<double>::Deserialize(
-        SnapshotBlobPayload(blob));
-    EXPECT_EQ(restored.n(), stream.size());
-  }
   // Windowed: windowed serde (window semantics preserved).
   {
     const std::vector<uint8_t> blob = client.Snapshot("snap.windowed");
@@ -387,6 +375,27 @@ TEST_F(ServiceE2ETest, SnapshotRoundTripsThroughWireForEveryEngine) {
     EXPECT_EQ(restored.GetQuantile(0.5),
               client.GetQuantiles("snap.windowed", {0.5})[0]);
   }
+}
+
+// The sharded kind is retired: a CREATE of it is a bad request that
+// creates nothing, and the connection keeps serving.
+TEST_F(ServiceE2ETest, ShardedCreateIsRefusedOverTheWire) {
+  ReqClient client = Connect();
+  MetricSpec sharded;
+  sharded.kind = EngineKind::kSharded;
+  try {
+    client.Create("retired", sharded);
+    FAIL() << "sharded CREATE was accepted";
+  } catch (const ServiceError& e) {
+    EXPECT_EQ(e.status, Status::kBadRequest);
+    EXPECT_NE(std::string(e.what()).find("sharded engines are retired"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(client.List().empty());
+  EXPECT_EQ(registry_.size(), 0u);
+  client.Create("retired", MetricSpec{});  // the plain metric it names
+  EXPECT_EQ(client.List().size(), 1u);
 }
 
 TEST_F(ServiceE2ETest, CorruptSnapshotBlobsThrowNeverCrash) {
@@ -495,11 +504,12 @@ TEST_F(ServiceE2ETest, HalfFrameAtEofCountsAsAbortedUpload) {
 }
 
 TEST_F(ServiceE2ETest, SelfHealingClientSurvivesServerRestart) {
-  ReqClient client = Connect();
-  ReconnectPolicy policy;
-  policy.max_attempts = 8;
-  policy.initial_backoff_ms = 10;
-  client.EnableReconnect(policy);
+  ClientOptions options;
+  options.reconnect_enabled = true;
+  options.reconnect.max_attempts = 8;
+  options.reconnect.initial_backoff_ms = 10;
+  ReqClient client;
+  client.Connect("127.0.0.1", server_->port(), options);
   MetricSpec spec;
   client.Create("heal", spec);
   client.Append("heal", {1.0, 2.0, 3.0});

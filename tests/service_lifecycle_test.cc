@@ -1,8 +1,7 @@
 // Metric-lifecycle tests for the sharded SketchRegistry: paged
 // prefix-filtered LIST against a brute-force model, tenancy quotas (and
-// their exact rollback), lazy staging (single-writer metrics never
-// materialize an SPSC buffer; contended ones do, bit-identically),
-// idle eviction + touch rehydration for all three engine kinds, checkpoint
+// their exact rollback), contended appends (bit-identical to serial
+// ones), idle eviction + touch rehydration for both engine kinds, checkpoint
 // memory (a snapshot serializes the live sketch and leaves nothing
 // resident), query memory (a queried engine holds its structure and that
 // structure's view, no copy), and a registry-wide eviction-vs-append race
@@ -49,7 +48,6 @@ MetricSpec SpecOf(EngineKind kind) {
   MetricSpec spec;
   spec.kind = kind;
   spec.base.k_base = 16;
-  if (kind == EngineKind::kSharded) spec.num_shards = 3;
   if (kind == EngineKind::kWindowed) {
     spec.num_buckets = 4;
     spec.bucket_items = 64;
@@ -171,8 +169,9 @@ TEST(Quotas, QuotaSurfacesAsTypedClientErrorAndIsNotRetried) {
   ReqdServer server(&registry);
   server.Start();
   ReqClient client;
-  client.Connect("127.0.0.1", server.port());
-  client.EnableReconnect();  // must NOT kick in for a quota answer
+  ClientOptions options;
+  options.reconnect_enabled = true;  // must NOT kick in for a quota answer
+  client.Connect("127.0.0.1", server.port(), options);
   MetricSpec spec;
   client.Create("one", spec);
   try {
@@ -217,29 +216,13 @@ TEST(Quotas, PagedListOverTheWireMatchesRegistry) {
   server.Stop();
 }
 
-// --- lazy staging ----------------------------------------------------------
+// --- contended appends -----------------------------------------------------
 
-TEST(LazyStaging, SingleWriterNeverMaterializesTheBuffer) {
-  SketchRegistry registry;
-  auto engine = registry.Create("serial", SpecOf(EngineKind::kPlain));
-  auto* staged = dynamic_cast<PlainReqEngine*>(engine.get());
-  ASSERT_NE(staged, nullptr);
-  const std::vector<double> stream = TestStream(1, 50000);
-  for (size_t i = 0; i < stream.size(); i += 1000) {
-    engine->Append(stream.data() + i, 1000);
-    engine->GetQuantiles({0.5}, Criterion::kInclusive);
-  }
-  EXPECT_FALSE(staged->StagingMaterialized());
-  EXPECT_EQ(engine->AcceptedN(), stream.size());
-}
-
-TEST(LazyStaging, ContendedEngineMaterializesAndStaysBitIdentical) {
+TEST(ContendedAppend, StaysBitIdenticalToSerialAppends) {
   // The item stream reaches both engines in the identical batch order;
   // the contended one additionally has a thread hammering empty appends,
-  // which trips the try-lock contention detector and materializes the
-  // SPSC buffer mid-stream. Batch updates chunk invariantly, so the
-  // direct-path prefix + staged suffix must equal the all-direct run
-  // bit-for-bit.
+  // so its appenders queue on the append mutex. Each batch still applies
+  // whole, in order, so the two must agree bit-for-bit.
   const std::vector<double> stream = TestStream(2, 80000);
   const size_t batch = 1024;
 
@@ -266,9 +249,6 @@ TEST(LazyStaging, ContendedEngineMaterializesAndStaysBitIdentical) {
   stop.store(true, std::memory_order_release);
   contender.join();
 
-  auto* staged = dynamic_cast<PlainReqEngine*>(contended.get());
-  ASSERT_NE(staged, nullptr);
-  EXPECT_TRUE(staged->StagingMaterialized());
   EXPECT_EQ(contended->AcceptedN(), stream.size());
   EXPECT_EQ(contended->Snapshot(), serial->Snapshot());
 }
@@ -302,7 +282,6 @@ TEST(Eviction, EvictsIdleRehydratesBitIdenticallyAllKinds) {
 
   const std::vector<std::pair<std::string, EngineKind>> kinds = {
       {"plain", EngineKind::kPlain},
-      {"sharded", EngineKind::kSharded},
       {"windowed", EngineKind::kWindowed},
   };
   std::vector<std::vector<uint8_t>> blobs;
@@ -596,7 +575,6 @@ TEST(LifecycleStress, AppendersQueriersEvictorAndChurnRaceSafely) {
   // ...and durably: recovery finds at least every acked item (exactly,
   // since appends and acks were counted together).
   for (const std::string& name : names) {
-    registry.Require(name)->Flush();
     registry.Require(name)->ForceCheckpoint();
   }
   {

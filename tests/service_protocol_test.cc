@@ -126,23 +126,37 @@ TEST(RequestCodec, RoundTripsCreate) {
   request.spec.base.accuracy = RankAccuracy::kLowRanks;
   request.spec.base.n_hint = 123456;
   request.spec.base.seed = 0xfeedface;
-  request.spec.num_shards = 9;
-  request.spec.buffer_capacity = 512;
   request.spec.num_buckets = 12;
   request.spec.bucket_items = 5000;
 
-  const Request parsed = ParseRequest(EncodeRequest(request));
-  EXPECT_EQ(parsed.op, Opcode::kCreate);
-  EXPECT_EQ(parsed.metric, request.metric);
-  EXPECT_EQ(parsed.spec.kind, EngineKind::kWindowed);
-  EXPECT_EQ(parsed.spec.base.k_base, 128u);
-  EXPECT_EQ(parsed.spec.base.accuracy, RankAccuracy::kLowRanks);
-  EXPECT_EQ(parsed.spec.base.n_hint, 123456u);
-  EXPECT_EQ(parsed.spec.base.seed, 0xfeedfaceu);
-  EXPECT_EQ(parsed.spec.num_shards, 9u);
-  EXPECT_EQ(parsed.spec.buffer_capacity, 512u);
-  EXPECT_EQ(parsed.spec.num_buckets, 12u);
-  EXPECT_EQ(parsed.spec.bucket_items, 5000u);
+  std::vector<uint8_t> payload = EncodeRequest(request);
+  // The 12 reserved bytes after the seed (the retired sharded engine's
+  // u32 shard count and u64 staging capacity) are still written, as zero.
+  const size_t reserved = 1 + 8 + request.metric.size() + 1 + 4 + 1 + 8 + 8;
+  ASSERT_EQ(payload.size(), reserved + 12 + 4 + 8);
+  EXPECT_EQ(std::vector<uint8_t>(payload.begin() + reserved,
+                                 payload.begin() + reserved + 12),
+            std::vector<uint8_t>(12, 0));
+  // Older servers wrote nonzero values there (4 and 4096 by default);
+  // parsing skips them, so their manifests still load.
+  for (const bool older : {false, true}) {
+    if (older) {
+      const uint32_t num_shards = 9;
+      const uint64_t buffer_capacity = 512;
+      std::memcpy(payload.data() + reserved, &num_shards, 4);
+      std::memcpy(payload.data() + reserved + 4, &buffer_capacity, 8);
+    }
+    const Request parsed = ParseRequest(payload);
+    EXPECT_EQ(parsed.op, Opcode::kCreate);
+    EXPECT_EQ(parsed.metric, request.metric);
+    EXPECT_EQ(parsed.spec.kind, EngineKind::kWindowed);
+    EXPECT_EQ(parsed.spec.base.k_base, 128u);
+    EXPECT_EQ(parsed.spec.base.accuracy, RankAccuracy::kLowRanks);
+    EXPECT_EQ(parsed.spec.base.n_hint, 123456u);
+    EXPECT_EQ(parsed.spec.base.seed, 0xfeedfaceu);
+    EXPECT_EQ(parsed.spec.num_buckets, 12u);
+    EXPECT_EQ(parsed.spec.bucket_items, 5000u);
+  }
 }
 
 TEST(RequestCodec, RoundTripsAppendAndQueries) {

@@ -510,7 +510,7 @@ TEST(ServerFlagsTest, ParsesTheFullTable) {
       "prog", "--bind", "0.0.0.0", "--port", "7072", "--workers", "3",
       "--backlog", "77", "--max-connections", "10", "--idle-timeout-ms",
       "5", "--request-budget-ms", "6", "--max-metrics", "2", "--create",
-      "m1:sharded:128", "--evict-idle-ms", "9",
+      "m1:windowed:128", "--evict-idle-ms", "9",
   };
   ServerFlags flags;
   std::string error;
@@ -529,7 +529,7 @@ TEST(ServerFlagsTest, ParsesTheFullTable) {
   EXPECT_EQ(flags.evict_idle_ms, 9u);
   ASSERT_EQ(flags.precreate.size(), 1u);
   EXPECT_EQ(flags.precreate[0].first, "m1");
-  EXPECT_EQ(flags.precreate[0].second.kind, EngineKind::kSharded);
+  EXPECT_EQ(flags.precreate[0].second.kind, EngineKind::kWindowed);
   EXPECT_EQ(flags.precreate[0].second.base.k_base, 128u);
 }
 
@@ -540,6 +540,7 @@ TEST(ServerFlagsTest, RejectsOutOfRangeAndGarbage) {
       {"prog", "--backlog", "65536"},
       {"prog", "--workers", "65537"},
       {"prog", "--create", "noname"},
+      {"prog", "--create", "m1:sharded:128"},  // retired kind
       {"prog", "--fsync", "sometimes"},
       {"prog", "--checkpoint-bytes", "0"},
       {"prog", "--totally-unknown"},

@@ -73,11 +73,6 @@ TEST(SketchRegistry, RejectsBadNamesAndSpecs) {
   odd_k.base.k_base = 33;  // must be even
   EXPECT_THROW(registry.Create("m", odd_k), std::invalid_argument);
 
-  MetricSpec zero_shards;
-  zero_shards.kind = EngineKind::kSharded;
-  zero_shards.num_shards = 0;
-  EXPECT_THROW(registry.Create("m", zero_shards), std::invalid_argument);
-
   MetricSpec tickless_window;
   tickless_window.kind = EngineKind::kWindowed;
   tickless_window.bucket_items = 0;  // no Rotate() on the wire
@@ -90,6 +85,25 @@ TEST(SketchRegistry, RejectsBadNamesAndSpecs) {
   EXPECT_THROW(registry.Create("m", one_bucket), std::invalid_argument);
 
   EXPECT_EQ(registry.size(), 0u);
+}
+
+// The sharded kind is retired: CREATE refuses it with a message that
+// names the replacement, and nothing is created.
+TEST(SketchRegistry, RefusesShardedCreate) {
+  SketchRegistry registry;
+  registry.Create("kept", MetricSpec{});
+  MetricSpec sharded;
+  sharded.kind = EngineKind::kSharded;
+  try {
+    registry.Create("m", sharded);
+    FAIL() << "sharded CREATE was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "sharded engines are retired; create a plain metric");
+  }
+  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(registry.Find("m"), nullptr);
+  EXPECT_EQ(registry.List()->size(), 1u);
 }
 
 TEST(SketchRegistry, ListIsSortedAndEpochCached) {
@@ -124,7 +138,6 @@ TEST(SketchRegistry, ListIsSortedAndEpochCached) {
 TEST(PlainEngine, MatchesInProcessSketchBitIdentically) {
   MetricSpec spec;
   spec.base.k_base = 64;
-  spec.buffer_capacity = 1024;
   SketchRegistry registry;
   auto engine = registry.Create("m", spec);
 
@@ -167,13 +180,11 @@ TEST(PlainEngine, MatchesInProcessSketchBitIdentically) {
 }
 
 TEST(PlainEngine, QueriesSeeEveryAcknowledgedAppend) {
-  MetricSpec spec;
-  spec.buffer_capacity = 4096;  // larger than the appends below
   SketchRegistry registry;
-  auto engine = registry.Create("m", spec);
+  auto engine = registry.Create("m", MetricSpec{});
   const std::vector<double> items = {5.0, 1.0, 3.0};
   engine->Append(items.data(), items.size());
-  // Nothing forced a drain yet; the query must still see all 3 items.
+  // The query right after the ack must see all 3 items.
   EXPECT_EQ(engine->GetRanks({3.0}, Criterion::kInclusive)[0], 2u);
   EXPECT_EQ(engine->GetQuantiles({1.0}, Criterion::kInclusive)[0], 5.0);
 }
@@ -187,7 +198,7 @@ TEST(PlainEngine, EmptyAndNaNHandling) {
   const std::vector<double> bad = {1.0, nan};
   EXPECT_THROW(engine->Append(bad.data(), bad.size()),
                std::invalid_argument);
-  EXPECT_EQ(engine->AcceptedN(), 0u);  // strong guarantee: nothing staged
+  EXPECT_EQ(engine->AcceptedN(), 0u);  // strong guarantee: nothing applied
   // A snapshot of an empty metric still round-trips.
   ReqSketch<double> restored =
       DeserializeSketch<double>(SnapshotBlobPayload(engine->Snapshot()));
@@ -198,42 +209,6 @@ TEST(PlainEngine, EmptyAndNaNHandling) {
   engine->Append(ok.data(), ok.size());
   EXPECT_THROW(engine->GetQuantiles({2.0}, Criterion::kInclusive),
                std::invalid_argument);
-}
-
-// --- sharded engine --------------------------------------------------------
-
-TEST(ShardedEngine, AggregatesAcrossShardsAndSnapshots) {
-  MetricSpec spec;
-  spec.kind = EngineKind::kSharded;
-  spec.num_shards = 4;
-  spec.base.k_base = 64;
-  SketchRegistry registry;
-  auto engine = registry.Create("m", spec);
-
-  const std::vector<double> stream = TestStream(7, 40000);
-  for (size_t i = 0; i < stream.size(); i += 1000) {
-    engine->Append(stream.data() + i,
-                   std::min<size_t>(1000, stream.size() - i));
-  }
-  EXPECT_EQ(engine->AcceptedN(), stream.size());
-
-  // Rank answers must be within the k=64 guarantee of the exact ranks.
-  std::vector<double> sorted(stream);
-  std::sort(sorted.begin(), sorted.end());
-  const double q99 =
-      engine->GetQuantiles({0.99}, Criterion::kInclusive)[0];
-  const uint64_t rank =
-      engine->GetRanks({q99}, Criterion::kInclusive)[0];
-  EXPECT_NEAR(static_cast<double>(rank), 0.99 * stream.size(),
-              0.05 * stream.size());
-
-  const std::vector<uint8_t> blob = engine->Snapshot();
-  ASSERT_EQ(SnapshotBlobKind(blob), EngineKind::kSharded);
-  auto restored = concurrency::ShardedReqSketch<double>::Deserialize(
-      SnapshotBlobPayload(blob));
-  EXPECT_EQ(restored.n(), stream.size());
-  EXPECT_EQ(restored.GetQuantile(0.99),
-            engine->GetQuantiles({0.99}, Criterion::kInclusive)[0]);
 }
 
 // --- windowed engine -------------------------------------------------------
@@ -301,7 +276,7 @@ TEST(WindowedEngine, EmptyAndNaNHandling) {
   const std::vector<double> bad = {1.0, nan};
   EXPECT_THROW(engine->Append(bad.data(), bad.size()),
                std::invalid_argument);
-  EXPECT_EQ(engine->AcceptedN(), 0u);  // strong guarantee: nothing staged
+  EXPECT_EQ(engine->AcceptedN(), 0u);  // strong guarantee: nothing applied
   // A snapshot of an empty window still round-trips.
   auto restored = window::WindowedReqSketch<double>::Deserialize(
       SnapshotBlobPayload(engine->Snapshot()));
@@ -319,17 +294,11 @@ TEST(WindowedEngine, EmptyAndNaNHandling) {
 TEST(SketchRegistry, ConcurrentTenantsAndDirectoryChurn) {
   SketchRegistry registry;
   MetricSpec plain;
-  plain.buffer_capacity = 256;
-  MetricSpec sharded;
-  sharded.kind = EngineKind::kSharded;
-  sharded.num_shards = 2;
-  sharded.buffer_capacity = 256;
   MetricSpec windowed;
   windowed.kind = EngineKind::kWindowed;
   windowed.num_buckets = 4;
   windowed.bucket_items = 2000;
   registry.Create("stress.plain", plain);
-  registry.Create("stress.sharded", sharded);
   registry.Create("stress.windowed", windowed);
 
   constexpr size_t kItemsPerWriter = 20000;
@@ -338,8 +307,8 @@ TEST(SketchRegistry, ConcurrentTenantsAndDirectoryChurn) {
 
   // One writer per metric (each engine serializes its own producers
   // anyway; one writer keeps the stress deterministic in volume).
-  const std::vector<std::string> metrics = {
-      "stress.plain", "stress.sharded", "stress.windowed"};
+  const std::vector<std::string> metrics = {"stress.plain",
+                                            "stress.windowed"};
   for (size_t w = 0; w < metrics.size(); ++w) {
     threads.emplace_back([&, w] {
       auto engine = registry.Require(metrics[w]);
@@ -390,13 +359,10 @@ TEST(SketchRegistry, ConcurrentTenantsAndDirectoryChurn) {
   }
 
   // All writers joined: totals are exact and queries see everything.
-  for (const std::string& name : {std::string("stress.plain"),
-                                  std::string("stress.sharded")}) {
-    auto engine = registry.Require(name);
-    EXPECT_EQ(engine->AcceptedN(), kItemsPerWriter);
-    const uint64_t top = engine->GetRanks({2e6}, Criterion::kInclusive)[0];
-    EXPECT_EQ(top, kItemsPerWriter) << name;
-  }
+  auto engine = registry.Require("stress.plain");
+  EXPECT_EQ(engine->AcceptedN(), kItemsPerWriter);
+  EXPECT_EQ(engine->GetRanks({2e6}, Criterion::kInclusive)[0],
+            kItemsPerWriter);
   EXPECT_EQ(registry.Require("stress.windowed")->AcceptedN(),
             kItemsPerWriter);
 }
@@ -407,12 +373,11 @@ TEST(SketchRegistry, ConcurrentTenantsAndDirectoryChurn) {
 TEST(SketchRegistry, ConcurrentAppendsReturnTheirOwnApplyPoint) {
   SketchRegistry registry;
   MetricSpec plain;
-  plain.buffer_capacity = 256;
-  MetricSpec sharded;
-  sharded.kind = EngineKind::kSharded;
-  sharded.num_shards = 2;
-  for (const auto& [name, spec] : {std::make_pair("acks.plain", plain),
-                                   std::make_pair("acks.sharded", sharded)}) {
+  MetricSpec windowed;
+  windowed.kind = EngineKind::kWindowed;
+  for (const auto& [name, spec] :
+       {std::make_pair("acks.plain", plain),
+        std::make_pair("acks.windowed", windowed)}) {
     auto engine = registry.Create(name, spec);
     constexpr size_t kThreads = 4;
     constexpr size_t kBatches = 200;
@@ -444,16 +409,15 @@ TEST(SketchRegistry, ConcurrentAppendsReturnTheirOwnApplyPoint) {
   }
 }
 
-// Queries from other threads on a staged metric must see every append
-// acknowledged before they began: each query drains staging and reads the
-// live structure in one critical section.
+// Queries from other threads on a contended metric must see every append
+// acknowledged before they began: each append applies its batch before it
+// returns, and each query reads the live structure under the state lock.
 TEST(SketchRegistry, QueriesSeeEveryAckedAppendUnderContention) {
   constexpr size_t kAppenders = 2;
   constexpr size_t kBatches = 300;
   constexpr size_t kBatch = 64;
   SketchRegistry registry;
   MetricSpec plain;
-  plain.buffer_capacity = 256;
   MetricSpec windowed = plain;
   windowed.kind = EngineKind::kWindowed;
   windowed.num_buckets = 2;
@@ -461,25 +425,6 @@ TEST(SketchRegistry, QueriesSeeEveryAckedAppendUnderContention) {
   for (const auto& [name, spec] : {std::make_pair("q.plain", plain),
                                    std::make_pair("q.windowed", windowed)}) {
     auto engine = registry.Create(name, spec);
-    auto materialized = [&engine] {
-      if (const auto* p = dynamic_cast<PlainReqEngine*>(engine.get())) {
-        return p->StagingMaterialized();
-      }
-      return dynamic_cast<WindowedReqEngine*>(engine.get())
-          ->StagingMaterialized();
-    };
-    // Materialize staging first, as LazyStaging does: empty appends from
-    // two threads until one misses the append try-lock.
-    std::atomic<bool> stop{false};
-    std::thread contender([&] {
-      const double dummy = 0.0;
-      while (!stop.load(std::memory_order_acquire)) engine->Append(&dummy, 0);
-    });
-    const double dummy = 0.0;
-    while (!materialized()) engine->Append(&dummy, 0);
-    stop.store(true, std::memory_order_release);
-    contender.join();
-
     std::atomic<size_t> appenders_left{kAppenders};
     std::atomic<uint64_t> queries{0};
     std::atomic<uint64_t> stale{0};

@@ -20,7 +20,7 @@
 // engines, where the service guarantees determinism).
 //
 //   req-cli --connect HOST:PORT --load [--clients C] [--items N]
-//           [--batch B] [--engine plain|sharded|windowed] [--k K]
+//           [--batch B] [--engine plain|windowed] [--k K]
 //           [--verify]
 //
 // Churn storm (--churn): the metric-LIFECYCLE load shape, as opposed to
@@ -32,7 +32,7 @@
 // retried. Reports create/append/list latency percentiles.
 //
 //   req-cli --connect HOST:PORT --churn [--metrics M] [--rounds R]
-//           [--page P] [--engine plain|sharded|windowed] [--k K]
+//           [--page P] [--engine plain|windowed] [--k K]
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -87,9 +87,18 @@ bool ParseHostPort(const std::string& arg, Options* opt) {
 
 EngineKind KindOf(const std::string& s) {
   if (s == "plain") return EngineKind::kPlain;
-  if (s == "sharded") return EngineKind::kSharded;
   if (s == "windowed") return EngineKind::kWindowed;
   throw std::invalid_argument("unknown engine kind: " + s);
+}
+
+// A client with transparent reconnection armed: queries survive a daemon
+// restart by redialing and retrying.
+ReqClient ConnectReconnecting(const Options& opt) {
+  req::service::ClientOptions options;
+  options.reconnect_enabled = true;
+  ReqClient client;
+  client.Connect(opt.host, opt.port, options);
+  return client;
 }
 
 // The deterministic per-metric load stream (shared with --verify).
@@ -119,11 +128,9 @@ int RunLoad(const Options& opt) {
   for (size_t c = 0; c < opt.clients; ++c) {
     threads.emplace_back([&, c] {
       try {
-        ReqClient client;
-        client.Connect(opt.host, opt.port);
         // Self-healing: queries transparently survive a daemon restart;
         // appends reconcile explicitly below.
-        client.EnableReconnect();
+        ReqClient client = ConnectReconnecting(opt);
         const std::string metric =
             "load." + run_tag + ".m" + std::to_string(c);
         MetricSpec spec;
@@ -223,9 +230,7 @@ double PercentileUs(std::vector<double>* sorted_us, double p) {
 }
 
 int RunChurn(const Options& opt) {
-  ReqClient client;
-  client.Connect(opt.host, opt.port);
-  client.EnableReconnect();
+  ReqClient client = ConnectReconnecting(opt);
   const std::string run_tag = std::to_string(
       std::chrono::steady_clock::now().time_since_epoch().count() %
       1000000);
@@ -310,7 +315,7 @@ void PrintHelp() {
       "commands:\n"
       "  ping | help | quit\n"
       "  list [PREFIX [OFFSET [LIMIT]]]   paged form prints total too\n"
-      "  create NAME KIND [K_BASE]     KIND: plain sharded windowed\n"
+      "  create NAME KIND [K_BASE]     KIND: plain windowed\n"
       "  append NAME V...\n"
       "  flush NAME | drop NAME\n"
       "  rank NAME Y...\n"
@@ -321,12 +326,10 @@ void PrintHelp() {
 }
 
 int RunRepl(const Options& opt) {
-  ReqClient client;
-  client.Connect(opt.host, opt.port);
   // An interactive session outlives daemon restarts: queries redial and
   // retry; a failed append reports its error and the NEXT command
   // reconnects.
-  client.EnableReconnect();
+  ReqClient client = ConnectReconnecting(opt);
   std::printf("connected to %s:%u (protocol v%u); 'help' for commands\n",
               opt.host.c_str(), opt.port, client.Ping());
 
@@ -489,8 +492,7 @@ int main(int argc, char** argv) {
   }
   if (opt.verify && opt.engine != "plain") {
     // Only the plain engine guarantees bit-identical agreement with an
-    // in-process sketch (sharded answers come from a shard merge,
-    // windowed ones from the live window).
+    // in-process sketch (windowed answers come from the live window).
     std::fprintf(stderr, "--verify requires --engine plain\n");
     return 2;
   }

@@ -15,10 +15,10 @@
 //   --backlog N        listen backlog (default 0 = auto: scales with
 //                      --max-connections, floor 1024)
 //   --create SPEC      pre-create a metric at startup; SPEC is
-//                      NAME:KIND[:K_BASE] with KIND one of plain,
-//                      sharded, windowed (metrics can also be created
-//                      over the wire). Skipped when the metric was
-//                      already recovered from --data-dir.
+//                      NAME:KIND[:K_BASE] with KIND plain or windowed
+//                      (metrics can also be created over the wire).
+//                      Skipped when the metric was already recovered
+//                      from --data-dir.
 //   --data-dir DIR     enable durability: per-metric WAL + snapshot
 //                      checkpoints under DIR, recovered on startup
 //   --fsync POLICY     always | interval | never (default interval):
@@ -51,9 +51,8 @@
 // embedder of the daemon shape accepts the same options.
 //
 // Runs until SIGINT/SIGTERM, then shuts down gracefully: stops
-// accepting, drains the reactor, flushes every metric's staged items,
-// and (when durable) writes a final checkpoint per metric so a clean
-// restart replays no WAL at all.
+// accepting, drains the reactor, and (when durable) writes a final
+// checkpoint per metric so a clean restart replays no WAL at all.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -182,8 +181,8 @@ int main(int argc, char** argv) {
                     server.ConnectionsAccepted()));
     // Graceful drain: shed new connections, answer every in-flight
     // frame, then stop the reactor (no appends can race the final
-    // snapshot); only then flush staged items and checkpoint each
-    // metric so the next boot replays nothing.
+    // snapshot); only then checkpoint each metric so the next boot
+    // replays nothing.
     server.Drain(/*timeout_ms=*/5000);
     if (durability) {
       std::shared_ptr<const std::vector<std::string>> names =
@@ -196,7 +195,6 @@ int main(int argc, char** argv) {
         req::service::SketchRegistry::EnginePtr engine =
             registry.Find(name);
         if (!engine) continue;
-        engine->Flush();
         engine->ForceCheckpoint();
       }
       std::printf("checkpointed %zu metric(s)\n", names->size());
