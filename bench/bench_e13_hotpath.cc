@@ -6,7 +6,7 @@
 //     batch Update(const T*, size_t) API -- detected at compile time so
 //     this same file builds against pre-batch revisions of the sketch),
 //   * GetRank latency (ns/query),
-//   * sorted-view build time after an invalidating update (us/build),
+//   * cold GetSortedView() build time after an update (us/build),
 //   * the compaction kernel's two layers, on tails of 2*k(N) lognormal
 //     items at the bound N a 2^20-item stream reaches (ns per tail item):
 //     tail_sort, the tail sort of RelativeCompactor::Sort, and
@@ -54,16 +54,6 @@ template <typename S>
 struct HasBatchUpdate<
     S, std::void_t<decltype(std::declval<S&>().Update(
            std::declval<const double*>(), size_t{1}))>> : std::true_type {};
-
-// Likewise for the memoized sorted-view accessor: when present, the view
-// metric times the cache (re)build queries actually pay; otherwise it
-// times the value-returning GetSortedView().
-template <typename S, typename = void>
-struct HasCachedView : std::false_type {};
-template <typename S>
-struct HasCachedView<
-    S, std::void_t<decltype(std::declval<const S&>().CachedSortedView())>>
-    : std::true_type {};
 
 using req::bench::Clock;
 using req::bench::SecondsSince;
@@ -131,28 +121,23 @@ double RankLatencyNs(uint32_t k, const std::vector<double>& values,
   return best;
 }
 
-template <typename S = req::ReqSketch<double>>
+// A cold GetSortedView() after an update: the full O(S log S) build of a
+// caller-owned view (no query needs one; the Section 5 chain and bulk
+// benches build theirs this way).
 double SortedViewBuildUs(uint32_t k, const std::vector<double>& values,
                          int reps) {
-  S sketch = MakeSketch(k);
+  auto sketch = MakeSketch(k);
   for (double v : values) sketch.Update(v);
   const int kBuilds = 50;
   double best = 1e18;
   for (int r = 0; r < reps; ++r) {
     double total = 0.0;
     for (int b = 0; b < kBuilds; ++b) {
-      // The update invalidates any memoized view so every iteration pays
-      // the full O(S log S) construction.
       sketch.Update(values[static_cast<size_t>(b) % values.size()]);
       const auto start = Clock::now();
-      if constexpr (HasCachedView<S>::value) {
-        g_sink += sketch.CachedSortedView().size();
-        total += SecondsSince(start);
-      } else {
-        const auto view = sketch.GetSortedView();
-        total += SecondsSince(start);
-        g_sink += view.size();
-      }
+      const auto view = sketch.GetSortedView();
+      total += SecondsSince(start);
+      g_sink += view.size();
     }
     best = std::min(best, total * 1e6 / kBuilds);
   }

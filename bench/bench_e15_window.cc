@@ -1,4 +1,4 @@
-// E15 -- Sliding-window quantiles: ingest, rotation and merge-on-query cost.
+// E15 -- Sliding-window quantiles: ingest, rotation and query cost.
 //
 // Sweeps window size W (total items covered) x bucket count B x k_base over
 // a lognormal stream fed through WindowedReqSketch (bucket_items = W / B,
@@ -10,16 +10,13 @@
 //   * rotate_us        -- cost of one explicit Rotate() on a full window
 //                         (bucket Reset keeps its allocation, so this
 //                         should be near-free and independent of W).
-//   * merged_build_us  -- first query after a change: one B-way Merge over
-//                         the live buckets plus the sorted-view build.
-//   * warm_rank_ns     -- subsequent queries against the cached merged
-//                         view.
+//   * warm_rank_ns     -- rank query latency on the full window: the sum
+//                         of the live buckets' GetRank, with no merge and
+//                         nothing cached between queries.
 //
 // A plain single ReqSketch over the same W items is measured as the
-// baseline; the summary reports merged_build_us / single_build_us per
-// configuration. The acceptance claim is that this cold-query ratio stays
-// within ~B of the single-sketch cost (the merge reads each bucket's
-// retained items once), while warm queries are cache hits at parity.
+// baseline; the summary reports window_rank_ns / single_rank_ns per
+// configuration (a window reads B buckets' levels per rank).
 //
 // Results go to stdout as a table and to BENCH_e15_window.json.
 //
@@ -51,7 +48,6 @@ struct WindowResult {
   uint64_t bucket_items = 0;
   double update_mups = 0.0;
   double rotate_us = 0.0;
-  double merged_build_us = 0.0;
   double warm_rank_ns = 0.0;
   uint64_t rotations = 0;
 };
@@ -59,7 +55,6 @@ struct WindowResult {
 struct SingleBaseline {
   uint32_t k = 0;
   uint64_t window_items = 0;
-  double build_us = 0.0;
   double warm_rank_ns = 0.0;
 };
 
@@ -107,9 +102,6 @@ WindowResult MeasureWindow(uint32_t k, size_t buckets,
                                    static_cast<size_t>(
                                        window.bucket_items() * kRotations)));
 
-    const auto cold_start = Clock::now();
-    g_sink += window.GetRank(values[0]);
-    const double merged_build_us = SecondsSince(cold_start) * 1e6;
     const size_t kWarmQueries = 2000;
     const auto warm_start = Clock::now();
     uint64_t sum = 0;
@@ -123,7 +115,6 @@ WindowResult MeasureWindow(uint32_t k, size_t buckets,
     if (update_mups > best.update_mups) {
       best.update_mups = update_mups;
       best.rotate_us = rotate_us;
-      best.merged_build_us = merged_build_us;
       best.warm_rank_ns = warm_rank_ns;
       best.rotations = window.rotations();
     }
@@ -131,15 +122,14 @@ WindowResult MeasureWindow(uint32_t k, size_t buckets,
   return best;
 }
 
-// The single-sketch baseline at equal k over exactly W items: cold
-// sorted-view build (what one window bucket-merge is compared against) and
-// warm rank latency.
+// The single-sketch baseline at equal k over exactly W items: warm rank
+// latency. Best of `reps`.
 SingleBaseline MeasureSingle(uint32_t k, uint64_t window_items,
                              const std::vector<double>& values, int reps) {
   SingleBaseline best;
   best.k = k;
   best.window_items = window_items;
-  best.build_us = 0.0;
+  best.warm_rank_ns = 0.0;
   for (int r = 0; r < reps; ++r) {
     req::ReqConfig config;
     config.k_base = k;
@@ -148,10 +138,6 @@ SingleBaseline MeasureSingle(uint32_t k, uint64_t window_items,
     const size_t count =
         std::min<size_t>(values.size(), static_cast<size_t>(window_items));
     sketch.Update(values.data(), count);
-    const auto cold_start = Clock::now();
-    g_sink += sketch.GetRank(values[0]);
-    sketch.PrepareSortedView();
-    const double build_us = SecondsSince(cold_start) * 1e6;
     const size_t kWarmQueries = 2000;
     const auto warm_start = Clock::now();
     uint64_t sum = 0;
@@ -161,8 +147,7 @@ SingleBaseline MeasureSingle(uint32_t k, uint64_t window_items,
     const double warm_rank_ns =
         SecondsSince(warm_start) * 1e9 / static_cast<double>(kWarmQueries);
     g_sink += sum;
-    if (best.build_us == 0.0 || build_us < best.build_us) {
-      best.build_us = build_us;
+    if (best.warm_rank_ns == 0.0 || warm_rank_ns < best.warm_rank_ns) {
       best.warm_rank_ns = warm_rank_ns;
     }
   }
@@ -192,9 +177,8 @@ int main(int argc, char** argv) {
 
   req::bench::PrintBanner(
       "E15: sliding-window quantiles (window size x buckets x k)",
-      "bucketed windows answer last-W-items quantile queries via "
-      "merge-on-query at a cold cost within ~B of a single sketch and "
-      "warm cost at parity");
+      "bucketed windows answer last-W-items quantile queries from the "
+      "live buckets' levels, with rotation near-free");
   std::printf("stream items: %llu   reps: %d   smoke: %s\n\n",
               static_cast<unsigned long long>(items), reps,
               smoke ? "yes" : "no");
@@ -205,54 +189,51 @@ int main(int argc, char** argv) {
   std::vector<WindowResult> results;
   std::vector<SingleBaseline> baselines;
 
-  std::printf("%6s %8s %12s %12s %12s %10s %16s %14s\n", "k", "buckets",
+  std::printf("%6s %8s %12s %12s %12s %10s %14s\n", "k", "buckets",
               "window", "bucket_items", "update_mups", "rotate_us",
-              "merged_build_us", "warm_rank_ns");
+              "warm_rank_ns");
   for (uint32_t k : ks) {
     for (uint64_t w : window_sizes) {
       const SingleBaseline base = MeasureSingle(k, w, values, reps);
       baselines.push_back(base);
-      std::printf("%6u %8s %12llu %12s %12s %10s %16.1f %14.1f   "
+      std::printf("%6u %8s %12llu %12s %12s %10s %14.1f   "
                   "(single ReqSketch)\n",
                   k, "-", static_cast<unsigned long long>(w), "-", "-", "-",
-                  base.build_us, base.warm_rank_ns);
+                  base.warm_rank_ns);
       for (size_t buckets : bucket_counts) {
         const WindowResult r = MeasureWindow(k, buckets, w, values, reps);
         results.push_back(r);
-        std::printf("%6u %8zu %12llu %12llu %12.2f %10.2f %16.1f %14.1f\n",
-                    r.k, r.buckets,
+        std::printf("%6u %8zu %12llu %12llu %12.2f %10.2f %14.1f\n", r.k,
+                    r.buckets,
                     static_cast<unsigned long long>(r.window_items),
                     static_cast<unsigned long long>(r.bucket_items),
-                    r.update_mups, r.rotate_us, r.merged_build_us,
-                    r.warm_rank_ns);
+                    r.update_mups, r.rotate_us, r.warm_rank_ns);
       }
     }
   }
 
-  // Summary: cold merged-query cost relative to the single-sketch build,
-  // per configuration (the ~Bx acceptance claim).
+  // Summary: window rank latency relative to the single sketch's, per
+  // configuration.
   struct Summary {
     uint32_t k;
     size_t buckets;
     uint64_t window_items;
-    double cold_ratio_vs_single;
     double warm_ratio_vs_single;
   };
   std::vector<Summary> summaries;
-  std::printf("\n%6s %8s %12s %22s %22s\n", "k", "buckets", "window",
-              "cold_ratio_vs_single", "warm_ratio_vs_single");
+  std::printf("\n%6s %8s %12s %22s\n", "k", "buckets", "window",
+              "warm_ratio_vs_single");
   for (const WindowResult& r : results) {
     const SingleBaseline* base = nullptr;
     for (const SingleBaseline& b : baselines) {
       if (b.k == r.k && b.window_items == r.window_items) base = &b;
     }
     const Summary s{r.k, r.buckets, r.window_items,
-                    r.merged_build_us / base->build_us,
                     r.warm_rank_ns / base->warm_rank_ns};
     summaries.push_back(s);
-    std::printf("%6u %8zu %12llu %22.2f %22.2f\n", s.k, s.buckets,
+    std::printf("%6u %8zu %12llu %22.2f\n", s.k, s.buckets,
                 static_cast<unsigned long long>(s.window_items),
-                s.cold_ratio_vs_single, s.warm_ratio_vs_single);
+                s.warm_ratio_vs_single);
   }
 
   req::bench::JsonWriter json;
@@ -270,7 +251,6 @@ int main(int argc, char** argv) {
         .Field("bucket_items", r.bucket_items)
         .Field("update_mups", r.update_mups)
         .Field("rotate_us", r.rotate_us)
-        .Field("merged_build_us", r.merged_build_us)
         .Field("warm_rank_ns", r.warm_rank_ns)
         .Field("rotations", r.rotations)
         .EndObject();
@@ -281,7 +261,6 @@ int main(int argc, char** argv) {
     json.BeginObject()
         .Field("k", static_cast<uint64_t>(b.k))
         .Field("window_items", b.window_items)
-        .Field("build_us", b.build_us)
         .Field("warm_rank_ns", b.warm_rank_ns)
         .EndObject();
   }
@@ -292,7 +271,6 @@ int main(int argc, char** argv) {
         .Field("k", static_cast<uint64_t>(s.k))
         .Field("buckets", static_cast<uint64_t>(s.buckets))
         .Field("window_items", s.window_items)
-        .Field("cold_ratio_vs_single", s.cold_ratio_vs_single)
         .Field("warm_ratio_vs_single", s.warm_ratio_vs_single)
         .EndObject();
   }

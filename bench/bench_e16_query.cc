@@ -1,32 +1,28 @@
-// E16 -- Query-engine benchmarks: incremental sorted-view maintenance,
-// weight-indexed bulk-rank kernels, and per-level item storage.
+// E16 -- Query-engine benchmarks: queries from the levels, bulk-rank
+// kernels, and per-level item storage.
 //
-// Quantifies each layer of the query-engine overhaul, for k_base in
-// {16, 64, 256} on a lognormal stream:
-//   * cold view build (first order-based query after a bulk ingest), for
-//     the incremental engine and for the seed-era full path
-//     (AppendWeightedItems into a fresh SortedView: collect + sort all
-//     pairs);
-//   * WARM REPEATED SINGLE-RANK QUERIES AFTER POINT UPDATES -- the
-//     monitoring hot loop {update one item; query one rank through the
-//     view}. Incremental repair re-sorts only the dirtied level (usually
-//     level 0) and re-merges, versus a full rebuild per query;
-//   * POST-WRITE QUANTILES -- what a service engine pays per query that
-//     follows an append: {one 64-item update; GetQuantiles at
-//     {0.5, 0.9, 0.99, 0.999}}, median over the rounds. Quantiles select
-//     from the levels, so this is one selection index (the insert tails
-//     copied and sorted) plus four selections, with no view repair;
+// Quantifies each layer of the query engine, for k_base in {16, 64, 256}
+// on a lognormal stream:
+//   * seed-era view build: AppendWeightedItems into a fresh SortedView
+//     (collect + sort all pairs) -- what GetSortedView() costs;
+//   * POST-WRITE QUERIES -- what a service engine pays per query that
+//     follows an append: {one 64-item update; one query}, median over the
+//     rounds, for GetQuantiles at {0.5, 0.9, 0.99, 0.999}, GetCDF at the
+//     1k ascending splits and GetRanks of 4 points. Each builds one
+//     query-local index over the levels (the insert tails copied and
+//     sorted) and answers from it;
 //   * REPEAT QUANTILES -- the same four-quantile query on an unchanged
 //     sketch, median over the rounds: what a repeated read pays now that
-//     no memoized view answers it (a warm view answered it in one binary
-//     search per quantile);
-//   * BULK GetRanks: 1k query points answered by the single co-scan
-//     kernel, versus the seed-era scalar loop (one GetRank per point) and
-//     versus a per-point view binary search;
-//   * GetCDF over 1k ascending splits (the sort-free co-scan case);
+//     no memoized view answers it;
+//   * BULK GetRanks: 1k query points answered by SortedView's co-scan
+//     kernel on a view the bench builds once with GetSortedView(), versus
+//     the seed-era scalar loop (one GetRank per point) and versus a
+//     per-point view binary search;
+//   * GetCDF over 1k ascending splits on an unchanged sketch (the
+//     repeat-read cost of the level scan);
 //   * serialization of the whole sketch (one contiguous copy per level);
-//   * sliding-window post-rotation query cost (merged-view rebuild from
-//     per-bucket sorted runs) and warm window rank latency.
+//   * sliding-window post-rotation query cost and warm window rank
+//     latency (a window rank sums its buckets' ranks).
 //
 // Results go to stdout as a table and to a JSON report (default
 // BENCH_e16_query.json) validated by tools/check_bench_schema.py.
@@ -62,9 +58,8 @@ req::ReqSketch<double> MakeSketch(uint32_t k_base) {
   return req::ReqSketch<double>(config);
 }
 
-// The seed-era full view build, as the sketch ran it before incremental
-// repair: collect every (item, weight) pair, sort them, and replace the
-// previous view.
+// The seed-era full view build: collect every (item, weight) pair, sort
+// them, and replace the previous view.
 void RebuildFullView(const req::ReqSketch<double>& sketch,
                      req::SortedView<double>* view) {
   std::vector<std::pair<double, uint64_t>> weighted;
@@ -76,10 +71,7 @@ void RebuildFullView(const req::ReqSketch<double>& sketch,
 struct KResult {
   uint32_t k = 0;
   uint64_t retained = 0;
-  double cold_view_build_us = 0.0;
   double seed_view_build_us = 0.0;
-  double warm_incremental_rank_ns = 0.0;
-  double warm_full_rank_ns = 0.0;
   double bulk_rank_ns = 0.0;
   double view_scalar_rank_ns = 0.0;
   double scalar_loop_rank_ns = 0.0;
@@ -87,6 +79,8 @@ struct KResult {
   double serialize_us = 0.0;
   double post_write_quantiles_us = 0.0;
   double repeat_quantiles_us = 0.0;
+  double post_write_cdf_us = 0.0;
+  double post_write_ranks4_us = 0.0;
 };
 
 struct WindowResult {
@@ -96,66 +90,35 @@ struct WindowResult {
   double warm_rank_ns = 0.0;
 };
 
-// Cold view build: ingest everything, then time building the whole view
-// (the first order-based query, or the seed-era full path). Best of reps.
-double ColdBuildUs(uint32_t k, const std::vector<double>& values,
-                   bool seed_era, int reps) {
+// Seed-era view build: ingest everything, then time building the whole
+// view. Best of reps. Each rep first builds one view untimed: the first
+// build in a fresh heap pays first-touch page faults for its arrays (the
+// allocator's cost, not the build's), which a single-shot smoke run
+// would otherwise time.
+double SeedViewBuildUs(uint32_t k, const std::vector<double>& values,
+                       int reps) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     auto sketch = MakeSketch(k);
     sketch.Update(values);
     req::SortedView<double> full;
+    RebuildFullView(sketch, &full);
+    g_sink += full.size();
     const auto start = Clock::now();
-    if (seed_era) {
-      RebuildFullView(sketch, &full);
-    } else {
-      sketch.PrepareSortedView();
-    }
+    RebuildFullView(sketch, &full);
     best = std::min(best, SecondsSince(start) * 1e6);
-    g_sink += seed_era ? full.size() : sketch.CachedSortedView().size();
+    g_sink += full.size();
   }
   return best;
 }
 
-// The monitoring hot loop: one point update, one view-routed rank query.
-double WarmRankNs(uint32_t k, const std::vector<double>& values,
-                  bool seed_era, int reps, size_t iters) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    auto sketch = MakeSketch(k);
-    sketch.Update(values);
-    req::SortedView<double> full;
-    if (seed_era) {
-      RebuildFullView(sketch, &full);
-    } else {
-      sketch.PrepareSortedView();
-    }
-    const double probe = values[values.size() / 2];
-    uint64_t rank = 0;
-    const auto start = Clock::now();
-    for (size_t i = 0; i < iters; ++i) {
-      sketch.Update(values[i]);
-      if (seed_era) {
-        RebuildFullView(sketch, &full);
-        full.GetRanks(&probe, 1, &rank, req::Criterion::kInclusive);
-      } else {
-        sketch.GetRanks(&probe, 1, &rank, req::Criterion::kInclusive);
-      }
-      g_sink += rank;
-    }
-    best = std::min(best,
-                    SecondsSince(start) * 1e9 / static_cast<double>(iters));
-  }
-  return best;
-}
-
-// A service engine's four-quantile query, timed `rounds` times; median.
-// With `post_write`, each query follows one 64-item append; without, the
-// sketch never changes between queries.
-double QuantilesUs(uint32_t k, const std::vector<double>& values,
-                   size_t rounds, bool post_write) {
+// A service engine's query, timed `rounds` times; median. With
+// `post_write`, each query follows one 64-item append; without, the
+// sketch never changes between queries. `query` returns a sink value.
+template <typename Query>
+double QueryUs(uint32_t k, const std::vector<double>& values, size_t rounds,
+               bool post_write, const Query& query) {
   constexpr size_t kBatch = 64;
-  const std::vector<double> qs = {0.5, 0.9, 0.99, 0.999};
   auto sketch = MakeSketch(k);
   sketch.Update(values);
   std::vector<double> us(rounds);
@@ -165,7 +128,7 @@ double QuantilesUs(uint32_t k, const std::vector<double>& values,
                     kBatch);
     }
     const auto start = Clock::now();
-    g_sink += static_cast<uint64_t>(sketch.GetQuantiles(qs).back());
+    g_sink += query(sketch);
     us[i] = SecondsSince(start) * 1e6;
   }
   std::nth_element(us.begin(), us.begin() + rounds / 2, us.end());
@@ -195,17 +158,17 @@ int main(int argc, char** argv) {
     num_items = std::min(num_items, size_t{1} << 15);
     reps = 1;
   }
-  const size_t warm_iters = smoke ? 200 : 2000;
+  const size_t rounds = smoke ? 200 : 2000;
   const size_t bulk_q = 1000;
   const size_t bulk_calls = smoke ? 20 : 200;
 
   req::bench::PrintBanner(
-      "E16: query-engine benchmarks (incremental views, bulk-rank "
+      "E16: query-engine benchmarks (queries from the levels, bulk-rank "
       "kernels, serialization)",
-      "incremental repair beats full rebuild on warm point-update query "
-      "loops; the bulk co-scan beats the scalar rank loop");
-  std::printf("items: %zu   reps: %d   warm iters: %zu   bulk: %zu pts\n\n",
-              num_items, reps, warm_iters, bulk_q);
+      "a query after a write reads the levels without rebuilding a view; "
+      "the bulk co-scan beats the scalar rank loop");
+  std::printf("items: %zu   reps: %d   rounds: %zu   bulk: %zu pts\n\n",
+              num_items, reps, rounds, bulk_q);
 
   const std::vector<double> values =
       req::workload::GenerateLognormal(num_items, 163);
@@ -213,35 +176,29 @@ int main(int argc, char** argv) {
   std::vector<double> splits = probes;
   std::sort(splits.begin(), splits.end());
   splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
+  const std::vector<double> points4(probes.begin(), probes.begin() + 4);
 
   std::vector<KResult> results;
-  std::printf("%6s %10s %12s %12s %14s %12s %10s %12s %14s %10s %10s\n",
-              "k", "retained", "cold_us", "seed_us", "warm_incr_ns",
-              "warm_full_ns", "bulk_ns", "view_scal_ns", "scalar_loop_ns",
+  std::printf("%6s %10s %12s %10s %12s %14s %10s %10s\n", "k", "retained",
+              "seed_us", "bulk_ns", "view_scal_ns", "scalar_loop_ns",
               "cdf1k_us", "ser_us");
   for (uint32_t k : {16u, 64u, 256u}) {
     KResult res;
     res.k = k;
-    res.cold_view_build_us = ColdBuildUs(k, values, /*seed_era=*/false,
-                                         reps);
-    res.seed_view_build_us = ColdBuildUs(k, values, /*seed_era=*/true,
-                                         reps);
-    res.warm_incremental_rank_ns =
-        WarmRankNs(k, values, /*seed_era=*/false, reps, warm_iters);
-    res.warm_full_rank_ns =
-        WarmRankNs(k, values, /*seed_era=*/true, reps, warm_iters);
+    res.seed_view_build_us = SeedViewBuildUs(k, values, reps);
 
-    // Bulk vs scalar on a warm, quiescent sketch.
+    // Bulk vs scalar on a quiescent sketch; the view rows co-scan a view
+    // built once here.
     auto sketch = MakeSketch(k);
     sketch.Update(values);
-    sketch.PrepareSortedView();
     res.retained = sketch.RetainedItems();
+    const req::SortedView<double> view = sketch.GetSortedView();
     std::vector<uint64_t> out(probes.size());
     {
       const auto start = Clock::now();
       for (size_t c = 0; c < bulk_calls; ++c) {
-        sketch.GetRanks(probes.data(), probes.size(), out.data(),
-                        req::Criterion::kInclusive);
+        view.GetRanks(probes.data(), probes.size(), out.data(),
+                      req::Criterion::kInclusive);
         g_sink += out[0];
       }
       res.bulk_rank_ns = SecondsSince(start) * 1e9 /
@@ -253,7 +210,7 @@ int main(int argc, char** argv) {
       uint64_t rank = 0;
       for (size_t c = 0; c < bulk_calls; ++c) {
         for (const double y : probes) {
-          sketch.GetRanks(&y, 1, &rank, req::Criterion::kInclusive);
+          view.GetRanks(&y, 1, &rank, req::Criterion::kInclusive);
           g_sink += rank;
         }
       }
@@ -289,18 +246,15 @@ int main(int argc, char** argv) {
                          static_cast<double>(reps);
     }
     results.push_back(res);
-    std::printf(
-        "%6u %10llu %12.1f %12.1f %14.1f %12.1f %10.1f %12.1f %14.1f "
-        "%10.1f %10.1f\n",
-        k, static_cast<unsigned long long>(res.retained),
-        res.cold_view_build_us, res.seed_view_build_us,
-        res.warm_incremental_rank_ns, res.warm_full_rank_ns,
-        res.bulk_rank_ns, res.view_scalar_rank_ns, res.scalar_loop_rank_ns,
-        res.cdf_1k_us, res.serialize_us);
+    std::printf("%6u %10llu %12.1f %10.1f %12.1f %14.1f %10.1f %10.1f\n", k,
+                static_cast<unsigned long long>(res.retained),
+                res.seed_view_build_us, res.bulk_rank_ns,
+                res.view_scalar_rank_ns, res.scalar_loop_rank_ns,
+                res.cdf_1k_us, res.serialize_us);
   }
 
-  // Sliding window: post-rotation cold query (merged rebuild from
-  // per-bucket runs) and warm rank latency.
+  // Sliding window: a rank query right after a rotation, and warm rank
+  // latency. Both sum the buckets' ranks.
   std::vector<WindowResult> window_results;
   std::printf("\n%6s %8s %20s %14s\n", "k", "buckets", "post_rotate_us",
               "warm_rank_ns");
@@ -318,7 +272,6 @@ int main(int argc, char** argv) {
     req::window::WindowedReqSketch<double> window(config);
     window.Update(values.data(),
                   std::min<size_t>(values.size(), window_items));
-    window.PrepareMergedView();
     const double probe = values[values.size() / 2];
     const int rotations = smoke ? 4 : 16;
     double total = 0.0;
@@ -332,7 +285,6 @@ int main(int argc, char** argv) {
       feed = (feed + config.bucket_items) % (values.size() / 2);
     }
     wr.post_rotate_query_us = total * 1e6 / rotations;
-    window.PrepareMergedView();
     const size_t warm_q = smoke ? 2000 : 20000;
     const auto start = Clock::now();
     for (size_t i = 0; i < warm_q; ++i) g_sink += window.GetRank(probe);
@@ -344,21 +296,40 @@ int main(int argc, char** argv) {
                 wr.post_rotate_query_us, wr.warm_rank_ns);
   }
 
-  // Quantile queries run after every other row: their allocations would
-  // otherwise change the heap state the rows above are timed in.
-  std::printf("\n%6s %24s %20s\n", "k", "post_write_quantiles_us",
-              "repeat_quantiles_us");
+  // The per-round query rows run after every other row: their
+  // allocations would otherwise change the heap state the rows above are
+  // timed in.
+  const std::vector<double> qs = {0.5, 0.9, 0.99, 0.999};
+  const auto quantiles = [&](const req::ReqSketch<double>& sketch) {
+    return static_cast<uint64_t>(sketch.GetQuantiles(qs).back());
+  };
+  const auto cdf = [&](const req::ReqSketch<double>& sketch) {
+    return static_cast<uint64_t>(sketch.GetCDF(splits)[splits.size() / 2] *
+                                 1e6);
+  };
+  const auto ranks4 = [&](const req::ReqSketch<double>& sketch) {
+    uint64_t ranks[4];
+    sketch.GetRanks(points4.data(), 4, ranks, req::Criterion::kInclusive);
+    return ranks[0] + ranks[3];
+  };
+  std::printf("\n%6s %24s %20s %18s %21s\n", "k", "post_write_quantiles_us",
+              "repeat_quantiles_us", "post_write_cdf_us",
+              "post_write_ranks4_us");
   for (KResult& r : results) {
     r.post_write_quantiles_us =
-        QuantilesUs(r.k, values, warm_iters, /*post_write=*/true);
+        QueryUs(r.k, values, rounds, /*post_write=*/true, quantiles);
     r.repeat_quantiles_us =
-        QuantilesUs(r.k, values, warm_iters, /*post_write=*/false);
-    std::printf("%6u %24.1f %20.1f\n", r.k, r.post_write_quantiles_us,
-                r.repeat_quantiles_us);
+        QueryUs(r.k, values, rounds, /*post_write=*/false, quantiles);
+    r.post_write_cdf_us =
+        QueryUs(r.k, values, rounds, /*post_write=*/true, cdf);
+    r.post_write_ranks4_us =
+        QueryUs(r.k, values, rounds, /*post_write=*/true, ranks4);
+    std::printf("%6u %24.1f %20.1f %18.1f %21.1f\n", r.k,
+                r.post_write_quantiles_us, r.repeat_quantiles_us,
+                r.post_write_cdf_us, r.post_write_ranks4_us);
   }
 
-  std::printf("\n%6s %22s %24s\n", "k", "warm_repair_speedup",
-              "bulk_vs_scalar_speedup");
+  std::printf("\n%6s %24s\n", "k", "bulk_vs_scalar_speedup");
   req::bench::JsonWriter json;
   json.BeginObject()
       .Field("experiment", "e16_query")
@@ -370,10 +341,7 @@ int main(int argc, char** argv) {
     json.BeginObject()
         .Field("k", static_cast<uint64_t>(r.k))
         .Field("retained", r.retained)
-        .Field("cold_view_build_us", r.cold_view_build_us)
         .Field("seed_view_build_us", r.seed_view_build_us)
-        .Field("warm_incremental_rank_ns", r.warm_incremental_rank_ns)
-        .Field("warm_full_rank_ns", r.warm_full_rank_ns)
         .Field("bulk_rank_ns", r.bulk_rank_ns)
         .Field("view_scalar_rank_ns", r.view_scalar_rank_ns)
         .Field("scalar_loop_rank_ns", r.scalar_loop_rank_ns)
@@ -381,6 +349,8 @@ int main(int argc, char** argv) {
         .Field("serialize_us", r.serialize_us)
         .Field("post_write_quantiles_us", r.post_write_quantiles_us)
         .Field("repeat_quantiles_us", r.repeat_quantiles_us)
+        .Field("post_write_cdf_us", r.post_write_cdf_us)
+        .Field("post_write_ranks4_us", r.post_write_ranks4_us)
         .EndObject();
   }
   json.EndArray();
@@ -396,15 +366,12 @@ int main(int argc, char** argv) {
   json.EndArray();
   json.BeginArray("summary");
   for (const KResult& r : results) {
-    const double warm_speedup =
-        r.warm_full_rank_ns / r.warm_incremental_rank_ns;
     const double bulk_speedup = r.scalar_loop_rank_ns / r.bulk_rank_ns;
     json.BeginObject()
         .Field("k", static_cast<uint64_t>(r.k))
-        .Field("warm_repair_speedup", warm_speedup)
         .Field("bulk_vs_scalar_speedup", bulk_speedup)
         .EndObject();
-    std::printf("%6u %22.2f %24.2f\n", r.k, warm_speedup, bulk_speedup);
+    std::printf("%6u %24.2f\n", r.k, bulk_speedup);
   }
   json.EndArray();
   json.EndObject();

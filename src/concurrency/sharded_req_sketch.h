@@ -19,9 +19,9 @@
 //     go through a cached merged view: a ReqSketch built by a single
 //     N-way Merge over all shards, tagged with the epoch observed before
 //     the merge. While the epoch is unchanged, queries are lock-free
-//     (an atomic shared_ptr load): rank and CDF queries hit the merged
-//     sketch's memoized sorted view, and quantile queries select from
-//     its levels; after a flush, the first query rebuilds the view.
+//     (an atomic shared_ptr load) and read the merged sketch's levels,
+//     like any ReqSketch query; after a flush, the first query rebuilds
+//     the merged sketch.
 //
 // Threading contract:
 //   * SINGLE WRITER PER SHARD: at most one thread may call
@@ -55,7 +55,6 @@
 #include "core/req_common.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
-#include "core/sorted_view.h"
 #include "util/serde.h"
 #include "util/validation.h"
 
@@ -150,8 +149,8 @@ class ShardedReqSketch {
     return bytes;
   }
 
-  // Releases allocator slack on every shard (view caches, flush scratch,
-  // level-buffer slack) and drops the cached merged view. Requires the
+  // Releases allocator slack on every shard (flush scratch, level-buffer
+  // slack) and drops the cached merged view. Requires the
   // producers to be quiescent, like Merge; concurrent queries remain safe
   // (a query holding the old merged view keeps it alive through its
   // shared_ptr).
@@ -297,8 +296,8 @@ class ShardedReqSketch {
     return View()->sketch.GetRanks(ys, criterion);
   }
 
-  // Bulk rank kernel (one co-scan of the merged view's weight-indexed
-  // sorted view); safe to call from any number of threads concurrently.
+  // Bulk rank kernel (one forward scan of the merged sketch's levels);
+  // safe to call from any number of threads concurrently.
   void GetRanks(const T* ys, size_t count, uint64_t* out,
                 Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRanks() on an empty sketch");
@@ -471,8 +470,8 @@ class ShardedReqSketch {
     std::atomic<uint64_t> flushed_n{0};
   };
 
-  // The cached merge-on-query result: a merged sketch (with its sorted
-  // view prewarmed) plus the epoch observed before the merge started.
+  // The cached merge-on-query result: a merged sketch plus the epoch
+  // observed before the merge started.
   struct MergedView {
     Sketch sketch;
     uint64_t epoch;
@@ -530,9 +529,6 @@ class ShardedReqSketch {
         fresh->sketch.Merge(sources.data(), sources.size());
       }
     }
-    // Warm the memoized sorted view outside the shard locks so concurrent
-    // rank/CDF queries on the published view take only lock-free reads.
-    fresh->sketch.PrepareSortedView();
     std::shared_ptr<const MergedView> published = std::move(fresh);
     std::atomic_store_explicit(&merged_, published,
                                std::memory_order_release);

@@ -49,9 +49,8 @@
 // buffer costs one allocation per compaction: a branchy backward merge
 // into sketch-owned scratch and a merge fused with the promotion both
 // measured no faster at k_base = 16 and slower at 64 and 256. ReqSketch's
-// sorted-view builder sorts its copy of each level with the same routine
-// (detail::SortPrefixSortedRun), and its quantile selection sorts a copy
-// of each insert tail (AppendSortedTail).
+// query index sorts a copy of each insert tail with the same routine
+// (AppendSortedTail).
 //
 // Both orientations share one compaction path: promote every other item of
 // the sorted suffix, then truncate. HRA is not a mirror image of LRA (no
@@ -72,13 +71,6 @@
 // passes B only by the items one promotion brings; merges and restores are
 // what reach the exact-size step. No level keeps slack beyond what it can
 // hold.
-//
-// Change tracking: version() is a monotone counter bumped by every
-// content mutation (inserts, compactions, clear, restore). The sketch's
-// incremental sorted-view maintenance uses it to re-sort only the levels
-// that actually changed since the last view build. Sort() does NOT bump it:
-// sorting permutes equal-keyed storage order but never the summarized
-// multiset.
 #ifndef REQSKETCH_CORE_RELATIVE_COMPACTOR_H_
 #define REQSKETCH_CORE_RELATIVE_COMPACTOR_H_
 
@@ -295,8 +287,8 @@ void SortTail(T* first, T* last, const Order& order,
 }
 
 // Sorts a run whose prefix [first, mid) is already sorted: SortTail on
-// [mid, last), then std::inplace_merge of the two parts. The compactor's
-// Sort() and the sorted-view builder's per-level runs both go through it.
+// [mid, last), then std::inplace_merge of the two parts (the compactor's
+// Sort()).
 template <typename T, typename Order>
 void SortPrefixSortedRun(T* first, T* mid, T* last, const Order& order,
                          std::vector<T>* scratch) {
@@ -343,9 +335,6 @@ class RelativeCompactor {
 
   uint64_t num_compactions() const { return num_compactions_; }
 
-  // Monotone content-change counter (see header comment).
-  uint64_t version() const { return version_; }
-
   ItemSpan<T> items() const { return ItemSpan<T>(items_.data(), size()); }
   // Items the buffer can hold before it next grows (see Grow).
   size_t buffer_capacity() const { return items_.capacity(); }
@@ -358,7 +347,6 @@ class RelativeCompactor {
     MakeRoom(1);
     items_.push_back(std::move(item));
     ExtendSortedPrefix();
-    ++version_;
   }
 
   // Bulk insert used by the sketch's batch update: appends `count` items
@@ -369,7 +357,6 @@ class RelativeCompactor {
     MakeRoom(count);
     items_.insert(items_.end(), data, data + count);
     ExtendSortedPrefix();
-    ++version_;
   }
 
   // Grows the buffer to hold `total` items exactly (never shrinks, never
@@ -385,7 +372,6 @@ class RelativeCompactor {
     MakeRoom(other_items.size());
     items_.insert(items_.end(), other_items.begin(), other_items.end());
     ExtendSortedPrefix();
-    ++version_;
   }
 
   // Move-appending overload used for promotion during compaction cascades:
@@ -398,7 +384,6 @@ class RelativeCompactor {
                   std::make_move_iterator(other_items.end()));
     other_items.clear();
     ExtendSortedPrefix();
-    ++version_;
   }
 
   // Drops all contents and schedule state but keeps the buffer's
@@ -409,7 +394,6 @@ class RelativeCompactor {
     sorted_prefix_ = 0;
     state_ = 0;
     num_compactions_ = 0;
-    ++version_;
   }
 
   // Reconfigures the section geometry after the sketch's global parameters
@@ -550,7 +534,6 @@ class RelativeCompactor {
     });
     state_ = state;
     num_compactions_ = num_compactions;
-    ++version_;
   }
 
   // Ensures the buffer is sorted in compaction order (see header comment).
@@ -573,13 +556,13 @@ class RelativeCompactor {
   }
   bool sorted() const { return sorted_prefix_ == size(); }
   // Length of the sorted prefix (exposed for tests, diagnostics, and the
-  // sorted-view builder's copy-and-merge fast path).
+  // sketch's query index, which reads the prefix in place).
   size_t sorted_prefix() const { return sorted_prefix_; }
 
   // Appends a copy of the insert tail to `*out`, sorted in compaction
   // order by detail::SortTail (`scratch` is its merge space). The buffer
   // itself is not touched, so a const query can read the sorted prefix in
-  // place and this copy beside it (ReqSketch's quantile selection).
+  // place and this copy beside it (ReqSketch's query index).
   void AppendSortedTail(std::vector<T>* out, std::vector<T>* scratch) const {
     const size_t offset = out->size();
     out->insert(out->end(), begin() + sorted_prefix_, end());
@@ -675,7 +658,6 @@ class RelativeCompactor {
     }
     items_.erase(items_.begin() + start, items_.end());
     sorted_prefix_ = size();
-    ++version_;
   }
 
   Compare comp_;
@@ -687,7 +669,6 @@ class RelativeCompactor {
   CoinMode coin_;
   uint64_t state_ = 0;
   uint64_t num_compactions_ = 0;
-  uint64_t version_ = 0;
   // Items [0, sorted_prefix_) are sorted in compaction order;
   // [sorted_prefix_, end) is the unsorted insert tail. Compactions reset it
   // to the full size.

@@ -33,6 +33,35 @@
 
 namespace req {
 
+namespace detail {
+
+// std::atomic<bool> with value-copy semantics so the chain stays copyable.
+// Copies transfer the value, not any synchronization relationship: they are
+// only made while the source chain is externally quiescent.
+struct CopyableAtomicBool {
+  std::atomic<bool> value{false};
+  CopyableAtomicBool() = default;
+  CopyableAtomicBool(const CopyableAtomicBool& other) noexcept
+      : value(other.value.load(std::memory_order_acquire)) {}
+  CopyableAtomicBool& operator=(const CopyableAtomicBool& other) noexcept {
+    value.store(other.value.load(std::memory_order_acquire),
+                std::memory_order_release);
+    return *this;
+  }
+};
+
+// A mutex that copy/move-constructs to a fresh, unlocked mutex: the lock
+// protects per-object lazy initialization, so it never travels with the
+// data it guards.
+struct CopyableMutex {
+  std::mutex mutex;
+  CopyableMutex() = default;
+  CopyableMutex(const CopyableMutex&) noexcept {}
+  CopyableMutex& operator=(const CopyableMutex&) noexcept { return *this; }
+};
+
+}  // namespace detail
+
 template <typename T, typename Compare = std::less<T>>
 class ReqChain {
  public:
@@ -175,14 +204,12 @@ class ReqChain {
   // The memoized combined view over every summary. Closed summaries are
   // read-only forever (Section 5), so their sorted weighted runs are
   // folded into one closed run exactly once (at collection); a rebuild
-  // after an update takes the active summary's own memoized (and
-  // incrementally repaired) sorted view and merges the two runs -- an
-  // O(R) merge, no re-sort.
+  // after an update sorts the active summary's items (GetSortedView) and
+  // merges the two runs.
   //
-  // Same concurrency contract as ReqSketch's sorted-view cache (and the
-  // same double-checked fill): any number of threads may run const
-  // queries concurrently on a shared chain; Update requires exclusive
-  // access.
+  // Any number of threads may run const queries concurrently on a shared
+  // chain (the fill is double-checked: an atomic flag, then a lock);
+  // Update requires exclusive access.
   const SortedView<T, Compare>& CombinedView() const {
     if (!view_ready_.value.load(std::memory_order_acquire)) {
       std::lock_guard<std::mutex> lock(view_mutex_.mutex);
@@ -196,33 +223,15 @@ class ReqChain {
 
   void RebuildViewLocked() const {
     // Fold newly closed summaries into the sorted closed run (each
-    // summary exactly once, at its close-out). The fold builds a
-    // TRANSIENT sorted run instead of touching the closed summary's
-    // memoized view: that cache is permanent once filled, and a
-    // fold-and-forget consumer would otherwise pin a ~3x copy of every
-    // closed summary for the chain's lifetime.
+    // summary exactly once, at its close-out), through a transient sorted
+    // run.
     while (closed_cached_ + 1 < summaries_.size()) {
       const auto& closed = *summaries_[closed_cached_];
       if (!closed.is_empty()) {
-        std::vector<std::pair<T, uint64_t>> weighted;
-        weighted.reserve(closed.RetainedItems());
-        closed.AppendWeightedItems(&weighted);
-        std::sort(weighted.begin(), weighted.end(),
-                  [this](const auto& a, const auto& b) {
-                    return comp_(a.first, b.first);
-                  });
-        std::vector<T> run_items;
-        std::vector<uint64_t> run_weights;
-        run_items.reserve(weighted.size());
-        run_weights.reserve(weighted.size());
-        for (auto& [item, weight] : weighted) {
-          run_items.push_back(std::move(item));
-          run_weights.push_back(weight);
-        }
+        const SortedView<T, Compare> run = SortedRun(closed);
         MergeWeightedRuns(closed_items_.data(), closed_weights_.data(),
-                          closed_items_.size(), run_items.data(),
-                          run_weights.data(), uint64_t{0},
-                          run_items.size(), &scratch_items_,
+                          closed_items_.size(), run.items().data(),
+                          run_weights_.data(), run.size(), &scratch_items_,
                           &scratch_weights_, comp_);
         std::swap(closed_items_, scratch_items_);
         std::swap(closed_weights_, scratch_weights_);
@@ -237,15 +246,22 @@ class ReqChain {
                                  n_);
       return;
     }
-    const SortedView<T, Compare>& av = active.CachedSortedView();
-    active_weights_.resize(av.size());
-    for (size_t i = 0; i < av.size(); ++i) {
-      active_weights_[i] = av.WeightAt(i);
-    }
+    const SortedView<T, Compare> run = SortedRun(active);
     view_.AssignMergedWeighted(closed_items_.data(), closed_weights_.data(),
-                               closed_items_.size(), av.items().data(),
-                               active_weights_.data(), av.size(), n_);
+                               closed_items_.size(), run.items().data(),
+                               run_weights_.data(), run.size(), n_);
   }
+
+  // One summary's items sorted (GetSortedView), with their per-entry
+  // weights left in run_weights_.
+  SortedView<T, Compare> SortedRun(
+      const ReqSketch<T, Compare>& summary) const {
+    SortedView<T, Compare> run = summary.GetSortedView();
+    run_weights_.resize(run.size());
+    for (size_t i = 0; i < run.size(); ++i) run_weights_[i] = run.WeightAt(i);
+    return run;
+  }
+
   // Closes out the active summary (it stays read-only) and opens the next
   // one with the squared estimate.
   void CloseOutAndGrow() {
@@ -271,15 +287,14 @@ class ReqChain {
   uint64_t current_bound_ = 0;
   uint64_t n_ = 0;
   // Combined-view memoization (see CombinedView): the sorted weighted
-  // run of every closed summary, merge scratch, the active/closed
-  // summaries' per-entry weight scratch, and the published view
-  // (rebuilt in place). Guarded by view_mutex_ behind the view_ready_
-  // publication flag, exactly like ReqSketch's sorted-view cache.
+  // run of every closed summary, merge scratch, a summary run's
+  // per-entry weight scratch, and the published view (rebuilt in place).
+  // Guarded by view_mutex_ behind the view_ready_ publication flag.
   mutable std::vector<T> closed_items_;
   mutable std::vector<uint64_t> closed_weights_;
   mutable std::vector<T> scratch_items_;
   mutable std::vector<uint64_t> scratch_weights_;
-  mutable std::vector<uint64_t> active_weights_;
+  mutable std::vector<uint64_t> run_weights_;
   mutable size_t closed_cached_ = 0;
   mutable SortedView<T, Compare> view_;
   mutable detail::CopyableAtomicBool view_ready_;

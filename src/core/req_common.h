@@ -149,6 +149,26 @@ inline double RelativeStdErr(uint32_t k_base) {
   return 2.83 / static_cast<double>(k_base);
 }
 
+// Rank confidence bound at num_std_devs standard deviations (1, 2 or 3)
+// around a rank estimate over n items: the margin is RelativeStdErr times
+// the estimate's distance from the accurate end (rank 0 for LRA, n for
+// HRA), and the bound is clamped to [0, n]. The sketch and the window
+// share it.
+inline uint64_t RankBound(double estimate, uint64_t n, uint32_t k_base,
+                          RankAccuracy accuracy, int num_std_devs,
+                          bool upper) {
+  const double accurate_side = accuracy == RankAccuracy::kLowRanks
+                                   ? estimate
+                                   : static_cast<double>(n) - estimate;
+  const double margin =
+      num_std_devs * RelativeStdErr(k_base) * accurate_side;
+  if (upper) {
+    return static_cast<uint64_t>(
+        std::min(static_cast<double>(n), estimate + margin));
+  }
+  return static_cast<uint64_t>(std::max(0.0, estimate - margin));
+}
+
 inline void ValidateConfig(const ReqConfig& config) {
   util::CheckArg(config.k_base >= kMinK,
                  "k_base must be >= 4 (got " +

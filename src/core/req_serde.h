@@ -162,9 +162,8 @@ struct ReqSerde {
     util::CheckData(num_levels >= 1 && num_levels <= 64,
                     "corrupt REQ sketch: implausible level count");
     // Restore() recomputes each level's sorted-prefix bookkeeping from the
-    // payload, and the freshly constructed sketch starts with a cold
-    // sorted-view cache, so the deserialized object's query hot paths are
-    // in the same state as the original's after its last update.
+    // payload, so the deserialized object's query hot paths are in the
+    // same state as the original's after its last update.
     sketch.levels_.clear();
     for (uint32_t h = 0; h < num_levels; ++h) {
       sketch.levels_.emplace_back(sketch.MakeLevel());

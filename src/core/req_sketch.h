@@ -21,8 +21,8 @@
 //   * Rank, quantile, CDF and PMF queries with inclusive or exclusive
 //     semantics; HRA (accurate near the max; default) or LRA orientation.
 //     Bulk queries: GetRanks(const T*, size_t, uint64_t*) answers a whole
-//     batch in one co-scan of the sorted view, and GetCDF shares the same
-//     kernel.
+//     batch in one forward scan of the levels, and GetCDF shares the same
+//     scan.
 //
 // Storage: each level owns a buffer sized to what it can hold (the growth
 // rule in core/relative_compactor.h), so between queries a sketch's
@@ -33,30 +33,25 @@
 // core/relative_compactor.h); schedule, coin flips, per-level multisets
 // and query answers do not depend on it.
 //
-// Query engine: GetRank sums per-level binary-search counts, and
-// GetQuantile(s) select from the levels through a query-local index (the
-// stored sorted prefix of each level plus a sorted copy of its insert
-// tail; see LevelSelector). Neither builds a sorted view or leaves memory
-// behind, so a quantile query right after a write pays no view rebuild.
-// The bulk kernels (GetRanks, GetCDF/GetPMF) and GetSortedView go
-// through a memoized sorted view that is maintained *incrementally*: the
-// cache keeps a sorted run per level (stamped with the level's content
-// version) plus a merged run of all levels >= 1, and a rebuild after an
-// update re-sorts only the levels that actually changed -- usually just
-// level 0, an O(dirty) repair instead of an O(R log R) rebuild. The
-// seed-era full path -- AppendWeightedItems into a SortedView (collect +
-// sort all weighted pairs) -- is the reference that benches and
-// equivalence tests compare against.
+// Query engine: GetRank sums per-level binary-search counts. Every other
+// query -- GetQuantile(s), GetRanks, GetCDF/GetPMF -- reads the levels
+// through one query-local index (LevelIndex below: the stored sorted
+// prefix of each level plus a sorted copy of its insert tail), which a
+// sliding window also builds over its live buckets. No query builds a
+// sorted view or leaves memory behind, so a query right after a write
+// pays no view rebuild. GetSortedView builds a caller-owned view on
+// demand by the seed-era full path -- AppendWeightedItems into a
+// SortedView (collect + sort all weighted pairs) -- which is also the
+// reference that benches and equivalence tests compare against.
 //
 // Thread safety: any number of threads may run const query methods
-// concurrently on a shared sketch (quantile selection takes no lock and
-// only reads the levels; the lazily memoized sorted view is filled under
-// an internal lock with a double-checked atomic flag), but mutations
-// (Update / Merge) still require exclusive access: no query or other
-// mutation may run concurrently with them. This is exactly the
-// contract the sharded orchestrator in concurrency/sharded_req_sketch.h
-// needs: shards are mutated under a per-shard lock while the merged
-// read-only view is queried freely from many threads.
+// concurrently on a shared sketch (queries take no lock and only read
+// the levels), but mutations (Update / Merge) still require exclusive
+// access: no query or other mutation may run concurrently with them.
+// This is exactly the contract the sharded orchestrator in
+// concurrency/sharded_req_sketch.h needs: shards are mutated under a
+// per-shard lock while the merged read-only sketch is queried freely from
+// many threads.
 //
 // Error guarantee (Theorem 1): for a fixed item y, with probability 1-delta,
 //   |RankEstimate(y) - R(y)| <= eps * R(y)          (LRA)
@@ -67,13 +62,11 @@
 #define REQSKETCH_CORE_REQ_SKETCH_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
-#include <mutex>
+#include <numeric>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -86,35 +79,6 @@
 #include "util/validation.h"
 
 namespace req {
-
-namespace detail {
-
-// std::atomic<bool> with value-copy semantics so the sketch stays copyable.
-// Copies transfer the value, not any synchronization relationship: they are
-// only made while the source sketch is externally quiescent.
-struct CopyableAtomicBool {
-  std::atomic<bool> value{false};
-  CopyableAtomicBool() = default;
-  CopyableAtomicBool(const CopyableAtomicBool& other) noexcept
-      : value(other.value.load(std::memory_order_acquire)) {}
-  CopyableAtomicBool& operator=(const CopyableAtomicBool& other) noexcept {
-    value.store(other.value.load(std::memory_order_acquire),
-                std::memory_order_release);
-    return *this;
-  }
-};
-
-// A mutex that copy/move-constructs to a fresh, unlocked mutex: the lock
-// protects per-object lazy initialization, so it never travels with the
-// data it guards.
-struct CopyableMutex {
-  std::mutex mutex;
-  CopyableMutex() = default;
-  CopyableMutex(const CopyableMutex&) noexcept {}
-  CopyableMutex& operator=(const CopyableMutex&) noexcept { return *this; }
-};
-
-}  // namespace detail
 
 template <typename T, typename Compare>
 struct ReqSerde;  // defined in core/req_serde.h; needs internal access
@@ -137,16 +101,7 @@ class ReqSketch {
     }
     RecomputeGeometry();
     levels_.emplace_back(MakeLevel());
-    view_cache_.view = SortedView<T, Compare>(comp_);
   }
-
-  // Copies and moves carry the view cache as value data. They are only
-  // made while the source is quiescent (same contract as the atomics in
-  // the cache machinery).
-  ReqSketch(const ReqSketch&) = default;
-  ReqSketch(ReqSketch&&) = default;
-  ReqSketch& operator=(const ReqSketch&) = default;
-  ReqSketch& operator=(ReqSketch&&) = default;
 
   // --- basic accessors -----------------------------------------------------
 
@@ -190,49 +145,30 @@ class ReqSketch {
 
   // O(1) upper bound on RetainedItems(): a quiescent level never stores
   // more than its capacity B. Useful where an exact count per call would
-  // be wasteful -- e.g. the sliding-window wrapper sizing its merge
-  // scratch or reporting window memory without walking every bucket level.
+  // be wasteful -- e.g. the sliding-window wrapper bounding window memory
+  // without walking every bucket level.
   size_t EstimateRetainedItems() const {
     return levels_.size() * static_cast<size_t>(level_capacity());
   }
 
   // Resident heap footprint of the sketch in bytes: object header, level
-  // table, level buffers at capacity, and the memoized view cache (runs,
-  // upper run, published view). This is the figure quota accounting
-  // charges per metric, so it counts what the allocator holds, not just
-  // live items. Takes the view lock briefly so a concurrent view rebuild
-  // cannot race the cache walk.
+  // table and level buffers at capacity. This is the figure quota
+  // accounting charges per metric, so it counts what the allocator holds,
+  // not just live items. Queries add nothing to it: their index is
+  // dropped with the query.
   size_t MemoryBytes() const {
     size_t bytes = sizeof(*this) + levels_.capacity() * sizeof(Level);
     for (const Level& level : levels_) {
       bytes += level.buffer_capacity() * sizeof(T);
     }
-    std::lock_guard<std::mutex> lock(view_mutex_.mutex);
-    const ViewCacheState& c = view_cache_;
-    bytes += c.runs.capacity() * sizeof(std::vector<T>);
-    for (const std::vector<T>& run : c.runs) {
-      bytes += run.capacity() * sizeof(T);
-    }
-    bytes += c.run_versions.capacity() * sizeof(uint64_t);
-    bytes += c.run_valid.capacity() * sizeof(char);
-    bytes += c.upper_items.capacity() * sizeof(T);
-    bytes += c.upper_weights.capacity() * sizeof(uint64_t);
-    bytes += c.view.items().capacity() * sizeof(T);
-    bytes += c.view.cum_weights().capacity() * sizeof(uint64_t);
     return bytes;
   }
 
-  // Releases everything except the sketch payload itself: drops the
-  // memoized view cache and each level buffer's slack. Accuracy and query
-  // answers are unaffected -- the next rank/CDF query simply rebuilds its
-  // view, and levels regrow their buffers on demand. Requires exclusive
+  // Releases each level buffer's slack. Accuracy and query answers are
+  // unaffected; levels regrow their buffers on demand. Requires exclusive
   // access, like any mutator; the idle-metric steady state after a trim
   // is the paper's O(k log n) payload plus fixed object headers.
   void TrimMemory() {
-    {
-      std::lock_guard<std::mutex> lock(view_mutex_.mutex);
-      ResetViewCache();
-    }
     for (Level& level : levels_) level.ShrinkToFit();
   }
 
@@ -255,7 +191,6 @@ class ReqSketch {
     levels_[0].Insert(item);
     ++n_;
     if (levels_[0].IsFull()) CompactCascade(0);
-    InvalidateView();
   }
 
   // Batch update: summarizes `count` items as if each had been passed to
@@ -307,7 +242,6 @@ class ReqSketch {
       i += chunk;
       if (levels_[0].IsFull()) CompactCascade(0);
     }
-    InvalidateView();
   }
 
   void Update(const std::vector<T>& items) {
@@ -347,10 +281,6 @@ class ReqSketch {
     levels_[0].SetGeometry(section_size_, num_sections_);
     min_item_.reset();
     max_item_.reset();
-    // Full view-cache teardown (not just invalidation): freshly created
-    // upper levels restart their version counters, so stale cached runs
-    // could otherwise alias a new level's early versions.
-    ResetViewCache();
   }
 
   // Merges `other` into this sketch (Algorithm 3). Both sketches must have
@@ -473,7 +403,6 @@ class ReqSketch {
         levels_[h + 1].InsertAll(std::move(promoted));
       }
     }
-    InvalidateView();
   }
 
   // --- queries -------------------------------------------------------------
@@ -499,89 +428,55 @@ class ReqSketch {
   }
 
   // Bulk rank kernel: fills out[i] with the estimated absolute rank of
-  // ys[i]. Sorts the query points once and answers all of them in a
-  // single co-scan of the weight-indexed sorted view --
-  // O((Q + R) + Q log Q) instead of Q * O(log R). Answers are exactly
-  // equal to Q separate view-routed rank queries. NaN query points are
-  // rejected up front (the kernel sorts the points, and NaN breaks the
-  // strict weak ordering std::sort requires).
+  // ys[i], exactly GetRank(ys[i]). Sorts the query points once and
+  // answers all of them in one forward scan of the levels (LevelIndex).
+  // NaN query points are rejected up front (the kernel sorts the points,
+  // and NaN breaks the strict weak ordering std::sort requires).
   void GetRanks(const T* ys, size_t count, uint64_t* out,
                 Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(n_ > 0, "GetRanks() on an empty sketch");
-    if (count == 0) return;
-    detail::CheckBulkQueryPoints(ys, count);
-    CachedSortedView().GetRanks(ys, count, out, criterion);
+    const ReqSketch* self = this;
+    LevelIndex::Ranks(&self, 1, ys, count, out, criterion);
   }
 
   // Batched rank queries (vector convenience form of the bulk kernel).
   std::vector<uint64_t> GetRanks(
       const std::vector<T>& ys,
       Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetRanks() on an empty sketch");
     std::vector<uint64_t> out(ys.size());
-    if (!ys.empty()) {
-      detail::CheckBulkQueryPoints(ys.data(), ys.size());
-      CachedSortedView().GetRanks(ys.data(), ys.size(), out.data(),
-                                  criterion);
-    }
+    GetRanks(ys.data(), ys.size(), out.data(), criterion);
     return out;
   }
 
   // Smallest item whose estimated rank reaches q * n (the target rule is
-  // detail::QuantileTarget, shared with SortedView::GetQuantile). Selected
-  // from the levels through a query-local index (LevelSelector below): no
-  // sorted view is built, storage is not touched, and nothing stays
-  // resident after the call.
+  // detail::QuantileTarget, shared with SortedView::GetQuantile), selected
+  // from the levels (LevelIndex).
   T GetQuantile(double q, Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(n_ > 0, "GetQuantile() on an empty sketch");
-    // NaN-rejecting up front: a NaN q fails both comparisons, so it can
-    // never reach the selection.
-    util::CheckArg(q >= 0.0 && q <= 1.0, "normalized rank must be in [0, 1]");
-    // q = 0 and q = 1 return the exactly tracked extremes (the extreme
-    // items themselves may have been compacted out of the buffers).
-    if (q == 0.0) return *min_item_;
-    if (q == 1.0) return *max_item_;
-    return LevelSelector(*this).Select(q, criterion);
+    return GetQuantiles({q}, criterion).front();
   }
 
-  // GetQuantile at each rank; the selection index is built once for the
-  // whole batch.
+  // GetQuantile at each rank; the index is built once for the whole
+  // batch. q = 0 and q = 1 return the exactly tracked extremes (the
+  // extreme items themselves may have been compacted out of the buffers).
   std::vector<T> GetQuantiles(
       const std::vector<double>& qs,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(n_ > 0, "GetQuantiles() on an empty sketch");
-    // Validate every rank up front (NaN-rejecting), so a bad rank anywhere
-    // in the batch throws before any result is produced or any index built.
-    for (double q : qs) {
-      util::CheckArg(q >= 0.0 && q <= 1.0,
-                     "normalized rank must be in [0, 1]");
-    }
-    std::optional<LevelSelector> selector;
-    std::vector<T> out;
-    out.reserve(qs.size());
-    for (double q : qs) {
-      if (q == 0.0) {
-        out.push_back(*min_item_);
-      } else if (q == 1.0) {
-        out.push_back(*max_item_);
-      } else {
-        if (!selector) selector.emplace(*this);
-        out.push_back(selector->Select(q, criterion));
-      }
-    }
-    return out;
+    const ReqSketch* self = this;
+    return LevelIndex::Quantiles(&self, 1, *min_item_, *max_item_, qs,
+                                 criterion);
   }
 
   // CDF at the given (ascending) split points: result[i] is the estimated
   // normalized rank of split[i]; a final entry of 1.0 is appended. The
-  // ascending precondition makes this the sort-free case of the bulk
-  // kernel: one forward co-scan of the view.
+  // ascending precondition makes this the sort-free case of the rank scan.
   std::vector<double> GetCDF(
       const std::vector<T>& splits,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(n_ > 0, "GetCDF() on an empty sketch");
-    CheckSplits(splits);
-    return CachedSortedView().GetCDF(splits, criterion);
+    const ReqSketch* self = this;
+    return LevelIndex::CDF(&self, 1, splits, criterion);
   }
 
   // PMF over the intervals defined by the split points (mass of
@@ -595,9 +490,8 @@ class ReqSketch {
   }
 
   // Appends all stored items with their weights (2^level) to `out`; used by
-  // the seed-era full view build (benches and tests sort these pairs into
-  // a SortedView as the reference) and by aggregators that combine several
-  // summaries (e.g., the Section 5 chain in req_chain.h).
+  // GetSortedView and by aggregators that combine several summaries (e.g.,
+  // the Section 5 chain in req_chain.h).
   void AppendWeightedItems(std::vector<std::pair<T, uint64_t>>* out) const {
     for (size_t h = 0; h < levels_.size(); ++h) {
       const uint64_t weight = uint64_t{1} << h;
@@ -607,42 +501,21 @@ class ReqSketch {
     }
   }
 
-  // The memoized sorted view of the sketch contents. Built lazily on first
-  // use and repaired incrementally after mutations; the reference stays
-  // valid until the next mutation.
-  //
-  // Filling the cache is guarded by a double-checked atomic flag plus a
-  // lock, so any number of threads may call this (and the rank/CDF
-  // queries that go through it) concurrently on a shared sketch.
-  // Mutations still require exclusive access.
-  const SortedView<T, Compare>& CachedSortedView() const {
-    util::CheckState(n_ > 0, "CachedSortedView() on an empty sketch");
-    if (!view_ready_.value.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(view_mutex_.mutex);
-      if (!view_ready_.value.load(std::memory_order_relaxed)) {
-        RebuildViewLocked();
-        view_ready_.value.store(true, std::memory_order_release);
-      }
-    }
-    return view_cache_.view;
-  }
-
-  // Eagerly builds the memoized sorted view (no-op on an empty sketch or a
-  // warm cache). Callers that hand a sketch to many concurrent readers can
-  // warm the cache once here so every subsequent rank/CDF query takes
-  // only the lock-free fast path (quantile queries never use the view).
-  void PrepareSortedView() const {
-    if (n_ > 0) CachedSortedView();
-  }
-
-  // Value-semantics accessor kept for compatibility: populates (and then
-  // shares) the memoized cache, so a one-shot call pays the build exactly
-  // once and query-heavy callers converge on the same cached view as
-  // CachedSortedView().
+  // A caller-owned sorted view of the sketch contents, built on demand by
+  // the seed-era full path: every weighted item from AppendWeightedItems,
+  // sorted. No query needs one; callers that co-scan one view many times
+  // (the Section 5 chain, benches) build theirs here.
   SortedView<T, Compare> GetSortedView() const {
     util::CheckState(n_ > 0, "GetSortedView() on an empty sketch");
-    return CachedSortedView();
+    std::vector<std::pair<T, uint64_t>> weighted;
+    weighted.reserve(RetainedItems());
+    AppendWeightedItems(&weighted);
+    return SortedView<T, Compare>(std::move(weighted), n_, comp_);
   }
+
+  // No-op. Queries read the levels, so there is no view to warm; kept for
+  // callers written when the sketch memoized one.
+  void PrepareSortedView() const {}
 
   // Conservative a-priori relative standard error at protected ranks
   // (params::RelativeStdErr; Lemma 12).
@@ -654,128 +527,164 @@ class ReqSketch {
   uint64_t GetRankLowerBound(const T& y, int num_std_devs,
                              Criterion criterion =
                                  Criterion::kInclusive) const {
-    const double estimate = static_cast<double>(GetRank(y, criterion));
-    const double margin = num_std_devs * RelativeStdErr() *
-                          AccurateSideRank(estimate);
-    return static_cast<uint64_t>(std::max(0.0, estimate - margin));
+    return params::RankBound(static_cast<double>(GetRank(y, criterion)), n_,
+                             config_.k_base, config_.accuracy, num_std_devs,
+                             /*upper=*/false);
   }
   uint64_t GetRankUpperBound(const T& y, int num_std_devs,
                              Criterion criterion =
                                  Criterion::kInclusive) const {
-    const double estimate = static_cast<double>(GetRank(y, criterion));
-    const double margin = num_std_devs * RelativeStdErr() *
-                          AccurateSideRank(estimate);
-    return static_cast<uint64_t>(
-        std::min(static_cast<double>(n_), estimate + margin));
+    return params::RankBound(static_cast<double>(GetRank(y, criterion)), n_,
+                             config_.k_base, config_.accuracy, num_std_devs,
+                             /*upper=*/true);
   }
 
- private:
-  friend struct ReqSerde<T, Compare>;
-
-  // State behind the memoized sorted view. Everything here is value data
-  // (copies travel with the sketch); access is serialized by view_mutex_
-  // plus the view_ready_ publication flag.
-  struct ViewCacheState {
-    // Sorted copy of each level's buffer, stamped with the level's content
-    // version at copy time. A rebuild re-sorts only stale runs.
-    std::vector<std::vector<T>> runs;
-    std::vector<uint64_t> run_versions;
-    std::vector<char> run_valid;
-    // Merged run of all levels >= 1 (items + per-entry weights). Level 0
-    // churns on every update; the upper run survives until a compaction
-    // cascade actually touches a higher level.
-    std::vector<T> upper_items;
-    std::vector<uint64_t> upper_weights;
-    size_t upper_levels = 0;  // level count the upper run was built for
-    bool upper_valid = false;
-    // The published view; rebuilt in place (AssignMerged) so its arrays'
-    // capacity is reused across repairs.
-    SortedView<T, Compare> view;
-  };
-
-  // Quantile selection from the levels (GetQuantile / GetQuantiles).
-  // Estimate-Rank weighs a level-h item by 2^h, so the quantile at target
-  // t is the smallest retained x whose weighted count of items <= x
-  // reaches t; it can be found inside the levels without merging them.
+  // The query index: one query-local index over the levels of one or more
+  // sketches read as a single summary. A sketch indexes itself; a sliding
+  // window (window/windowed_req_sketch.h) indexes its live buckets.
+  // Estimate-Rank weighs a level-h item by 2^h, so the rank of y over
+  // several sketches is the sum of their weighted counts of items <= y --
+  // Theorem 3's mergeability used at query time, without building the
+  // merge -- and the quantile at target t is the smallest retained x whose
+  // count reaches t. Both are found inside the levels without merging them.
   //
-  // The index is query-local and reads the sketch without changing it:
-  // each level contributes its stored sorted prefix, read in place, and a
-  // copy of its insert tail sorted in the same compaction order
-  // (RelativeCompactor::AppendSortedTail). Every run keeps a candidate
-  // window; everything left of a window is known to be below the answer
-  // and everything right of it above. A round probes the middle item x of
-  // the widest window and binary-searches each window for its items < x
-  // and <= x. If the weighted count of items < x reaches t, every window
-  // keeps only its items < x; if the count of items <= x falls short,
-  // only its items > x; otherwise x is the answer. The answer never leaves
-  // the windows and each round drops the probe, so it is always found;
-  // halving the widest window makes that ~log2(retained) rounds of one
-  // binary search per run.
+  // Each level contributes two sorted runs: its stored sorted prefix, read
+  // in place, and a copy of its insert tail sorted in the same compaction
+  // order (RelativeCompactor::AppendSortedTail). On them the index runs
+  //   * quantile selection: every run keeps a candidate window; everything
+  //     left of a window is known to be below the answer and everything
+  //     right of it above. A round probes the middle item x of the widest
+  //     window and binary-searches each window for its items < x and
+  //     <= x. If the weighted count of items < x reaches t, every window
+  //     keeps only its items < x; if the count of items <= x falls short,
+  //     only its items > x; otherwise x is the answer. The answer never
+  //     leaves the windows and each round drops the probe, so it is always
+  //     found; halving the widest window makes that ~log2(retained) rounds
+  //     of one binary search per run;
+  //   * an ascending multi-point rank scan: each run is read once, forward,
+  //     by a cursor that gallops from one point's position to the next, so
+  //     Q ascending points cost O(log gap) per point and run. GetRanks
+  //     sorts its points once; GetCDF's splits are already ascending.
   //
-  // The answer equals the sorted view's under comp_. Items that compare
-  // equal but are distinguishable (-0.0 and +0.0 under std::less) may come
-  // from a different level than the view's pick.
-  class LevelSelector {
+  // The index reads the sketches without changing them and is dropped
+  // with the query, so nothing stays resident and any number of threads
+  // may query at once. Ranks and CDFs equal a sorted view's exactly
+  // (integer weighted counts); a selected quantile equals the view's
+  // under comp_, though items that compare equal but are distinguishable
+  // (-0.0 and +0.0 under std::less) may come from a different level than
+  // the view's pick.
+  //
+  // The static entry points validate their arguments before building
+  // anything. Their sketches must be non-empty, share one rank-accuracy
+  // orientation and outlive the call; the first one's comparator orders
+  // the query.
+  class LevelIndex {
    public:
-    explicit LevelSelector(const ReqSketch& sketch) : sketch_(sketch) {
-      const std::vector<Level>& levels = sketch.levels_;
+    // Quantiles at normalized ranks qs of the summary whose exact extremes
+    // are min_item and max_item: q = 0 and q = 1 return them, and the
+    // index is built on the first other rank.
+    static std::vector<T> Quantiles(const ReqSketch* const* sketches,
+                                    size_t count, const T& min_item,
+                                    const T& max_item,
+                                    const std::vector<double>& qs,
+                                    Criterion criterion) {
+      // Validate every rank up front (NaN-rejecting), so a bad rank
+      // anywhere in the batch throws before any result is produced or any
+      // index built.
+      for (double q : qs) {
+        util::CheckArg(q >= 0.0 && q <= 1.0,
+                       "normalized rank must be in [0, 1]");
+      }
+      std::optional<LevelIndex> index;
+      std::vector<T> out;
+      out.reserve(qs.size());
+      for (double q : qs) {
+        if (q == 0.0) {
+          out.push_back(min_item);
+        } else if (q == 1.0) {
+          out.push_back(max_item);
+        } else {
+          if (!index) index.emplace(sketches, count);
+          out.push_back(index->Select(q, criterion));
+        }
+      }
+      return out;
+    }
+
+    // out[i] = the weighted count of items <= ys[i] (inclusive) or
+    // < ys[i] (exclusive), for points in any order.
+    static void Ranks(const ReqSketch* const* sketches, size_t count,
+                      const T* ys, size_t num_points, uint64_t* out,
+                      Criterion criterion) {
+      if (num_points == 0) return;
+      detail::CheckBulkQueryPoints(ys, num_points);
+      const Compare& comp = sketches[0]->comp_;
+      std::vector<size_t> order(num_points);
+      std::iota(order.begin(), order.end(), size_t{0});
+      std::sort(order.begin(), order.end(),
+                [&](size_t a, size_t b) { return comp(ys[a], ys[b]); });
+      std::vector<T> points;
+      points.reserve(num_points);
+      for (size_t i : order) points.push_back(ys[i]);
+      const std::vector<uint64_t> ranks =
+          LevelIndex(sketches, count).ScanRanks(points, criterion);
+      for (size_t i = 0; i < num_points; ++i) out[order[i]] = ranks[i];
+    }
+
+    // CDF at strictly ascending split points, with a final 1.0.
+    static std::vector<double> CDF(const ReqSketch* const* sketches,
+                                   size_t count,
+                                   const std::vector<T>& splits,
+                                   Criterion criterion) {
+      const Compare& comp = sketches[0]->comp_;
+      util::CheckArg(!splits.empty(), "split points must be non-empty");
+      for (size_t i = 0; i + 1 < splits.size(); ++i) {
+        util::CheckArg(comp(splits[i], splits[i + 1]),
+                       "split points must be strictly ascending");
+      }
+      if constexpr (std::is_floating_point_v<T>) {
+        for (const T& s : splits) {
+          util::CheckArg(!std::isnan(s), "split points must not be NaN");
+        }
+      }
+      const LevelIndex index(sketches, count);
+      const double denom = static_cast<double>(index.n_);
+      std::vector<double> cdf;
+      cdf.reserve(splits.size() + 1);
+      for (uint64_t rank : index.ScanRanks(splits, criterion)) {
+        cdf.push_back(static_cast<double>(rank) / denom);
+      }
+      cdf.push_back(1.0);
+      return cdf;
+    }
+
+    LevelIndex(const ReqSketch* const* sketches, size_t count)
+        : comp_(&sketches[0]->comp_) {
+      size_t levels = 0;
       size_t tail_items = 0;
-      for (const Level& level : levels) {
-        tail_items += level.size() - level.sorted_prefix();
+      for (size_t i = 0; i < count; ++i) {
+        n_ += sketches[i]->n_;
+        levels += sketches[i]->levels_.size();
+        for (const Level& level : sketches[i]->levels_) {
+          tail_items += level.size() - level.sorted_prefix();
+        }
       }
       // The runs point into tails_, so it must never reallocate.
       tails_.reserve(tail_items);
-      runs_.reserve(2 * levels.size());
-      const bool descending =
-          sketch.config_.accuracy == RankAccuracy::kHighRanks;
+      runs_.reserve(2 * levels);
       std::vector<T> scratch;
-      for (size_t h = 0; h < levels.size(); ++h) {
-        const Level& level = levels[h];
-        AddRun(level.items().begin(), level.sorted_prefix(), h, descending);
-        const size_t offset = tails_.size();
-        level.AppendSortedTail(&tails_, &scratch);
-        AddRun(tails_.data() + offset, tails_.size() - offset, h, descending);
-      }
-    }
-
-    T Select(double q, Criterion criterion) {
-      // Capping the target at n selects the largest retained item, which
-      // is what the view answers for a target above n.
-      const uint64_t target =
-          std::min(detail::QuantileTarget(q, sketch_.n_, criterion),
-                   sketch_.n_);
-      const Compare& comp = sketch_.comp_;
-      for (Run& run : runs_) {
-        run.lo = 0;
-        run.hi = run.size;
-      }
-      while (true) {
-        const Run* widest = nullptr;
-        size_t width = 0;
-        for (const Run& run : runs_) {
-          if (run.hi - run.lo > width) {
-            width = run.hi - run.lo;
-            widest = &run;
-          }
-        }
-        util::CheckState(widest != nullptr,
-                         "quantile selection found no item: sketch "
-                         "corrupted");
-        const T& x = widest->At(widest->lo + width / 2);
-        uint64_t below = 0;    // weighted count of items < x
-        uint64_t through = 0;  // weighted count of items <= x
-        for (Run& run : runs_) {
-          run.below = run.LowerBound(x, comp);
-          run.through = run.UpperBoundFrom(run.below, x, comp);
-          below += static_cast<uint64_t>(run.below) << run.shift;
-          through += static_cast<uint64_t>(run.through) << run.shift;
-        }
-        if (below >= target) {
-          for (Run& run : runs_) run.hi = run.below;
-        } else if (through < target) {
-          for (Run& run : runs_) run.lo = run.through;
-        } else {
-          return x;
+      for (size_t i = 0; i < count; ++i) {
+        const ReqSketch& sketch = *sketches[i];
+        const bool descending =
+            sketch.config_.accuracy == RankAccuracy::kHighRanks;
+        for (size_t h = 0; h < sketch.levels_.size(); ++h) {
+          const Level& level = sketch.levels_[h];
+          AddRun(level.items().begin(), level.sorted_prefix(), h,
+                 descending);
+          const size_t offset = tails_.size();
+          level.AppendSortedTail(&tails_, &scratch);
+          AddRun(tails_.data() + offset, tails_.size() - offset, h,
+                 descending);
         }
       }
     }
@@ -831,6 +740,35 @@ class ReqSketch {
         }
         return a;
       }
+      // First position in [from, size) whose item is past y -- > y when
+      // inclusive, >= y otherwise -- given that the items before `from`
+      // are not. Gallops from `from`, then binary-searches the bracketed
+      // range, so an ascending scan pays O(log gap) per point.
+      size_t Advance(size_t from, const T& y, bool inclusive,
+                     const Compare& comp) const {
+        const auto past = [&](const T& item) {
+          return inclusive ? comp(y, item) : !comp(item, y);
+        };
+        if (from >= size || past(At(from))) return from;
+        size_t step_size = 1;
+        size_t prev = from;  // highest position known not past y
+        while (prev + step_size < size && !past(At(prev + step_size))) {
+          prev += step_size;
+          step_size <<= 1;
+        }
+        size_t a = prev + 1;
+        size_t len = std::min(size, prev + step_size) - a;
+        while (len > 0) {
+          const size_t half = len / 2;
+          if (!past(At(a + half))) {
+            a += half + 1;
+            len -= half + 1;
+          } else {
+            len = half;
+          }
+        }
+        return a;
+      }
     };
 
     void AddRun(const T* data, size_t size, size_t h, bool descending) {
@@ -842,133 +780,71 @@ class ReqSketch {
       }
     }
 
-    const ReqSketch& sketch_;
+    T Select(double q, Criterion criterion) {
+      // Capping the target at n selects the largest retained item, which
+      // is what the view answers for a target above n.
+      const uint64_t target =
+          std::min(detail::QuantileTarget(q, n_, criterion), n_);
+      const Compare& comp = *comp_;
+      for (Run& run : runs_) {
+        run.lo = 0;
+        run.hi = run.size;
+      }
+      while (true) {
+        const Run* widest = nullptr;
+        size_t width = 0;
+        for (const Run& run : runs_) {
+          if (run.hi - run.lo > width) {
+            width = run.hi - run.lo;
+            widest = &run;
+          }
+        }
+        util::CheckState(widest != nullptr,
+                         "quantile selection found no item: sketch "
+                         "corrupted");
+        const T& x = widest->At(widest->lo + width / 2);
+        uint64_t below = 0;    // weighted count of items < x
+        uint64_t through = 0;  // weighted count of items <= x
+        for (Run& run : runs_) {
+          run.below = run.LowerBound(x, comp);
+          run.through = run.UpperBoundFrom(run.below, x, comp);
+          below += static_cast<uint64_t>(run.below) << run.shift;
+          through += static_cast<uint64_t>(run.through) << run.shift;
+        }
+        if (below >= target) {
+          for (Run& run : runs_) run.hi = run.below;
+        } else if (through < target) {
+          for (Run& run : runs_) run.lo = run.through;
+        } else {
+          return x;
+        }
+      }
+    }
+
+    // ranks[i] = weighted count of the items <= points[i] (inclusive) or
+    // < points[i] (exclusive), for points ascending under the comparator.
+    std::vector<uint64_t> ScanRanks(const std::vector<T>& points,
+                                    Criterion criterion) const {
+      std::vector<uint64_t> ranks(points.size(), 0);
+      const bool inclusive = criterion == Criterion::kInclusive;
+      for (const Run& run : runs_) {
+        size_t pos = 0;
+        for (size_t i = 0; i < points.size(); ++i) {
+          pos = run.Advance(pos, points[i], inclusive, *comp_);
+          ranks[i] += static_cast<uint64_t>(pos) << run.shift;
+        }
+      }
+      return ranks;
+    }
+
+    const Compare* comp_;
+    uint64_t n_ = 0;  // total weight of the indexed sketches
     std::vector<Run> runs_;
     std::vector<T> tails_;
   };
 
-  // Drops the memoized view but keeps the cached runs for incremental
-  // repair. Mutators run with exclusive access (no concurrent readers by
-  // contract), so plain stores suffice.
-  void InvalidateView() {
-    view_ready_.value.store(false, std::memory_order_release);
-  }
-
-  // Full cache teardown: used when level *objects* are replaced (Reset,
-  // deserialization), where a fresh level's restarted version counter
-  // could alias a stale cached run.
-  void ResetViewCache() {
-    view_ready_.value.store(false, std::memory_order_release);
-    view_cache_ = ViewCacheState();
-    view_cache_.view = SortedView<T, Compare>(comp_);
-  }
-
-  // (Re)builds the published view; called under view_mutex_.
-  void RebuildViewLocked() const {
-    ViewCacheState& c = view_cache_;
-    const size_t num_levels = levels_.size();
-    if (c.runs.size() != num_levels) {
-      c.runs.resize(num_levels);
-      c.run_versions.resize(num_levels, 0);
-      c.run_valid.resize(num_levels, 0);
-      c.upper_valid = false;
-    }
-    bool upper_dirty = !c.upper_valid || c.upper_levels != num_levels;
-    for (size_t h = 0; h < num_levels; ++h) {
-      if (c.run_valid[h] && c.run_versions[h] == levels_[h].version()) {
-        continue;
-      }
-      RefreshRun(h);
-      c.run_versions[h] = levels_[h].version();
-      c.run_valid[h] = 1;
-      if (h >= 1) upper_dirty = true;
-    }
-    if (upper_dirty) RebuildUpperRun();
-    const std::vector<T>& run0 = c.runs[0];
-    c.view.AssignMerged(c.upper_items.data(), c.upper_weights.data(),
-                        c.upper_items.size(), run0.data(), run0.size(),
-                        /*b_weight=*/1, TotalWeight());
-  }
-
-  // Copies level h's buffer into its cached run and sorts the copy
-  // ascending with the compactor's own tail sort: the copy inherits the
-  // buffer's sorted prefix, only the tail is sorted (long runs in it --
-  // promoted runs, or sorted source buffers concatenated by a merge -- are
-  // merged, not re-sorted), and the result joins the prefix in one merge.
-  // The sort's scratch is temporary, so the cache holds only the runs.
-  // An HRA level stores its prefix, and the runs promoted into its tail,
-  // descending: the copy's prefix and tail are each reversed, so both come
-  // out ascending and the prefix still leads.
-  void RefreshRun(size_t h) const {
-    const Level& level = levels_[h];
-    std::vector<T>& run = view_cache_.runs[h];
-    const ItemSpan<T> span = level.items();
-    run.assign(span.begin(), span.end());
-    T* first = run.data();
-    T* mid = first + std::min(level.sorted_prefix(), run.size());
-    T* last = first + run.size();
-    if (config_.accuracy == RankAccuracy::kHighRanks) {
-      std::reverse(first, mid);
-      std::reverse(mid, last);
-    }
-    std::vector<T> scratch;
-    detail::SortPrefixSortedRun(first, mid, last, comp_, &scratch);
-  }
-
-  // Merges the cached runs of all levels >= 1 into one weighted run, in
-  // one k-way pass straight into upper_items/upper_weights, reserved to
-  // the exact total. A heap of run cursors yields the smallest head next;
-  // equal items go lower level first, so the run is the stable merge of
-  // the levels in level order.
-  void RebuildUpperRun() const {
-    ViewCacheState& c = view_cache_;
-    struct Cursor {
-      const T* next;
-      const T* end;
-      size_t level;
-    };
-    std::vector<Cursor> heap;
-    size_t total = 0;
-    for (size_t h = 1; h < levels_.size(); ++h) {
-      const std::vector<T>& run = c.runs[h];
-      if (run.empty()) continue;
-      heap.push_back(Cursor{run.data(), run.data() + run.size(), h});
-      total += run.size();
-    }
-    // True when a's head is emitted after b's: the heap keeps the cursor
-    // to emit from at its front.
-    const auto after = [this](const Cursor& a, const Cursor& b) {
-      if (comp_(*b.next, *a.next)) return true;
-      return !comp_(*a.next, *b.next) && a.level > b.level;
-    };
-    std::make_heap(heap.begin(), heap.end(), after);
-    c.upper_items.clear();
-    c.upper_weights.clear();
-    c.upper_items.reserve(total);
-    c.upper_weights.reserve(total);
-    while (!heap.empty()) {
-      Cursor& top = heap.front();
-      c.upper_items.push_back(*top.next);
-      c.upper_weights.push_back(uint64_t{1} << top.level);
-      if (++top.next == top.end) {
-        // The exhausted run leaves; the last cursor takes the root.
-        top = heap.back();
-        heap.pop_back();
-      }
-      // Sift the root down to its place.
-      size_t i = 0;
-      for (size_t child = 1; child < heap.size(); child = 2 * i + 1) {
-        if (child + 1 < heap.size() && after(heap[child], heap[child + 1])) {
-          ++child;
-        }
-        if (!after(heap[i], heap[child])) break;
-        std::swap(heap[i], heap[child]);
-        i = child;
-      }
-    }
-    c.upper_levels = levels_.size();
-    c.upper_valid = true;
-  }
+ private:
+  friend struct ReqSerde<T, Compare>;
 
   Level MakeLevel() {
     return Level(section_size_, num_sections_, config_.accuracy,
@@ -1051,26 +927,6 @@ class ReqSketch {
     }
   }
 
-  // Rank measured from the accurate end: LRA is accurate near rank 0, HRA
-  // near rank n.
-  double AccurateSideRank(double rank_estimate) const {
-    if (config_.accuracy == RankAccuracy::kLowRanks) return rank_estimate;
-    return static_cast<double>(n_) - rank_estimate;
-  }
-
-  void CheckSplits(const std::vector<T>& splits) const {
-    util::CheckArg(!splits.empty(), "split points must be non-empty");
-    for (size_t i = 0; i + 1 < splits.size(); ++i) {
-      util::CheckArg(comp_(splits[i], splits[i + 1]),
-                     "split points must be strictly ascending");
-    }
-    if constexpr (std::is_floating_point_v<T>) {
-      for (const T& s : splits) {
-        util::CheckArg(!std::isnan(s), "split points must not be NaN");
-      }
-    }
-  }
-
   ReqConfig config_;
   Compare comp_;
   util::Xoshiro256 rng_;
@@ -1082,14 +938,6 @@ class ReqSketch {
   bool fixed_n_ = false;
   std::optional<T> min_item_;
   std::optional<T> max_item_;
-  // Memoized sorted view for the bulk rank/CDF queries; invalidated by
-  // Update/Merge, repaired incrementally on the next query that uses it.
-  // view_ready_ is the double-checked publication flag: readers acquire-load
-  // it and only touch view_cache_ once it is true; the fill runs under
-  // view_mutex_ so concurrent cold readers build the view exactly once.
-  mutable ViewCacheState view_cache_;
-  mutable detail::CopyableAtomicBool view_ready_;
-  mutable detail::CopyableMutex view_mutex_;
 };
 
 }  // namespace req

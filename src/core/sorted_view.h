@@ -1,23 +1,23 @@
 // A materialized, weight-indexed sorted view of a quantiles sketch.
 //
-// The REQ sketch answers single rank and quantile queries directly from
-// its levels (per-level binary searches; ReqSketch's quantile selection),
-// but bulk rank / CDF / PMF queries over many points co-scan the items in
-// sorted order with cumulative weights, and the Section 5 chain answers
-// every order-based query from a view that combines its summaries. The
-// view stores structure-of-arrays: one contiguous item array plus a
+// The REQ sketch answers every query directly from its levels (per-level
+// binary searches, and ReqSketch::LevelIndex for selection and multi-point
+// rank scans), so no sketch query needs a view. The view serves callers
+// that co-scan one summary's items in sorted order many times: the
+// Section 5 chain answers every order-based query from a view that
+// combines its summaries, and ReqSketch::GetSortedView builds one on
+// demand. It stores structure-of-arrays: one contiguous item array plus a
 // parallel *weight-prefix index* (inclusive cumulative weights), so a
 // rank binary search touches one cache-dense array and a quantile binary
 // search touches only the uint64 prefix array (Estimate-Rank in
 // Algorithm 2 is the rank direction; this is its inverse).
 //
 // Construction paths:
-//   * from unsorted (item, weight) pairs -- O(S log S) sort; the original
-//     path, kept for aggregators and as the seed-era reference.
-//   * AssignMerged: in-place rebuild from two already-sorted runs (the
-//     merged upper-level run and the level-0 run), reusing the arrays'
-//     capacity -- the O(dirty) incremental-repair path driven by
-//     ReqSketch's view cache.
+//   * from unsorted (item, weight) pairs -- O(S log S) sort; the seed-era
+//     path, which GetSortedView and the equivalence references use.
+//   * AssignMergedWeighted: in-place rebuild from two already-sorted
+//     weighted runs, reusing the arrays' capacity (the chain merges its
+//     closed-summaries run with the active summary's view).
 //
 // Query kernels:
 //   * GetRank / GetQuantile: one binary search each. GetQuantile's target
@@ -68,15 +68,13 @@ inline uint64_t QuantileTarget(double q, uint64_t total_weight,
 }  // namespace detail
 
 // Merges two sorted weighted runs into out_items/out_weights (cleared
-// first; ties go to run A). Run B's entry weights come from b_weights
-// when non-null, else uniformly b_uniform_weight. The chain's closed-run
-// folding uses it; SortedView::AssignMerged* fuses the same loop with the
+// first; ties go to run A). The chain's closed-run folding uses it;
+// SortedView::AssignMergedWeighted fuses the same loop with the
 // cumulative-weight pass for the published view.
 template <typename T, typename Compare>
 void MergeWeightedRuns(const T* a_items, const uint64_t* a_weights,
                        size_t a_n, const T* b_items,
-                       const uint64_t* b_weights,
-                       uint64_t b_uniform_weight, size_t b_n,
+                       const uint64_t* b_weights, size_t b_n,
                        std::vector<T>* out_items,
                        std::vector<uint64_t>* out_weights,
                        const Compare& comp) {
@@ -84,14 +82,11 @@ void MergeWeightedRuns(const T* a_items, const uint64_t* a_weights,
   out_weights->clear();
   out_items->reserve(a_n + b_n);
   out_weights->reserve(a_n + b_n);
-  const auto b_weight = [&](size_t j) {
-    return b_weights != nullptr ? b_weights[j] : b_uniform_weight;
-  };
   size_t i = 0, j = 0;
   while (i < a_n && j < b_n) {
     if (comp(b_items[j], a_items[i])) {
       out_items->push_back(b_items[j]);
-      out_weights->push_back(b_weight(j));
+      out_weights->push_back(b_weights[j]);
       ++j;
     } else {
       out_items->push_back(a_items[i]);
@@ -105,7 +100,7 @@ void MergeWeightedRuns(const T* a_items, const uint64_t* a_weights,
   }
   for (; j < b_n; ++j) {
     out_items->push_back(b_items[j]);
-    out_weights->push_back(b_weight(j));
+    out_weights->push_back(b_weights[j]);
   }
 }
 
@@ -135,33 +130,49 @@ class SortedView {
                      "sorted view weight mismatch: sketch corrupted");
   }
 
-  // Empty shell for in-place (re)builds via AssignMerged; queries are only
-  // legal after a successful assignment. Used by the memoized view cache
-  // so repeated repairs reuse the arrays' heap capacity.
+  // Empty shell for in-place (re)builds via AssignMergedWeighted; queries
+  // are only legal after a successful assignment. The chain keeps one so
+  // repeated rebuilds reuse the arrays' heap capacity.
   explicit SortedView(Compare comp = Compare())
       : comp_(std::move(comp)), total_weight_(0) {}
 
-  // In-place rebuild by merging two sorted runs:
-  //   run A: upper levels, per-entry weights in a_weights (already > 0),
-  //   run B: level 0, every entry with weight b_weight.
-  // Either run may be empty (but not both). Reuses items_/cum_weights_
+  // In-place rebuild by merging two sorted weighted runs (ties go to run
+  // A). Either run may be empty (but not both). Reuses items_/cum_weights_
   // capacity; O(|A| + |B|).
-  void AssignMerged(const T* a_items, const uint64_t* a_weights, size_t a_n,
-                    const T* b_items, size_t b_n, uint64_t b_weight,
-                    uint64_t total_weight) {
-    AssignMergedImpl(a_items, a_weights, a_n, b_items, nullptr, b_weight,
-                     b_n, total_weight);
-  }
-
-  // As AssignMerged, but run B also carries per-entry weights (used by
-  // the Section 5 chain to merge the closed-summaries run with the
-  // active summary's view).
   void AssignMergedWeighted(const T* a_items, const uint64_t* a_weights,
                             size_t a_n, const T* b_items,
                             const uint64_t* b_weights, size_t b_n,
                             uint64_t total_weight) {
-    AssignMergedImpl(a_items, a_weights, a_n, b_items, b_weights,
-                     /*b_uniform_weight=*/0, b_n, total_weight);
+    util::CheckArg(a_n + b_n > 0, "SortedView requires a non-empty sketch");
+    items_.clear();
+    cum_weights_.clear();
+    items_.reserve(a_n + b_n);
+    cum_weights_.reserve(a_n + b_n);
+    uint64_t cum = 0;
+    size_t i = 0, j = 0;
+    while (i < a_n && j < b_n) {
+      if (comp_(b_items[j], a_items[i])) {
+        cum += b_weights[j];
+        items_.push_back(b_items[j++]);
+      } else {
+        cum += a_weights[i];
+        items_.push_back(a_items[i++]);
+      }
+      cum_weights_.push_back(cum);
+    }
+    for (; i < a_n; ++i) {
+      cum += a_weights[i];
+      items_.push_back(a_items[i]);
+      cum_weights_.push_back(cum);
+    }
+    for (; j < b_n; ++j) {
+      cum += b_weights[j];
+      items_.push_back(b_items[j]);
+      cum_weights_.push_back(cum);
+    }
+    total_weight_ = total_weight;
+    util::CheckState(cum == total_weight_,
+                     "sorted view weight mismatch: sketch corrupted");
   }
 
   size_t size() const { return items_.size(); }
@@ -200,7 +211,7 @@ class SortedView {
                 Criterion criterion) const {
     if (count == 0) return;
     // Local order buffer: any number of threads may run bulk queries
-    // concurrently on one shared (memoized) view.
+    // concurrently on one shared view.
     std::vector<size_t> order(count);
     std::iota(order.begin(), order.end(), size_t{0});
     std::sort(order.begin(), order.end(),
@@ -215,8 +226,7 @@ class SortedView {
   // CDF at the given (pre-validated, ascending) split points: result[i] is
   // the normalized rank of split[i]; a final entry of 1.0 is appended.
   // Ascending inputs make this the sort-free case of the bulk kernel: one
-  // co-scan, no per-split binary search over the full view. Shared by the
-  // sketch and the Section 5 chain.
+  // co-scan, no per-split binary search over the full view.
   std::vector<double> GetCDF(const std::vector<T>& splits,
                              Criterion criterion) const {
     std::vector<double> cdf;
@@ -250,48 +260,6 @@ class SortedView {
   }
 
  private:
-  // Shared two-run merge core: run B's entry weights come from
-  // b_weights when non-null, else uniformly b_uniform_weight.
-  void AssignMergedImpl(const T* a_items, const uint64_t* a_weights,
-                        size_t a_n, const T* b_items,
-                        const uint64_t* b_weights,
-                        uint64_t b_uniform_weight, size_t b_n,
-                        uint64_t total_weight) {
-    util::CheckArg(a_n + b_n > 0, "SortedView requires a non-empty sketch");
-    items_.clear();
-    cum_weights_.clear();
-    items_.reserve(a_n + b_n);
-    cum_weights_.reserve(a_n + b_n);
-    const auto b_weight = [&](size_t j) {
-      return b_weights != nullptr ? b_weights[j] : b_uniform_weight;
-    };
-    uint64_t cum = 0;
-    size_t i = 0, j = 0;
-    while (i < a_n && j < b_n) {
-      if (comp_(b_items[j], a_items[i])) {
-        cum += b_weight(j);
-        items_.push_back(b_items[j++]);
-      } else {
-        cum += a_weights[i];
-        items_.push_back(a_items[i++]);
-      }
-      cum_weights_.push_back(cum);
-    }
-    for (; i < a_n; ++i) {
-      cum += a_weights[i];
-      items_.push_back(a_items[i]);
-      cum_weights_.push_back(cum);
-    }
-    for (; j < b_n; ++j) {
-      cum += b_weight(j);
-      items_.push_back(b_items[j]);
-      cum_weights_.push_back(cum);
-    }
-    total_weight_ = total_weight;
-    util::CheckState(cum == total_weight_,
-                     "sorted view weight mismatch: sketch corrupted");
-  }
-
   // First index in [lo, size) whose item is past y: > y under inclusive
   // semantics, >= y under exclusive. Galloping (exponential) probe from
   // `lo` followed by a binary search inside the located range, so a

@@ -21,12 +21,10 @@
 //
 // Query path: a query runs the sketch's or window's own query under the
 // state mutex, so every APPEND acknowledged before it is visible.
-// QUANTILES select from the sketch's levels and build no view, so a query
-// after a write pays no view rebuild and leaves no memory behind. RANK
-// and CDF co-scan ReqSketch's memoized, incrementally repaired sorted
-// view. A windowed engine answers both from its memoized merged sketch,
-// rebuilt once per write epoch. These memoized structures are the only
-// query caches.
+// QUANTILES, RANK and CDF all read the levels -- a window's, its live
+// buckets' -- through a query-local index (ReqSketch::LevelIndex), so a
+// query after a write pays no view rebuild or merge, and no query leaves
+// anything resident: there are no query caches.
 //
 // Tenancy spine (the million-metric refactor): the name->engine map is
 // sharded by name hash into kRegistryShards independent mutex+map shards,
@@ -159,14 +157,14 @@ class MetricEngine {
   // append.
   virtual uint64_t Append(const double* data, size_t count) = 0;
 
-  // Resident heap bytes this engine holds (sketch payload, query views,
-  // allocator slack). The registry's quota accounting charges this
-  // figure per metric; it is a measurement, not a contract, and may be
-  // briefly stale against concurrent appends.
+  // Resident heap bytes this engine holds (sketch payload and allocator
+  // slack; queries leave nothing behind). The registry's quota accounting
+  // charges this figure per metric; it is a measurement, not a contract,
+  // and may be briefly stale against concurrent appends.
   virtual size_t MemoryFootprint() const = 0;
 
-  // Releases allocator slack (query views, level-buffer slack) without
-  // changing any answer. The memory-only idle path; durable idle
+  // Releases allocator slack (level-buffer slack) without changing any
+  // answer. The memory-only idle path; durable idle
   // metrics get evicted outright via RetireForEviction instead.
   virtual void TrimMemory() {}
 
@@ -287,10 +285,8 @@ inline std::vector<uint8_t> SerializeUnderlying(
 // Append holds append_mutex_ (see MetricEngine), logs the batch, and
 // applies it with one batch Update(data, count) under state_mutex_.
 // Queries take state_mutex_ alone and call the underlying structure's own
-// query, so a query never waits on WAL I/O, and the structure's memoized
-// caches (the sorted view RANK and CDF use, the window's merged sketch)
-// are the only query caches: no copy of the sketch or window is ever
-// kept.
+// query, so a query never waits on WAL I/O; the structure keeps no query
+// cache, and no copy of the sketch or window is ever kept.
 template <typename Underlying>
 class SketchEngineBase : public MetricEngine {
  public:
@@ -325,8 +321,8 @@ class SketchEngineBase : public MetricEngine {
     return sizeof(*this) - sizeof(Underlying) + underlying_.MemoryBytes();
   }
 
-  // Memory-only idle path: release the query view and level-buffer
-  // slack. Answers are unchanged; the next query rebuilds its view.
+  // Memory-only idle path: release level-buffer slack. Answers are
+  // unchanged.
   void TrimMemory() override {
     std::lock_guard<std::mutex> lock(state_mutex_);
     underlying_.TrimMemory();
@@ -359,10 +355,9 @@ class SketchEngineBase : public MetricEngine {
 
   // Serializes the live structure under the state lock: a plain blob
   // equals an in-process sketch's fed the same stream; a windowed blob
-  // holds the window itself (ring, rotations, bucket epochs), not its
-  // merged view, so a restored window keeps expiring correctly.
-  // Checkpoints, evictions and wire SNAPSHOTs neither copy the structure
-  // nor build a view no query asked for.
+  // holds the window itself (ring, rotations, bucket epochs), so a
+  // restored window keeps expiring correctly. Checkpoints, evictions and
+  // wire SNAPSHOTs never copy the structure.
   std::vector<uint8_t> SnapshotLocked() override {
     std::lock_guard<std::mutex> lock(state_mutex_);
     std::vector<uint8_t> blob{static_cast<uint8_t>(kind())};

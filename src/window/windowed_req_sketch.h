@@ -4,13 +4,15 @@
 // process start" but "quantiles over the last N minutes". Full mergeability
 // (Theorem 3) makes the classic bucketed construction essentially free for
 // REQ: keep a ring of B time-bucketed sub-sketches, stream into the newest
-// bucket, retire the oldest whole bucket on rotation, and answer queries by
-// N-way-merging the live buckets -- the exact machinery the sharded
-// orchestrator (concurrency/sharded_req_sketch.h) already exercises. Each
-// live item is summarized by exactly one bucket, so the merged view carries
-// the REQ error guarantee for the window's n, and the rank confidence
-// bounds delegate to the merged sketch, i.e. they are scaled to the window
-// size rather than the stream lifetime.
+// bucket, retire the oldest whole bucket on rotation, and answer queries
+// from the live buckets' levels read as one summary. Each live item is
+// summarized by exactly one bucket, and Estimate-Rank over the window is
+// the sum of the buckets' weighted counts: Theorem 3's mergeability used
+// at query time, without building the merge. Each bucket's error is
+// within eps of its own rank, so the sum is within eps of the window's
+// rank (Theorem 1 at the same eps, variances adding as in Lemma 12), and
+// the rank confidence bounds are scaled to the window's n rather than the
+// stream lifetime.
 //
 // Window semantics: the window covers the current (partially filled) bucket
 // plus the B-1 buckets before it -- between (B-1)/B and 100% of a full
@@ -24,13 +26,13 @@
 //     The sketch itself never reads a clock, which keeps every test and
 //     bench deterministic.
 //
-// Queries go through a cached merged view built lazily by one N-way Merge
-// over the live buckets and memoized until the next Update/Rotate, guarded
-// by the same double-checked pattern as ReqSketch's sorted-view cache: any
+// Queries go through ReqSketch::LevelIndex over the live buckets (a
+// single rank sums the buckets' own GetRank). The index is built per
+// query and dropped with it, so no query leaves memory behind and any
 // number of threads may run const queries concurrently; mutations
-// (Update/Rotate) require exclusive access. The service's WindowedReqEngine
-// (service/sketch_registry.h) serves many producers and readers on one
-// window by serializing them on its state lock.
+// (Update/Rotate) require exclusive access. The service's
+// WindowedReqEngine (service/sketch_registry.h) serves many producers and
+// readers on one window by serializing them on its state lock.
 //
 // Determinism: bucket lifetime ("epoch") e is seeded base.seed + e, so the
 // full window state is a pure function of the input sequence and rotation
@@ -48,8 +50,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -65,8 +65,7 @@ namespace window {
 
 struct WindowedReqConfig {
   // Number of ring buckets B (>= 2). More buckets = smoother expiry
-  // (granularity window/B) but a B-way merge on the first query after a
-  // change.
+  // (granularity window/B) but more level runs for every query to read.
   size_t num_buckets = 8;
   // > 0: rotate automatically once the current bucket holds this many
   // items (count-driven window of ~ num_buckets * bucket_items items).
@@ -76,10 +75,10 @@ struct WindowedReqConfig {
   // Per-bucket sketch configuration. Bucket epoch e is seeded
   // base.seed + e. If base.n_hint == 0 and bucket_items > 0, the hint is
   // fixed to num_buckets * bucket_items -- the window's worst-case n --
-  // for buckets and merged view alike: with every participant built for
-  // the same bound, the query-time N-way merge never special-compacts or
-  // regrows (pure buffer concatenation + at most one scheduled compaction
-  // per level), and accuracy is provisioned for the full window.
+  // for every bucket: accuracy is provisioned for the full window, bucket
+  // geometry (and so snapshot bytes) never depends on the traffic, and
+  // MergedSnapshot's N-way merge never special-compacts or regrows (pure
+  // buffer concatenation + at most one scheduled compaction per level).
   ReqConfig base;
 };
 
@@ -128,8 +127,8 @@ class WindowedReqSketch {
   // is).
   uint64_t CurrentBucketN() const { return buckets_[head_].n(); }
 
-  // Stored universe items across all live buckets (space measure). The
-  // merged query view temporarily holds up to the same amount again.
+  // Stored universe items across all live buckets (space measure). A
+  // query's index temporarily copies only the buckets' insert tails.
   size_t RetainedItems() const {
     size_t total = 0;
     for (const Sketch& bucket : buckets_) total += bucket.RetainedItems();
@@ -150,10 +149,8 @@ class WindowedReqSketch {
     return params::RelativeStdErr(config_.base.k_base);
   }
 
-  // Resident heap footprint: every bucket sketch plus the memoized merged
-  // view when it is built. Requires the usual reader contract (no
-  // concurrent mutators); takes the merged lock so a concurrent query
-  // building the view cannot race the walk.
+  // Resident heap footprint: the ring and every bucket sketch. Queries
+  // add nothing to it.
   size_t MemoryBytes() const {
     // Bucket headers live inside the buckets_ allocation, and each
     // bucket's MemoryBytes() already counts its own sizeof -- charge only
@@ -161,16 +158,12 @@ class WindowedReqSketch {
     size_t bytes = sizeof(*this) +
                    (buckets_.capacity() - buckets_.size()) * sizeof(Sketch);
     for (const Sketch& bucket : buckets_) bytes += bucket.MemoryBytes();
-    std::lock_guard<std::mutex> lock(merged_mutex_.mutex);
-    if (merged_cache_.has_value()) bytes += merged_cache_->MemoryBytes();
     return bytes;
   }
 
-  // Releases allocator slack: drops the merged view and trims every
-  // bucket. Mutator contract (exclusive access); the window's contents
-  // and answers are unchanged, the next query just rebuilds its view.
+  // Releases allocator slack by trimming every bucket. Mutator contract
+  // (exclusive access); the window's contents and answers are unchanged.
   void TrimMemory() {
-    InvalidateMerged();
     for (Sketch& bucket : buckets_) bucket.TrimMemory();
   }
 
@@ -185,7 +178,6 @@ class WindowedReqSketch {
     RotateIfCurrentFull();
     buckets_[head_].Update(item);
     ++window_n_;
-    InvalidateMerged();
   }
 
   // Batch update. Chunks break exactly at every rotation boundary, so the
@@ -211,7 +203,6 @@ class WindowedReqSketch {
       data += chunk;
       count -= chunk;
     }
-    InvalidateMerged();
   }
 
   void Update(const std::vector<T>& items) {
@@ -230,75 +221,84 @@ class WindowedReqSketch {
     buckets_[head_].Reset(config_.base.seed + next_epoch_);
     ++next_epoch_;
     ++rotations_;
-    InvalidateMerged();
   }
 
-  // --- queries (through the cached merged view) ----------------------------
+  // --- queries (from the live buckets' levels) -----------------------------
   //
   // All estimates and confidence bounds are relative to the *window's*
-  // n() -- the merged sketch summarizes exactly the live buckets -- so
+  // n() -- the live buckets summarize exactly the window -- so
   // GetRankLowerBound/UpperBound margins scale with the window size, not
   // the stream lifetime.
 
+  // Sum of the live buckets' Estimate-Rank (one binary search per level
+  // of each bucket).
   uint64_t GetRank(const T& y,
                    Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRank() on an empty window");
-    return Merged().GetRank(y, criterion);
+    uint64_t rank = 0;
+    for (const Sketch& bucket : buckets_) {
+      if (!bucket.is_empty()) rank += bucket.GetRank(y, criterion);
+    }
+    return rank;
   }
 
   double GetNormalizedRank(
       const T& y, Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(),
                      "GetNormalizedRank() on an empty window");
-    return Merged().GetNormalizedRank(y, criterion);
+    return static_cast<double>(GetRank(y, criterion)) /
+           static_cast<double>(window_n_);
   }
 
   std::vector<uint64_t> GetRanks(
       const std::vector<T>& ys,
       Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetRanks() on an empty window");
-    return Merged().GetRanks(ys, criterion);
+    std::vector<uint64_t> out(ys.size());
+    GetRanks(ys.data(), ys.size(), out.data(), criterion);
+    return out;
   }
 
-  // Bulk rank kernel over the cached merged view (one co-scan).
+  // Bulk rank kernel: one forward scan of the live buckets' levels.
   void GetRanks(const T* ys, size_t count, uint64_t* out,
                 Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRanks() on an empty window");
-    Merged().GetRanks(ys, count, out, criterion);
+    const std::vector<const Sketch*> live = LiveBuckets();
+    Sketch::LevelIndex::Ranks(live.data(), live.size(), ys, count, out,
+                              criterion);
   }
 
   T GetQuantile(double q,
                 Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetQuantile() on an empty window");
-    // NaN-rejecting, and before the (possibly expensive) merge.
-    util::CheckArg(q >= 0.0 && q <= 1.0,
-                   "normalized rank must be in [0, 1]");
-    return Merged().GetQuantile(q, criterion);
+    return GetQuantiles({q}, criterion).front();
   }
 
   std::vector<T> GetQuantiles(
       const std::vector<double>& qs,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetQuantiles() on an empty window");
-    for (double q : qs) {
-      util::CheckArg(q >= 0.0 && q <= 1.0,
-                     "normalized rank must be in [0, 1]");
-    }
-    return Merged().GetQuantiles(qs, criterion);
+    const std::vector<const Sketch*> live = LiveBuckets();
+    return Sketch::LevelIndex::Quantiles(live.data(), live.size(),
+                                         MinItem(), MaxItem(), qs,
+                                         criterion);
   }
 
   std::vector<double> GetCDF(
       const std::vector<T>& splits,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetCDF() on an empty window");
-    return Merged().GetCDF(splits, criterion);
+    const std::vector<const Sketch*> live = LiveBuckets();
+    return Sketch::LevelIndex::CDF(live.data(), live.size(), splits,
+                                   criterion);
   }
 
   std::vector<double> GetPMF(
       const std::vector<T>& splits,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetPMF() on an empty window");
-    return Merged().GetPMF(splits, criterion);
+    std::vector<double> pmf = GetCDF(splits, criterion);
+    for (size_t i = pmf.size(); i-- > 1;) pmf[i] -= pmf[i - 1];
+    return pmf;
   }
 
   uint64_t GetRankLowerBound(
@@ -306,7 +306,10 @@ class WindowedReqSketch {
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(),
                      "GetRankLowerBound() on an empty window");
-    return Merged().GetRankLowerBound(y, num_std_devs, criterion);
+    return params::RankBound(static_cast<double>(GetRank(y, criterion)),
+                             window_n_, config_.base.k_base,
+                             config_.base.accuracy, num_std_devs,
+                             /*upper=*/false);
   }
 
   uint64_t GetRankUpperBound(
@@ -314,32 +317,54 @@ class WindowedReqSketch {
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(),
                      "GetRankUpperBound() on an empty window");
-    return Merged().GetRankUpperBound(y, num_std_devs, criterion);
+    return params::RankBound(static_cast<double>(GetRank(y, criterion)),
+                             window_n_, config_.base.k_base,
+                             config_.base.accuracy, num_std_devs,
+                             /*upper=*/true);
   }
 
-  // Exact min/max of the window contents (each bucket tracks its extremes
-  // exactly; the merge folds them).
+  // Exact min/max of the window contents: each bucket tracks its extremes
+  // exactly, and these fold them.
   T MinItem() const {
     util::CheckState(!is_empty(), "MinItem() on an empty window");
-    return Merged().MinItem();
+    const T* min = nullptr;
+    for (const Sketch* bucket : LiveBuckets()) {
+      if (min == nullptr || comp_(bucket->MinItem(), *min)) {
+        min = &bucket->MinItem();
+      }
+    }
+    return *min;
   }
   T MaxItem() const {
     util::CheckState(!is_empty(), "MaxItem() on an empty window");
-    return Merged().MaxItem();
+    const T* max = nullptr;
+    for (const Sketch* bucket : LiveBuckets()) {
+      if (max == nullptr || comp_(*max, bucket->MaxItem())) {
+        max = &bucket->MaxItem();
+      }
+    }
+    return *max;
   }
 
-  // A standalone ReqSketch summarizing the current window (a copy of the
-  // cached merged view; tests use it as a reference).
+  // A standalone ReqSketch summarizing the current window: one N-way Merge
+  // of the live buckets, oldest first, built on every call. Its answers
+  // are a merged sketch's, not the window's.
   Sketch MergedSnapshot() const {
     util::CheckState(!is_empty(), "MergedSnapshot() on an empty window");
-    return Merged();
+    // Same bound as every bucket (see WindowedReqConfig::base), so the
+    // merge is pure concatenation plus the scheduled per-level sweep; only
+    // the compaction coin flips are decorrelated from the bucket epochs'.
+    ReqConfig merged_config = config_.base;
+    merged_config.seed = config_.base.seed ^ 0x9e3779b97f4a7c15ULL;
+    Sketch merged(merged_config, comp_);
+    const std::vector<const Sketch*> live = LiveBuckets();
+    merged.Merge(live.data(), live.size());
+    return merged;
   }
 
-  // Eagerly builds (and sorted-view-warms) the merged view, so subsequent
-  // const queries take only lock-free reads. No-op on an empty window.
-  void PrepareMergedView() const {
-    if (!is_empty()) Merged().PrepareSortedView();
-  }
+  // No-op. Queries read the buckets' levels, so there is no merged view
+  // to warm; kept for callers written when the window memoized one.
+  void PrepareMergedView() const {}
 
   // A copy of one live bucket's sketch (diagnostics and tests).
   Sketch BucketSnapshot(size_t slot) const {
@@ -458,45 +483,16 @@ class WindowedReqSketch {
     }
   }
 
-  // Drops the memoized merged view. Mutators run with exclusive access
-  // (no concurrent readers by contract), so plain stores suffice.
-  void InvalidateMerged() {
-    merged_ready_.value.store(false, std::memory_order_release);
-    merged_cache_.reset();
-  }
-
-  // The memoized merged view: a ReqSketch built by one N-way Merge over
-  // the live buckets, oldest first. Same double-checked fill as
-  // ReqSketch::CachedSortedView, so concurrent const queries build it
-  // exactly once.
-  const Sketch& Merged() const {
-    if (!merged_ready_.value.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(merged_mutex_.mutex);
-      if (!merged_ready_.value.load(std::memory_order_relaxed)) {
-        merged_cache_.emplace(BuildMerged());
-        merged_ready_.value.store(true, std::memory_order_release);
-      }
-    }
-    return *merged_cache_;
-  }
-
-  Sketch BuildMerged() const {
-    // Same bound as every bucket (see WindowedReqConfig::base), so the
-    // merge is pure concatenation plus the scheduled per-level sweep; only
-    // the compaction coin flips are decorrelated from the bucket epochs'.
-    ReqConfig merged_config = config_.base;
-    merged_config.seed = config_.base.seed ^ 0x9e3779b97f4a7c15ULL;
-    Sketch merged(merged_config, comp_);
-    std::vector<const Sketch*> sources;
-    sources.reserve(buckets_.size());
-    // Ring order, oldest bucket first: deterministic regardless of how
-    // often the ring has wrapped.
+  // The non-empty buckets in ring order, oldest first: deterministic
+  // regardless of how often the ring has wrapped.
+  std::vector<const Sketch*> LiveBuckets() const {
+    std::vector<const Sketch*> live;
+    live.reserve(buckets_.size());
     for (size_t i = 1; i <= buckets_.size(); ++i) {
       const Sketch& bucket = buckets_[(head_ + i) % buckets_.size()];
-      if (!bucket.is_empty()) sources.push_back(&bucket);
+      if (!bucket.is_empty()) live.push_back(&bucket);
     }
-    if (!sources.empty()) merged.Merge(sources.data(), sources.size());
-    return merged;
+    return live;
   }
 
   WindowedReqConfig config_;
@@ -508,11 +504,6 @@ class WindowedReqSketch {
   // are the initial buckets.
   uint64_t next_epoch_ = 0;
   uint64_t window_n_ = 0;
-  // Memoized merged view; same publication pattern as the sorted-view
-  // cache in ReqSketch (concurrent const readers, exclusive mutators).
-  mutable std::optional<Sketch> merged_cache_;
-  mutable detail::CopyableAtomicBool merged_ready_;
-  mutable detail::CopyableMutex merged_mutex_;
 };
 
 }  // namespace window

@@ -1,10 +1,8 @@
-// Concurrent const-query safety for the plain ReqSketch: many threads may
-// share a const sketch and issue order-based queries at the same time.
-// Bulk rank and CDF queries lazily fill the memoized sorted view (before
-// the double-checked view cache that fill was a data race); quantile
-// queries select from the levels through a query-local index and touch
-// no shared state. These tests pin both contracts and are run under
-// ThreadSanitizer in CI.
+// Concurrent const-query safety for the plain ReqSketch and the sliding
+// window: many threads may share a const sketch or window and issue
+// order-based queries at the same time. Every query reads the levels
+// through a query-local index and touches no shared state. These tests
+// pin that contract and are run under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,6 +11,7 @@
 #include <vector>
 
 #include "core/req_sketch.h"
+#include "window/windowed_req_sketch.h"
 #include "workload/distributions.h"
 
 namespace req {
@@ -28,10 +27,9 @@ ReqSketch<double> BuildSketch(size_t n) {
   return sketch;
 }
 
-// All threads start on a COLD cache and race a bulk rank query: exactly
-// one builds the sorted view, everyone must read the same memoized object
-// and agree on every answer. The quantile queries raced beside it build
-// no view (they select from the levels) and must agree as well.
+// All threads start at once on a sketch no query has touched and race
+// bulk rank and quantile queries: each builds its own query-local index
+// over the shared levels, and all must agree with an untouched twin.
 TEST(ConcurrentQueriesTest, ColdCacheColdStartAgrees) {
   const ReqSketch<double> sketch = BuildSketch(100000);
   constexpr int kThreads = 8;
@@ -49,8 +47,7 @@ TEST(ConcurrentQueriesTest, ColdCacheColdStartAgrees) {
   std::vector<std::vector<uint64_t>> ranks(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      // Crude barrier so every thread races the first (cache-filling)
-      // query.
+      // Crude barrier so every thread races the first query.
       ready.fetch_add(1);
       while (ready.load() < kThreads) std::this_thread::yield();
       if (t % 2 == 0) {
@@ -103,41 +100,82 @@ TEST(ConcurrentQueriesTest, MixedQueryTypesNoRace) {
   for (auto& th : threads) th.join();
 }
 
-// PrepareSortedView warms the cache; concurrent readers afterwards take
-// only the lock-free fast path, and GetSortedView shares the same build.
-TEST(ConcurrentQueriesTest, PrepareSortedViewWarmsCache) {
-  const ReqSketch<double> sketch = BuildSketch(30000);
-  sketch.PrepareSortedView();
-  const auto& cached = sketch.CachedSortedView();
-  EXPECT_EQ(&cached, &sketch.CachedSortedView())
-      << "repeated calls must share one memoized view";
-  EXPECT_EQ(sketch.GetSortedView().total_weight(), cached.total_weight());
-
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < 1000; ++i) {
-        EXPECT_EQ(&sketch.CachedSortedView(), &cached);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-}
-
-// An update must still invalidate the memoized view (single-writer phase),
-// and PrepareSortedView on an empty sketch is a harmless no-op.
+// Every query after an update sees it (single-writer phase).
 TEST(ConcurrentQueriesTest, InvalidationStillWorksSingleThreaded) {
   ReqConfig config;
   config.k_base = 16;
   ReqSketch<double> sketch(config);
-  sketch.PrepareSortedView();  // empty: no-op, must not throw
 
+  const std::vector<double> ys{0.5, 1.5, 2.5, 3.5};
   sketch.Update(1.0);
   EXPECT_EQ(sketch.GetQuantile(0.5), 1.0);
+  EXPECT_EQ(sketch.GetRanks(ys), (std::vector<uint64_t>{0, 1, 1, 1}));
   sketch.Update(2.0);
+  EXPECT_EQ(sketch.GetRanks(ys), (std::vector<uint64_t>{0, 1, 2, 2}));
   sketch.Update(3.0);
+  EXPECT_EQ(sketch.GetRanks(ys), (std::vector<uint64_t>{0, 1, 2, 3}));
   EXPECT_EQ(sketch.GetQuantile(1.0), 3.0);
-  EXPECT_EQ(sketch.CachedSortedView().total_weight(), 3u);
+  EXPECT_EQ(sketch.GetSortedView().total_weight(), 3u);
+}
+
+// Eight threads mix every query kind on one const window (a count-driven
+// window that has rotated, so several buckets are live): each query
+// builds its own index over the shared buckets, and every answer must
+// equal the same query on an untouched serial twin.
+TEST(ConcurrentQueriesTest, WindowQueriesFromManyThreadsMatchSerialTwin) {
+  window::WindowedReqConfig config;
+  config.num_buckets = 4;
+  config.bucket_items = 4096;
+  config.base.k_base = 32;
+  config.base.seed = 71;
+  const std::vector<double> values = workload::GenerateLognormal(30000, 73);
+  window::WindowedReqSketch<double> built(config);
+  built.Update(values);
+  const window::WindowedReqSketch<double> window = built;
+  const window::WindowedReqSketch<double> twin = built;
+  ASSERT_GT(window.rotations(), 0u);
+
+  const std::vector<double> qs{0.01, 0.5, 0.9, 0.99, 0.999};
+  const std::vector<double> ys = workload::GenerateLognormal(64, 79);
+  const std::vector<double> splits{0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
+  const std::vector<double> quantiles = twin.GetQuantiles(qs);
+  const std::vector<uint64_t> ranks = twin.GetRanks(ys);
+  const std::vector<double> cdf = twin.GetCDF(splits);
+  std::vector<uint64_t> single;
+  for (double y : ys) single.push_back(twin.GetRank(y));
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < 40; ++i) {
+        switch ((t + i) % 4) {
+          case 0:
+            mismatches[t] += window.GetQuantiles(qs) != quantiles;
+            break;
+          case 1:
+            mismatches[t] += window.GetRanks(ys) != ranks;
+            break;
+          case 2:
+            mismatches[t] += window.GetCDF(splits) != cdf;
+            break;
+          case 3:
+            for (size_t j = 0; j < ys.size(); ++j) {
+              mismatches[t] += window.GetRank(ys[j]) != single[j];
+            }
+            break;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
 }
 
 }  // namespace

@@ -1,18 +1,19 @@
-// Query-engine equivalence: the overhauled query stack -- per-level item
-// storage, incrementally repaired weight-indexed sorted views, and the
-// bulk-rank co-scan kernels -- must produce *bit-identical* answers to the
-// seed-era scalar paths, on randomized streams, across every query
-// surface (plain sketch, Section 5 chain, sharded, windowed).
+// Query-engine equivalence: the query stack -- per-level item storage,
+// the query-local level index (multi-point rank scans, quantile
+// selection), and the bulk-rank co-scan kernels -- must produce
+// *bit-identical* answers to the seed-era scalar paths, on randomized
+// streams, across every query surface (plain sketch, Section 5 chain,
+// sharded, windowed).
 //
 // The reference implementation below is the seed-era algorithm verbatim:
 // collect all (item, weight) pairs, std::sort them, scan cumulative
 // weights, and answer each query with its own binary search. The
 // seed-era full rebuild itself -- a SortedView sorted from
-// AppendWeightedItems -- additionally pins incremental repair against
-// full rebuild directly.
+// AppendWeightedItems -- additionally pins the level scans against a full
+// rebuild directly.
 //
-// Quantiles do not go through the sorted view: ReqSketch selects them
-// from its levels. The selection returns an item equal under the
+// No sketch query goes through a sorted view: ReqSketch reads its
+// levels. Quantile selection returns an item equal under the
 // comparator to the reference's, and for doubles that is the same value
 // except for -0.0 and +0.0, which compare equal (ASSERT_EQ treats them
 // as equal too); such an item may come from a different level than the
@@ -182,8 +183,8 @@ TEST(QueryEngineEquivalenceTest, PlainSketchRandomizedInterleaving) {
 
     size_t consumed = 0;
     for (size_t round = 0; round < 12; ++round) {
-      // Alternate single-item updates (point-update repair path) with
-      // batches (cascade-heavy path) between query checkpoints.
+      // Alternate single-item updates (a level-0 tail) with batches
+      // (cascade-heavy path) between query checkpoints.
       const size_t chunk = 1 + rng.NextBounded(9000);
       const size_t end = std::min(values.size(), consumed + chunk);
       if (round % 2 == 0) {
@@ -194,8 +195,8 @@ TEST(QueryEngineEquivalenceTest, PlainSketchRandomizedInterleaving) {
       consumed = end;
       const auto probes = MakeProbes(values, rng, 200);
       CheckPlainSurface(sketch, probes);
-      // A point update right before querying exercises the
-      // level-0-only incremental repair specifically.
+      // A point update right before querying leaves an unsorted level-0
+      // tail for the index to sort.
       sketch.Update(values[rng.NextBounded(consumed)]);
       CheckPlainSurface(sketch, probes);
     }
@@ -238,8 +239,8 @@ TEST(QueryEngineEquivalenceTest, IncrementalRepairMatchesFullRebuild) {
 }
 
 TEST(QueryEngineEquivalenceTest, MergeDirtiesUpperLevelsConsistently) {
-  // Merging dirties many levels at once; the repaired view must still
-  // match the reference exactly.
+  // Merging leaves long unsorted tails on many levels at once; the level
+  // scans must still match the reference exactly.
   ReqConfig config;
   config.k_base = 16;
   config.seed = 3;
@@ -255,8 +256,8 @@ TEST(QueryEngineEquivalenceTest, MergeDirtiesUpperLevelsConsistently) {
   side.Update(values.data() + 10000, 20000);
   sketch.Merge(side);
   CheckPlainSurface(sketch, MakeProbes(values, rng, 150));
-  // Point update after the merge: level 0 repair on top of the merged
-  // upper run.
+  // Point update after the merge: a fresh level-0 tail on top of the
+  // merged upper levels.
   sketch.Update(values[5]);
   CheckPlainSurface(sketch, MakeProbes(values, rng, 150));
 }
@@ -376,10 +377,8 @@ TEST(QueryEngineEquivalenceTest, WindowedBulkMatchesScalarLoop) {
     windowed.GetRanks(probes.data(), probes.size(), bulk_ptr.data(),
                       Criterion::kInclusive);
     ASSERT_EQ(bulk, bulk_ptr);
-    const auto snapshot = windowed.MergedSnapshot();
     for (size_t i = 0; i < probes.size(); ++i) {
       ASSERT_EQ(bulk[i], windowed.GetRank(probes[i])) << "probe " << i;
-      ASSERT_EQ(bulk[i], snapshot.GetRank(probes[i])) << "probe " << i;
     }
   }
   EXPECT_GT(windowed.rotations(), 0u);

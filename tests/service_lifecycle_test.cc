@@ -406,16 +406,14 @@ TEST(CheckpointMemory, SnapshotsSerializeTheLiveSketchWithoutCopyingIt) {
 
 // --- query memory ----------------------------------------------------------
 
-TEST(QueryMemory, EngineHoldsOneStructureAndItsView) {
-  // Engines answer queries from the live sketch or window. A quantile
-  // query selects from the sketch's levels and leaves nothing resident: a
-  // plain engine holds the same bytes after it as before, and a windowed
-  // one holds only the merged sketch it answered from (built once per
-  // write epoch, no sorted view on top). A rank query still builds the
-  // memoized sorted view, which stays. Throughout, each engine holds
-  // exactly what an in-process structure fed and queried the same way
-  // holds, plus the engine's own fields: no copy of the structure stays
-  // resident.
+TEST(QueryMemory, QueriesLeaveNothingResident) {
+  // Engines answer queries from the live sketch or window, and every
+  // query -- QUANTILES, RANK and CDF, plain or windowed -- reads the
+  // levels through a query-local index that is dropped with the query.
+  // So each engine holds the same bytes after its queries as before, and
+  // throughout exactly what an in-process structure fed and queried the
+  // same way holds, plus the engine's own fields: no copy of the
+  // structure and no query cache stays resident.
   MetricSpec spec;
   spec.kind = EngineKind::kPlain;
   spec.base.k_base = 64;
@@ -443,7 +441,11 @@ TEST(QueryMemory, EngineHoldsOneStructureAndItsView) {
     sketch.Update(stream.data() + i, kBatch);
     window.Update(stream.data() + i, kBatch);
   }
-  const auto expect_engines_hold_their_structures = [&] {
+  const size_t plain_before = plain->MemoryFootprint();
+  const size_t windowed_before = windowed->MemoryFootprint();
+  const auto expect_nothing_resident = [&] {
+    EXPECT_EQ(plain->MemoryFootprint(), plain_before);
+    EXPECT_EQ(windowed->MemoryFootprint(), windowed_before);
     EXPECT_EQ(plain->MemoryFootprint(),
               sizeof(PlainReqEngine) - sizeof(ReqSketch<double>) +
                   sketch.MemoryBytes());
@@ -452,33 +454,65 @@ TEST(QueryMemory, EngineHoldsOneStructureAndItsView) {
                   sizeof(window::WindowedReqSketch<double>) +
                   window.MemoryBytes());
   };
-  const size_t plain_before = plain->MemoryFootprint();
-  const size_t sketch_before = sketch.MemoryBytes();
-  const size_t windowed_before = windowed->MemoryFootprint();
+  expect_nothing_resident();
 
   const std::vector<double> qs = {0.5, 0.9, 0.99, 0.999};
   EXPECT_EQ(plain->GetQuantiles(qs, Criterion::kInclusive),
             sketch.GetQuantiles(qs));
   EXPECT_EQ(windowed->GetQuantiles(qs, Criterion::kInclusive),
             window.GetQuantiles(qs));
-  EXPECT_EQ(plain->MemoryFootprint(), plain_before);
-  EXPECT_EQ(sketch.MemoryBytes(), sketch_before);
-  const size_t windowed_merged = windowed->MemoryFootprint();
-  EXPECT_GT(windowed_merged, windowed_before);
-  expect_engines_hold_their_structures();
-  // A repeated query on the unchanged window reuses its merged sketch
-  // and builds nothing on top of it.
-  EXPECT_EQ(windowed->GetQuantiles(qs, Criterion::kInclusive),
-            window.GetQuantiles(qs));
-  EXPECT_EQ(windowed->MemoryFootprint(), windowed_merged);
+  expect_nothing_resident();
 
   const std::vector<double> ys(stream.begin(), stream.begin() + 64);
   EXPECT_EQ(plain->GetRanks(ys, Criterion::kInclusive), sketch.GetRanks(ys));
   EXPECT_EQ(windowed->GetRanks(ys, Criterion::kInclusive),
             window.GetRanks(ys));
-  EXPECT_GT(plain->MemoryFootprint(), plain_before);
-  EXPECT_GT(windowed->MemoryFootprint(), windowed_merged);
-  expect_engines_hold_their_structures();
+  expect_nothing_resident();
+
+  std::vector<double> splits = ys;
+  std::sort(splits.begin(), splits.end());
+  splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
+  EXPECT_EQ(plain->GetCDF(splits, Criterion::kInclusive),
+            sketch.GetCDF(splits));
+  EXPECT_EQ(windowed->GetCDF(splits, Criterion::kInclusive),
+            window.GetCDF(splits));
+  expect_nothing_resident();
+}
+
+TEST(QueryMemory, BareSketchAndWindowQueriesLeaveNothingResident) {
+  // The same contract one layer down: a bare ReqSketch and a bare
+  // WindowedReqSketch hold the same MemoryBytes() after every query kind
+  // as before it.
+  ReqConfig base;
+  base.k_base = 12;
+  ReqSketch<double> sketch(base);
+  window::WindowedReqConfig config;
+  config.num_buckets = 4;
+  config.bucket_items = 1024;
+  config.base = base;
+  window::WindowedReqSketch<double> window(config);
+  const std::vector<double> stream = workload::GenerateLognormal(4096, 15);
+  sketch.Update(stream);
+  window.Update(stream);
+  // One more single item leaves an unsorted level-0 tail to index.
+  sketch.Update(1.0);
+  window.Update(1.0);
+  const size_t sketch_before = sketch.MemoryBytes();
+  const size_t window_before = window.MemoryBytes();
+
+  const std::vector<double> ys(stream.begin(), stream.begin() + 32);
+  const std::vector<double> splits = {0.5, 1.0, 2.0};
+  const std::vector<double> qs = {0.1, 0.5, 0.99};
+  EXPECT_EQ(sketch.GetRanks(ys).size(), ys.size());
+  EXPECT_EQ(sketch.GetCDF(splits).size(), splits.size() + 1);
+  EXPECT_EQ(sketch.GetPMF(splits).size(), splits.size() + 1);
+  EXPECT_EQ(sketch.GetQuantiles(qs).size(), qs.size());
+  EXPECT_EQ(sketch.MemoryBytes(), sketch_before);
+  EXPECT_EQ(window.GetRanks(ys).size(), ys.size());
+  EXPECT_EQ(window.GetCDF(splits).size(), splits.size() + 1);
+  EXPECT_EQ(window.GetPMF(splits).size(), splits.size() + 1);
+  EXPECT_EQ(window.GetQuantiles(qs).size(), qs.size());
+  EXPECT_EQ(window.MemoryBytes(), window_before);
 }
 
 // --- eviction-vs-append race stress (TSan target) --------------------------

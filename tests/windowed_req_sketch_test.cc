@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -95,9 +96,9 @@ TEST(WindowedReqSketchTest, CountDrivenRotationKeepsLastWindow) {
 }
 
 TEST(WindowedReqSketchTest, PartialWindowMatchesPlainSketch) {
-  // Before the first rotation everything lives in bucket epoch 0, and the
-  // merged view of a single source is a faithful copy: estimates equal a
-  // plain sketch with the bucket's exact configuration.
+  // Before the first rotation everything lives in bucket epoch 0, the
+  // only live bucket, so the window answers from its levels exactly as a
+  // plain sketch with the bucket's configuration does.
   WindowedReqConfig config = MakeConfig(4, 100000, 32);
   WindowedReqSketch<double> w(config);
   // The effective per-bucket config (the window fixes n_hint to the whole
@@ -340,10 +341,120 @@ TEST(WindowedReqSketchTest, MergedSnapshotIsStandalone) {
   for (int i = 0; i < 6000; ++i) w.Update(static_cast<double>(i));
   ReqSketch<double> snapshot = w.MergedSnapshot();
   EXPECT_EQ(snapshot.n(), w.n());
-  EXPECT_EQ(snapshot.GetRank(5000.0), w.GetRank(5000.0));
+  // The window holds exactly [2000, 6000), so the rank of y is y - 1999.
+  // The snapshot is a merged sketch of it: within Theorem 1 of the exact
+  // rank (4 standard errors from the protected high end).
+  const double n = 4000.0;
+  const double eps = 4 * params::RelativeStdErr(16);
+  for (double y : {2000.0, 2500.0, 3500.0, 5000.0, 5900.0}) {
+    const double exact = y - 1999.0;
+    EXPECT_NEAR(static_cast<double>(snapshot.GetRank(y)), exact,
+                eps * (n - exact) + 1)
+        << "y=" << y;
+  }
+  EXPECT_EQ(snapshot.GetRank(5999.0), 4000u);
+  EXPECT_EQ(snapshot.MinItem(), 2000.0);
+  EXPECT_EQ(snapshot.MaxItem(), 5999.0);
   // Snapshot keeps answering while the window moves on.
   for (int i = 6000; i < 9000; ++i) w.Update(static_cast<double>(i));
   EXPECT_EQ(snapshot.n(), 4000u);
+  EXPECT_EQ(snapshot.GetRank(5999.0), 4000u);
+}
+
+// Window answers come from the live buckets' levels read as one summary,
+// not from a merged sketch, so they are checked against exact ranks of
+// the window's items -- the last n() items of the stream, since
+// count-driven buckets hold contiguous stream ranges -- with Theorem 1's
+// relative bound at 4 standard errors (params::RelativeStdErr), measured
+// from the protected end, the rule reqbench applies to served answers.
+// GetRank, GetRanks and GetCDF are one weighted count, so they must also
+// agree bit for bit.
+TEST(WindowedReqSketchTest, AnswersWithinTheorem1OfExactWindowRanks) {
+  for (RankAccuracy accuracy :
+       {RankAccuracy::kHighRanks, RankAccuracy::kLowRanks}) {
+    for (uint32_t k : {16u, 64u}) {
+      WindowedReqConfig config = MakeConfig(4, 2000, k);
+      config.base.accuracy = accuracy;
+      WindowedReqSketch<double> w(config);
+      const bool hra = accuracy == RankAccuracy::kHighRanks;
+      const double eps = 4 * params::RelativeStdErr(k);
+      const auto values = workload::GenerateLognormal(20000, 500 + k);
+      size_t fed = 0;
+      while (fed < values.size()) {
+        const size_t chunk = std::min<size_t>(1700, values.size() - fed);
+        w.Update(values.data() + fed, chunk);
+        fed += chunk;
+        SCOPED_TRACE(testing::Message()
+                     << (hra ? "HRA" : "LRA") << " k=" << k
+                     << " fed=" << fed);
+        std::vector<double> items(values.begin() + (fed - w.n()),
+                                  values.begin() + fed);
+        std::sort(items.begin(), items.end());
+        const double n = static_cast<double>(w.n());
+        // Distance of a rank from the protected end.
+        const auto side = [&](double rank) { return hra ? n - rank : rank; };
+        const auto count_below = [&](double y) {
+          return static_cast<double>(
+              std::lower_bound(items.begin(), items.end(), y) -
+              items.begin());
+        };
+        const auto count_through = [&](double y) {
+          return static_cast<double>(
+              std::upper_bound(items.begin(), items.end(), y) -
+              items.begin());
+        };
+
+        const std::vector<double> qs = {0.001, 0.01, 0.1, 0.25, 0.5,
+                                        0.75,  0.9,  0.99, 0.999};
+        const std::vector<double> quantiles = w.GetQuantiles(qs);
+        for (size_t i = 0; i < qs.size(); ++i) {
+          const double below = count_below(quantiles[i]);
+          const double through = count_through(quantiles[i]);
+          const double target = qs[i] * n;
+          const double miss =
+              std::max({0.0, below + 1 - target, target - through});
+          const double allowed =
+              eps * side(hra ? std::min(through, target)
+                             : std::max(below + 1, target)) +
+              1;
+          EXPECT_LE(miss, allowed) << "q=" << qs[i];
+          EXPECT_EQ(w.GetQuantile(qs[i]), quantiles[i]) << "q=" << qs[i];
+        }
+
+        // Ascending distinct split points across the window, plus one
+        // past its maximum.
+        std::vector<double> splits;
+        for (size_t j = 0; j < 25; ++j) {
+          splits.push_back(items[j * items.size() / 25] + 1e-9);
+        }
+        splits.push_back(items.back() + 1.0);
+        splits.erase(std::unique(splits.begin(), splits.end()),
+                     splits.end());
+        const std::vector<double> cdf = w.GetCDF(splits);
+        ASSERT_EQ(cdf.size(), splits.size() + 1);
+        EXPECT_EQ(cdf.back(), 1.0);
+        // GetRanks sorts its points: hand them over descending.
+        const std::vector<double> reversed(splits.rbegin(), splits.rend());
+        const std::vector<uint64_t> bulk = w.GetRanks(reversed);
+        const std::vector<uint64_t> bulk_exclusive =
+            w.GetRanks(reversed, Criterion::kExclusive);
+        for (size_t i = 0; i < splits.size(); ++i) {
+          const uint64_t rank = w.GetRank(splits[i]);
+          const double exact = count_through(splits[i]);
+          EXPECT_LE(std::fabs(static_cast<double>(rank) - exact),
+                    eps * side(exact) + 1)
+              << "split " << splits[i];
+          const size_t r = splits.size() - 1 - i;
+          EXPECT_EQ(bulk[r], rank);
+          EXPECT_EQ(bulk_exclusive[r],
+                    w.GetRank(splits[i], Criterion::kExclusive));
+          EXPECT_EQ(cdf[i], static_cast<double>(rank) / n);
+        }
+        EXPECT_EQ(w.GetRank(splits.back()), w.n());
+      }
+      EXPECT_GE(w.rotations(), 8u);
+    }
+  }
 }
 
 }  // namespace

@@ -182,14 +182,12 @@ SCHEMAS = {
                 "bucket_items",
                 "update_mups",
                 "rotate_us",
-                "merged_build_us",
                 "warm_rank_ns",
                 "rotations",
             },
-            "single_baseline": {"k", "window_items", "build_us",
-                                "warm_rank_ns"},
+            "single_baseline": {"k", "window_items", "warm_rank_ns"},
             "summary": {"k", "buckets", "window_items",
-                        "cold_ratio_vs_single", "warm_ratio_vs_single"},
+                        "warm_ratio_vs_single"},
         },
     },
     "e17_service": {
@@ -250,8 +248,11 @@ SCHEMAS = {
             # Disk-bound, hence the ungated *_ms fields (E18 precedent).
             "rehydrate": {"metrics", "p50_ms", "p99_ms"},
             "churn": {"rounds", "ops_per_sec"},
+            # list_page_cold_ms: the single cold first LIST page, ungated
+            # like the other *_ms fields; list_page_p99_us is warm pages.
             "summary": {"metrics", "idle_bytes_per_metric",
-                        "list_page_p99_us", "rehydrate_p99_ms"},
+                        "list_page_p99_us", "list_page_cold_ms",
+                        "rehydrate_p99_ms"},
         },
     },
     "e20_chaos": {
@@ -272,10 +273,7 @@ SCHEMAS = {
             "results": {
                 "k",
                 "retained",
-                "cold_view_build_us",
                 "seed_view_build_us",
-                "warm_incremental_rank_ns",
-                "warm_full_rank_ns",
                 "bulk_rank_ns",
                 "view_scalar_rank_ns",
                 "scalar_loop_rank_ns",
@@ -283,11 +281,12 @@ SCHEMAS = {
                 "serialize_us",
                 "post_write_quantiles_us",
                 "repeat_quantiles_us",
+                "post_write_cdf_us",
+                "post_write_ranks4_us",
             },
             "window": {"k", "buckets", "post_rotate_query_us",
                        "warm_rank_ns"},
-            "summary": {"k", "warm_repair_speedup",
-                        "bulk_vs_scalar_speedup"},
+            "summary": {"k", "bulk_vs_scalar_speedup"},
         },
     },
 }

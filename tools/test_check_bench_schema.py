@@ -117,10 +117,7 @@ def valid_e16():
             {
                 "k": 16,
                 "retained": 300,
-                "cold_view_build_us": 10.0,
                 "seed_view_build_us": 30.0,
-                "warm_incremental_rank_ns": 900.0,
-                "warm_full_rank_ns": 9000.0,
                 "bulk_rank_ns": 20.0,
                 "view_scalar_rank_ns": 60.0,
                 "scalar_loop_rank_ns": 300.0,
@@ -128,6 +125,8 @@ def valid_e16():
                 "serialize_us": 5.0,
                 "post_write_quantiles_us": 40.0,
                 "repeat_quantiles_us": 20.0,
+                "post_write_cdf_us": 50.0,
+                "post_write_ranks4_us": 5.0,
             },
         ],
         "window": [
@@ -141,8 +140,69 @@ def valid_e16():
         "summary": [
             {
                 "k": 16,
-                "warm_repair_speedup": 10.0,
                 "bulk_vs_scalar_speedup": 15.0,
+            },
+        ],
+    }
+
+
+def valid_e15():
+    return {
+        "experiment": "e15_window",
+        "items": 1000,
+        "reps": 1,
+        "smoke": True,
+        "results": [
+            {
+                "k": 16,
+                "buckets": 4,
+                "window_items": 8192,
+                "bucket_items": 2048,
+                "update_mups": 15.0,
+                "rotate_us": 0.1,
+                "warm_rank_ns": 900.0,
+                "rotations": 30,
+            },
+        ],
+        "single_baseline": [
+            {"k": 16, "window_items": 8192, "warm_rank_ns": 150.0},
+        ],
+        "summary": [
+            {
+                "k": 16,
+                "buckets": 4,
+                "window_items": 8192,
+                "warm_ratio_vs_single": 6.0,
+            },
+        ],
+    }
+
+
+def valid_e19():
+    return {
+        "experiment": "e19_churn",
+        "metrics": 20000,
+        "smoke": True,
+        "footprint": [
+            {"phase": "idle", "bytes_per_metric": 784.0,
+             "observed_rss_per_metric": 900.0},
+        ],
+        "latency": [
+            {"op": "list_page", "p50_us": 25.0, "p99_us": 60.0},
+        ],
+        "rehydrate": [
+            {"metrics": 128, "p50_ms": 0.05, "p99_ms": 0.2},
+        ],
+        "churn": [
+            {"rounds": 3, "ops_per_sec": 500000.0},
+        ],
+        "summary": [
+            {
+                "metrics": 20000,
+                "idle_bytes_per_metric": 784.0,
+                "list_page_p99_us": 60.0,
+                "list_page_cold_ms": 3.5,
+                "rehydrate_p99_ms": 0.2,
             },
         ],
     }
@@ -181,6 +241,8 @@ class CheckSchemaTest(unittest.TestCase):
         self.assertEqual(self.check(valid_e17()), [])
         self.assertEqual(self.check(valid_e18()), [])
         self.assertEqual(self.check(valid_e16()), [])
+        self.assertEqual(self.check(valid_e15()), [])
+        self.assertEqual(self.check(valid_e19()), [])
         self.assertEqual(self.check(valid_e3()), [])
 
     def test_e3_results_rows_need_resident_and_blob_bytes(self):
@@ -205,6 +267,21 @@ class CheckSchemaTest(unittest.TestCase):
         errors = self.check(report)
         self.assertTrue(any("results[0]" in e
                             and "repeat_quantiles_us" in e
+                            for e in errors))
+
+    def test_e16_results_rows_need_post_write_cdf_and_ranks4(self):
+        for key in ("post_write_cdf_us", "post_write_ranks4_us"):
+            report = valid_e16()
+            del report["results"][0][key]
+            errors = self.check(report)
+            self.assertTrue(any("results[0]" in e and key in e
+                                for e in errors), key)
+
+    def test_e19_summary_needs_list_page_cold_ms(self):
+        report = valid_e19()
+        del report["summary"][0]["list_page_cold_ms"]
+        errors = self.check(report)
+        self.assertTrue(any("summary[0]" in e and "list_page_cold_ms" in e
                             for e in errors))
 
     def test_e18_recovery_rows_need_read_ms(self):
