@@ -307,6 +307,7 @@ int main(int argc, char** argv) {
   req::bench::JsonWriter json;
   json.BeginObject()
       .Field("experiment", "e13_hotpath")
+      .HostField()
       .Field("items", static_cast<uint64_t>(num_items))
       .Field("reps", kReps)
       .Field("smoke", smoke)

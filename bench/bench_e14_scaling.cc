@@ -238,6 +238,7 @@ int main(int argc, char** argv) {
   req::bench::JsonWriter json;
   json.BeginObject()
       .Field("experiment", "e14_scaling")
+      .HostField()
       .Field("items_per_thread", static_cast<uint64_t>(per_thread))
       .Field("reps", reps)
       .Field("smoke", smoke)

@@ -239,6 +239,7 @@ int main(int argc, char** argv) {
   req::bench::JsonWriter json;
   json.BeginObject()
       .Field("experiment", "e15_window")
+      .HostField()
       .Field("items", items)
       .Field("reps", reps)
       .Field("smoke", smoke);

@@ -333,6 +333,7 @@ int main(int argc, char** argv) {
   req::bench::JsonWriter json;
   json.BeginObject()
       .Field("experiment", "e16_query")
+      .HostField()
       .Field("items", static_cast<uint64_t>(num_items))
       .Field("reps", reps)
       .Field("smoke", smoke);

@@ -471,6 +471,7 @@ int main(int argc, char** argv) {
   JsonWriter json;
   json.BeginObject()
       .Field("experiment", "e17_service")
+      .HostField()
       .Field("items_per_client", static_cast<uint64_t>(items))
       .Field("batch", static_cast<uint64_t>(batch))
       .Field("workers", static_cast<uint64_t>(workers))

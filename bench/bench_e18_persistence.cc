@@ -17,14 +17,25 @@
 //      construction + RecoverInto on a fresh registry. Just before that,
 //      one persist::ReadMetricState of the metric directory is timed on
 //      its own (read_ms): loading and CRC-checking the files, without
-//      the replay, so recover_ms - read_ms is the replay layer.
+//      the replay, so recover_ms - read_ms is the replay layer;
+//   3. many-metric recovery: `metrics` plain metrics (256, smoke 64), each
+//      with a checkpoint after 6 batches and a WAL tail of 3 more, then
+//      DurabilityManager construction + RecoverInto timed in wall time
+//      (recover_ms) and in process CPU time (recover_cpu_ms).
+//      RecoverInto rebuilds metrics on one thread per core, so CPU over
+//      wall time shows the threads at work (recover_threads says how
+//      many ran); read_ms is every metric's ReadMetricState, one after
+//      another.
 //
 // Gating: the `append_mups` of the `none` and `wal_nosync` rows and the
 // summary `replay_mups` are the stable, CPU-bound figures the CI smoke
-// gate compares; fsync costs and recovery wall times are reported as
-// ungated `*_ms` fields (they track the runner's disk, not the code).
+// gate compares; fsync costs and recovery times are reported as
+// ungated `*_ms` fields (they track the runner's disk and cores, not the
+// code).
 //
 // Usage: bench_e18_persistence [--smoke] [--items N] [--out FILE]
+#include <time.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -130,11 +141,22 @@ ModeResult RunMode(const std::string& mode, FsyncPolicy policy,
   return result;
 }
 
+// Process CPU time, all threads, in milliseconds.
+double ProcessCpuMs() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) * 1e3 +
+         static_cast<double>(ts.tv_nsec) / 1e6;
+}
+
 struct RecoveryResult {
-  uint64_t batches = 0;
+  uint64_t metrics = 1;  // > 1: a many-metric row (setup step 3)
+  uint64_t batches = 0;  // WAL tail batches per metric
   bool checkpoint = false;
   double read_ms = 0.0;  // ReadMetricState alone: the file-read layer
   double recover_ms = 0.0;
+  double recover_cpu_ms = 0.0;  // many-metric rows only
+  uint64_t recover_threads = 1;
   uint64_t recovered_items = 0;
   uint64_t tail_bytes = 0;
 };
@@ -191,6 +213,65 @@ RecoveryResult RunRecovery(uint64_t batches, bool checkpoint,
   return result;
 }
 
+// Builds a data dir of `metrics` plain metrics, each holding a checkpoint
+// and a WAL tail of `tail_batches` batches, then times one cold recovery
+// of all of them.
+RecoveryResult RunManyRecovery(uint64_t metrics, uint64_t tail_batches,
+                               size_t batch) {
+  constexpr uint64_t kCheckpointedBatches = 6;
+  const std::string dir = FreshDir("many_" + std::to_string(metrics));
+  auto name_of = [](uint64_t i) { return "e18/" + std::to_string(i); };
+  {
+    DurabilityOptions options;
+    options.fsync = FsyncPolicy::kNever;
+    options.checkpoint_bytes = uint64_t{1} << 40;
+    DurabilityManager manager(dir, options);
+    SketchRegistry registry;
+    manager.RecoverInto(&registry);
+    req::util::Xoshiro256 rng(77);
+    std::vector<double> chunk(batch);
+    for (uint64_t i = 0; i < metrics; ++i) {
+      auto engine = registry.Create(name_of(i), PlainSpec());
+      for (uint64_t b = 0; b < kCheckpointedBatches + tail_batches; ++b) {
+        for (double& v : chunk) v = rng.NextDouble() * 1e6;
+        engine->Append(chunk.data(), chunk.size());
+        if (b + 1 == kCheckpointedBatches) engine->ForceCheckpoint();
+      }
+    }
+  }
+
+  RecoveryResult result;
+  result.metrics = metrics;
+  result.batches = tail_batches;
+  result.checkpoint = true;
+  result.tail_bytes = DirBytes(dir);
+  // A fresh data dir gives its i-th CREATE the directory m<i>.
+  const auto read_start = Clock::now();
+  for (uint64_t i = 0; i < metrics; ++i) {
+    const auto state =
+        ReadMetricState(dir + "/m" + std::to_string(i), name_of(i));
+    req::bench::g_sink += state.batches.size() + state.snapshot_blob.size();
+  }
+  result.read_ms = SecondsSince(read_start) * 1e3;
+  {
+    DurabilityOptions options;
+    options.fsync = FsyncPolicy::kNever;
+    SketchRegistry registry;
+    const double cpu_start = ProcessCpuMs();
+    const auto start = Clock::now();
+    DurabilityManager manager(dir, options);
+    manager.RecoverInto(&registry);
+    result.recover_ms = SecondsSince(start) * 1e3;
+    result.recover_cpu_ms = ProcessCpuMs() - cpu_start;
+    result.recover_threads = manager.recovery_threads();
+    for (uint64_t i = 0; i < metrics; ++i) {
+      result.recovered_items += registry.Require(name_of(i))->AcceptedN();
+    }
+  }
+  std::filesystem::remove_all(dir);
+  return result;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -206,6 +287,9 @@ int main(int argc, char** argv) {
   const std::vector<uint64_t> recovery_batches =
       args.smoke ? std::vector<uint64_t>{64, 256}
                  : std::vector<uint64_t>{64, 256, 1024};
+  const std::vector<uint64_t> recovery_metrics =
+      args.smoke ? std::vector<uint64_t>{64} : std::vector<uint64_t>{64, 256};
+  constexpr uint64_t kTailBatches = 3;
 
   req::bench::PrintBanner(
       "E18: durability (per-metric WAL + checkpoints, persist/)",
@@ -246,6 +330,20 @@ int main(int argc, char** argv) {
     }
   }
 
+  std::printf("\n%10s %14s %10s %14s %12s %10s %16s\n", "metrics",
+              "tail batches", "read ms", "recover ms", "cpu ms", "threads",
+              "items recovered");
+  for (uint64_t metrics : recovery_metrics) {
+    recoveries.push_back(RunManyRecovery(metrics, kTailBatches, batch));
+    const RecoveryResult& r = recoveries.back();
+    std::printf("%10llu %14llu %10.2f %14.2f %12.2f %10llu %16llu\n",
+                static_cast<unsigned long long>(r.metrics),
+                static_cast<unsigned long long>(r.batches), r.read_ms,
+                r.recover_ms, r.recover_cpu_ms,
+                static_cast<unsigned long long>(r.recover_threads),
+                static_cast<unsigned long long>(r.recovered_items));
+  }
+
   // Summary: logging overhead (nosync vs none), the fsync=always batch
   // cost, and replay speed over the longest un-checkpointed tail.
   const double none_mups = modes[0].append_mups;
@@ -258,7 +356,7 @@ int main(int argc, char** argv) {
   }
   double replay_mups = 0.0;
   for (const RecoveryResult& r : recoveries) {
-    if (!r.checkpoint && r.recover_ms > 0.0) {
+    if (r.metrics == 1 && !r.checkpoint && r.recover_ms > 0.0) {
       replay_mups = static_cast<double>(r.recovered_items) /
                     (r.recover_ms * 1e3);  // items / us == Mitems/s
     }
@@ -270,6 +368,7 @@ int main(int argc, char** argv) {
   JsonWriter json;
   json.BeginObject()
       .Field("experiment", "e18_persistence")
+      .HostField()
       .Field("items", static_cast<uint64_t>(items))
       .Field("batch", static_cast<uint64_t>(batch))
       .Field("smoke", args.smoke)
@@ -290,12 +389,18 @@ int main(int argc, char** argv) {
   }
   json.EndArray().BeginArray("recovery");
   for (const RecoveryResult& r : recoveries) {
-    json.BeginObject()
-        .Field("batches", r.batches)
+    json.BeginObject();
+    // Single-metric rows keep their original identity (no "metrics").
+    if (r.metrics > 1) json.Field("metrics", r.metrics);
+    json.Field("batches", r.batches)
         .Field("checkpoint", r.checkpoint)
         .Field("read_ms", r.read_ms)
-        .Field("recover_ms", r.recover_ms)
-        .Field("recovered_items", r.recovered_items)
+        .Field("recover_ms", r.recover_ms);
+    if (r.metrics > 1) {
+      json.Field("recover_cpu_ms", r.recover_cpu_ms)
+          .Field("recover_threads", r.recover_threads);
+    }
+    json.Field("recovered_items", r.recovered_items)
         .Field("tail_bytes", r.tail_bytes)
         .EndObject();
   }

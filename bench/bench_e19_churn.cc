@@ -319,6 +319,7 @@ int main(int argc, char** argv) {
   JsonWriter json;
   json.BeginObject()
       .Field("experiment", "e19_churn")
+      .HostField()
       .Field("metrics", static_cast<uint64_t>(metrics))
       .Field("smoke", args.smoke)
       .BeginArray("footprint")

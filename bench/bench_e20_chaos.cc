@@ -374,6 +374,7 @@ int main(int argc, char** argv) {
     JsonWriter json;
     json.BeginObject()
         .Field("experiment", "e20_chaos")
+        .HostField()
         .Field("items", static_cast<uint64_t>(items))
         .Field("smoke", args.smoke)
         .BeginArray("results");

@@ -4,9 +4,13 @@
 // and the table-printing utilities. Each bench prints a self-describing
 // table and writes a machine-readable BENCH_*.json validated by
 // tools/check_bench_schema.py; EXPERIMENTS.md records the expected shapes
-// and a captured run.
+// and a captured run. The gated reports (E13..E20) also record the host
+// they ran on (JsonWriter::HostField), which tools/compare_bench.py
+// checks before it compares two reports.
 #ifndef REQSKETCH_BENCH_BENCH_UTIL_H_
 #define REQSKETCH_BENCH_BENCH_UTIL_H_
+
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -19,6 +23,11 @@
 #include <vector>
 
 #include "sim/metrics.h"
+
+// CMake passes the configuration the benches were built in.
+#ifndef REQSKETCH_BUILD_TYPE
+#define REQSKETCH_BUILD_TYPE "unknown"
+#endif
 
 namespace req {
 namespace bench {
@@ -141,6 +150,25 @@ class JsonWriter {
     out_ += value ? "true" : "false";
     return *this;
   }
+  // The host this report ran on, as a "host" object: cores online,
+  // compiler and build type. Numbers from two hosts do not compare, and
+  // tools/compare_bench.py says so when the fingerprints differ.
+  JsonWriter& HostField() {
+#if defined(__clang__)
+    const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+    const char* compiler = "gcc " __VERSION__;
+#else
+    const char* compiler = "unknown";
+#endif
+    return BeginObject("host")
+        .Field("cores_online",
+               static_cast<uint64_t>(sysconf(_SC_NPROCESSORS_ONLN)))
+        .Field("compiler", compiler)
+        .Field("build_type", REQSKETCH_BUILD_TYPE)
+        .EndObject();
+  }
+
   // Embeds `raw` verbatim as the value of `key`; the caller guarantees it
   // is valid JSON (e.g. the contents of a previously written report).
   JsonWriter& RawField(const std::string& key, const std::string& raw) {

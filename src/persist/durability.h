@@ -22,24 +22,33 @@
 //      a CREATE of the retired sharded kind loads as a plain spec, which
 //      the compaction right after records);
 //   2. per metric, load the newest CRC-valid checkpoint and replay the
-//      WAL tail through the registry's CreateRecovered engine -- the
-//      engines' batch determinism plus ReqSerde v2's exact PRNG state
-//      make the result bit-identical to the pre-crash engine state (a
-//      sharded checkpoint first merges into one plain sketch);
-//   3. fsync each metric directory, reopen its WAL in a MetricLog AFTER
-//      replay (replayed batches must not be re-logged), and delete
-//      directories the compacted manifest no longer references.
+//      WAL tail through the registry's CreateRecovered, which rebuilds
+//      the engine the way rehydration does -- the engines' batch
+//      determinism plus ReqSerde v2's exact PRNG state make the result
+//      bit-identical to the pre-crash engine state (a sharded checkpoint
+//      first merges into one plain sketch);
+//   3. fsync each metric directory and reopen its WAL in a MetricLog
+//      AFTER replay (replayed batches must not be re-logged);
+//   4. delete directories the compacted manifest no longer references.
+// A metric's state depends on its own files alone, so steps 2-3 run on
+// up to one thread per core, each claiming the next metric in name
+// order; a failure surfaces as the error of the lowest-named failing
+// metric, the one a serial pass would have stopped at.
 #ifndef REQSKETCH_PERSIST_DURABILITY_H_
 #define REQSKETCH_PERSIST_DURABILITY_H_
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -159,31 +168,56 @@ class DurabilityManager : public DirectoryHook {
   // Rebuilds every manifest-live metric inside `registry` (which must
   // expose CreateRecovered/SetDurability as SketchRegistry does), wires
   // this manager as its durability hook, and garbage-collects
-  // unreferenced metric directories. Single-threaded, before serving.
+  // unreferenced metric directories. Before serving. The metrics are
+  // rebuilt on min(hardware threads, live metrics) threads, the calling
+  // thread among them (no thread is started for zero or one metric, and
+  // if one cannot be started, those already running do its share).
+  // Throws the error of the lowest-named metric that failed.
   template <typename Registry>
   void RecoverInto(Registry* registry) {
-    for (auto& [name, entry] : live_) {
-      const std::string dir = MetricDirPath(entry.id);
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);  // CREATE-crash case
-      RecoveredMetricState state = ReadMetricState(dir, name);
-      auto engine = registry->CreateRecovered(name, entry.spec,
-                                              state.snapshot_blob,
-                                              state.snapshot_accepted_n);
-      for (const auto& batch : state.batches) {
-        engine->Append(batch.data(), batch.size());
+    std::vector<std::pair<const std::string, Entry>*> metrics;
+    metrics.reserve(live_.size());
+    for (auto& metric : live_) metrics.push_back(&metric);
+    std::vector<std::exception_ptr> errors(metrics.size());
+    std::atomic<size_t> next{0};
+    // Lowest failed index so far: no thread claims a metric past it.
+    std::atomic<size_t> first_error{metrics.size()};
+    auto work = [&] {
+      for (size_t i = next++; i < first_error; i = next++) {
+        try {
+          RecoverMetric(registry, metrics[i]->first, &metrics[i]->second);
+        } catch (...) {
+          errors[i] = std::current_exception();
+          size_t seen = first_error;
+          while (i < seen && !first_error.compare_exchange_weak(seen, i)) {
+          }
+        }
       }
-      // A run that crashed may have created files here without the
-      // directory fsync that makes their names durable, and the log reuses
-      // them without creating: sync the names once per boot.
-      FsyncDir(dir, options_.io);
-      // The log attaches only now: replay must not re-log its own input.
-      entry.log = std::make_shared<MetricLog>(dir, name, state, LogOptions());
-      engine->SetLog(entry.log);
+    };
+    const size_t threads = std::min<size_t>(
+        std::max(1u, std::thread::hardware_concurrency()), metrics.size());
+    std::vector<std::thread> helpers;
+    helpers.reserve(threads);
+    for (size_t t = 1; t < threads; ++t) {
+      try {
+        helpers.emplace_back(work);
+      } catch (const std::exception&) {
+        break;  // the threads already running take its share
+      }
+    }
+    work();
+    for (std::thread& helper : helpers) helper.join();
+    recovery_threads_ = helpers.size() + 1;
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
     }
     CollectGarbageDirs();
     registry->SetDurability(this);
   }
+
+  // Threads the last RecoverInto rebuilt metrics on, the calling thread
+  // included.
+  size_t recovery_threads() const { return recovery_threads_; }
 
  private:
   struct Entry {
@@ -191,6 +225,25 @@ class DurabilityManager : public DirectoryHook {
     service::MetricSpec spec;
     std::shared_ptr<MetricLog> log;
   };
+
+  // One metric's boot recovery. Touches only this metric's files and
+  // entry, so distinct metrics recover concurrently.
+  template <typename Registry>
+  void RecoverMetric(Registry* registry, const std::string& name,
+                     Entry* entry) {
+    const std::string dir = MetricDirPath(entry->id);
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);  // CREATE-crash case
+    const RecoveredMetricState state = ReadMetricState(dir, name);
+    auto engine = registry->CreateRecovered(name, entry->spec, state);
+    // A run that crashed may have created files here without the
+    // directory fsync that makes their names durable, and the log reuses
+    // them without creating: sync the names once per boot.
+    FsyncDir(dir, options_.io);
+    // The log attaches only now: replay must not re-log its own input.
+    entry->log = std::make_shared<MetricLog>(dir, name, state, LogOptions());
+    engine->SetLog(entry->log);
+  }
 
   MetricLogOptions LogOptions() const {
     MetricLogOptions log_options;
@@ -338,6 +391,7 @@ class DurabilityManager : public DirectoryHook {
   bool manifest_failed_ = false;  // see AppendManifestRecord
   std::map<std::string, Entry> live_;
   uint64_t next_id_ = 0;
+  size_t recovery_threads_ = 0;  // see recovery_threads()
 };
 
 }  // namespace persist

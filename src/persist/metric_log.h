@@ -56,6 +56,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,7 +64,6 @@
 #include "persist/io_injector.h"
 #include "persist/log_file.h"
 #include "service/wire_protocol.h"
-#include "util/validation.h"
 
 namespace req {
 namespace persist {
@@ -197,9 +197,12 @@ inline RecoveredMetricState ReadMetricState(const std::string& dir,
     for (const auto& record : contents.records) {
       if (lsn++ < next) continue;  // already covered by the snapshot
       service::Request request = service::ParseRequest(record);
-      util::CheckData(request.op == service::Opcode::kAppend &&
-                          request.metric == metric_name,
-                      "WAL record is not an APPEND for this metric");
+      if (request.op != service::Opcode::kAppend ||
+          request.metric != metric_name) {
+        throw std::runtime_error("WAL record " + std::to_string(lsn - 1) +
+                                 " in " + dir + " is not an APPEND for '" +
+                                 metric_name + "'");
+      }
       state.batches.push_back(std::move(request.values));
       ++next;
     }

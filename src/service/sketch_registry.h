@@ -497,21 +497,19 @@ class SketchRegistry {
     return engine;
   }
 
-  // Recovery-path Create: installs an engine rebuilt from a checkpoint
-  // blob (empty => fresh engine), WITHOUT notifying the durability hook
-  // -- the metric already exists on disk; the caller replays the WAL tail
-  // and then attaches the log via SetLog. Quotas are accounted but NOT
-  // enforced: recovery must never refuse state that was already
-  // acknowledged. Single-threaded use, before the server starts.
+  // Recovery-path Create: installs the engine RebuildEngine makes from
+  // `state` (checkpoint, then WAL tail), WITHOUT notifying the durability
+  // hook -- the metric already exists on disk; the caller attaches its
+  // reopened log via SetLog. The charge is the footprint after the
+  // replay, so a recovered registry accounts what it holds. Quotas are
+  // accounted but NOT enforced: recovery must never refuse state that was
+  // already acknowledged. Safe to call concurrently for distinct names
+  // (boot recovery runs it on every core); before the server starts.
   EnginePtr CreateRecovered(const std::string& name, const MetricSpec& spec,
-                            const std::vector<uint8_t>& snapshot_blob,
-                            uint64_t accepted_n) {
+                            const persist::RecoveredMetricState& state) {
     ValidateMetricName(name);
     ValidateMetricSpec(spec);
-    EnginePtr engine = snapshot_blob.empty()
-                           ? MakeEngine(spec)
-                           : MakeRecoveredEngine(spec, snapshot_blob,
-                                                 accepted_n);
+    EnginePtr engine = RebuildEngine(spec, state);
     const uint64_t footprint = engine->MemoryFootprint();
     Shard& shard = ShardFor(name);
     {
@@ -869,9 +867,10 @@ class SketchRegistry {
   }
 
   // Rebuilds an evicted metric's engine from its eviction checkpoint +
-  // WAL tail, exactly the restart-recovery procedure, so the rehydrated
-  // engine is bit-identical to the evicted one. Serialized per entry by
-  // the lifecycle mutex; concurrent Finds wait and share the result.
+  // WAL tail through RebuildEngine, as boot recovery does, so the
+  // rehydrated engine is bit-identical to the evicted one. Serialized per
+  // entry by the lifecycle mutex; concurrent Finds wait and share the
+  // result.
   EnginePtr Rehydrate(const std::string& name, const EntryPtr& entry) {
     std::lock_guard<std::mutex> lifecycle(entry->lifecycle_mutex);
     EnginePtr engine = std::atomic_load_explicit(&entry->engine,
@@ -881,14 +880,7 @@ class SketchRegistry {
     util::CheckState(durability_ != nullptr,
                      "evicted metric without a durability hook");
     persist::RehydratedMetric r = durability_->OnRehydrate(name);
-    EnginePtr fresh =
-        r.state.snapshot_blob.empty()
-            ? MakeEngine(entry->spec)
-            : MakeRecoveredEngine(entry->spec, r.state.snapshot_blob,
-                                  r.state.snapshot_accepted_n);
-    for (const std::vector<double>& batch : r.state.batches) {
-      fresh->Append(batch.data(), batch.size());
-    }
+    EnginePtr fresh = RebuildEngine(entry->spec, r.state);
     fresh->SetLog(std::move(r.log));
     AccountEntry(*entry, fresh->MemoryFootprint());
     // Refresh the idle clock before publishing: rehydration can wait out
@@ -970,6 +962,22 @@ class SketchRegistry {
       return std::make_shared<WindowedReqEngine>(spec);
     }
     return std::make_shared<PlainReqEngine>(spec);
+  }
+
+  // The one rebuild routine of boot recovery and rehydration: the engine
+  // from the checkpoint blob (empty => a fresh engine), then the WAL tail
+  // replayed batch by batch. No log is attached yet, so the replay
+  // re-logs nothing.
+  static EnginePtr RebuildEngine(const MetricSpec& spec,
+                                 const persist::RecoveredMetricState& state) {
+    EnginePtr engine = state.snapshot_blob.empty()
+                           ? MakeEngine(spec)
+                           : MakeRecoveredEngine(spec, state.snapshot_blob,
+                                                 state.snapshot_accepted_n);
+    for (const std::vector<double>& batch : state.batches) {
+      engine->Append(batch.data(), batch.size());
+    }
+    return engine;
   }
 
   // Rebuilds an engine from a kind-tagged checkpoint blob. The blob is

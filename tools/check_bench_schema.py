@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
 """Guards the machine-readable bench reports against schema drift.
 
-CI smoke-runs the whole bench suite (E1..E19) and validates the resulting
+CI smoke-runs the whole bench suite (E1..E20) and validates the resulting
 JSON here (stdlib only). The committed full-run reports at the repo root
 satisfy the same schemas, so this can also be pointed at them.
+
+A report may carry a top-level "host" object (the gated benches E13..E20
+write one): when present it must name the cores online, the compiler and
+the build type. Reports captured before the fingerprint existed have none.
 
 Usage: check_bench_schema.py REPORT.json [REPORT.json ...]
 """
@@ -12,7 +16,9 @@ import sys
 
 # Per-experiment schema: required top-level keys, plus required keys for
 # every element of the named arrays. Extra keys are allowed (additive
-# evolution does not break consumers); missing keys fail CI.
+# evolution does not break consumers); missing keys fail CI. "tagged"
+# names arrays that must hold at least one row carrying a tag key, and
+# the keys every such row needs besides the array's own.
 SCHEMAS = {
     "e1_error_vs_rank": {
         "top": {"experiment", "n", "smoke", "results"},
@@ -237,6 +243,11 @@ SCHEMAS = {
             "summary": {"wal_nosync_overhead_pct",
                         "fsync_always_batch_ms", "replay_mups"},
         },
+        # Many-metric recovery rows: process CPU time beside the wall
+        # time, and the threads RecoverInto ran on (ungated *_ms).
+        "tagged": {
+            "recovery": ("metrics", {"recover_cpu_ms", "recover_threads"}),
+        },
     },
     "e19_churn": {
         "top": {"experiment", "metrics", "smoke", "footprint", "latency",
@@ -292,6 +303,21 @@ SCHEMAS = {
 }
 
 
+# The host fingerprint's fields and their JSON types.
+HOST_FIELDS = {"cores_online": int, "compiler": str, "build_type": str}
+
+
+def check_host(path, host):
+    if not isinstance(host, dict):
+        return [f"{path}: 'host' must be an object"]
+    errors = []
+    for key, kind in HOST_FIELDS.items():
+        value = host.get(key)
+        if not isinstance(value, kind) or isinstance(value, bool):
+            errors.append(f"{path}: host.{key} must be a {kind.__name__}")
+    return errors
+
+
 def check(path):
     errors = []
     with open(path, "r", encoding="utf-8") as f:
@@ -320,6 +346,22 @@ def check(path):
                 errors.append(
                     f"{path}: {array_name}[{i}] missing {sorted(row_missing)}"
                 )
+    for array_name, (tag, required) in schema.get("tagged", {}).items():
+        rows = report.get(array_name)
+        if not isinstance(rows, list):
+            continue  # reported above
+        tagged = [(i, row) for i, row in enumerate(rows)
+                  if isinstance(row, dict) and tag in row]
+        if not tagged:
+            errors.append(f"{path}: {array_name!r} has no row with {tag!r}")
+        for i, row in tagged:
+            row_missing = required - row.keys()
+            if row_missing:
+                errors.append(
+                    f"{path}: {array_name}[{i}] missing {sorted(row_missing)}"
+                )
+    if "host" in report:
+        errors.extend(check_host(path, report["host"]))
     return errors
 
 

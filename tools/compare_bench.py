@@ -31,6 +31,12 @@ structural, which is why CI *gates* against committed smoke baselines
 ``--write-best FILE`` stores the merged envelope (how the committed
 smoke baselines are refreshed from CI artifacts).
 
+Each gated report records the host it ran on (a top-level ``host``
+object: cores online, compiler, build type). When the baseline's host
+and the current one differ, a loud ``HOST MISMATCH`` note says the
+deltas compare two machines; a baseline without a ``host`` gets a plain
+note. Neither fails the comparison.
+
 ``--latency-floor-us X`` keeps micro-latency metrics honest: a latency
 regression whose *baseline* is below X microseconds is reported as a
 note but does not gate -- at that scale, timer granularity and
@@ -199,6 +205,29 @@ def merge_best(reports):
     return merged
 
 
+def describe_host(host):
+    if not isinstance(host, dict):
+        return "an unrecorded host"
+    return ", ".join(f"{k}={host[k]}" for k in sorted(host))
+
+
+def host_note(baseline, current):
+    """What to print about the two reports' hosts, or None when both
+    record the same one."""
+    base_host = baseline.get("host")
+    if base_host is None:
+        return ("NOTE: baseline records no host; whether it ran on this "
+                "host is unknown")
+    if base_host != current.get("host"):
+        banner = "!" * 72
+        return (f"{banner}\nHOST MISMATCH: baseline ran on "
+                f"{describe_host(base_host)}; current on "
+                f"{describe_host(current.get('host'))}. The deltas below "
+                f"compare two hosts, not two versions of the code.\n"
+                f"{banner}")
+    return None
+
+
 def compare(baseline, current, threshold, latency_floor_us=0.0):
     regressions, improvements, notes = [], [], []
     sinks = {"regression": regressions, "improvement": improvements,
@@ -274,6 +303,10 @@ def main(argv):
               f"({baseline.get('experiment')!r} vs "
               f"{current.get('experiment')!r})", file=sys.stderr)
         return 0 if args.warn_only else 2
+
+    host = host_note(baseline, current)
+    if host is not None:
+        print(host)
 
     if bool(baseline.get("smoke")) != bool(current.get("smoke")):
         note = (f"smoke flags differ (baseline={baseline.get('smoke')}, "

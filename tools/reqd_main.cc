@@ -20,7 +20,9 @@
 //                      Skipped when the metric was already recovered
 //                      from --data-dir.
 //   --data-dir DIR     enable durability: per-metric WAL + snapshot
-//                      checkpoints under DIR, recovered on startup
+//                      checkpoints under DIR, recovered on startup (on
+//                      one thread per core; the boot line reports the
+//                      time and the thread count)
 //   --fsync POLICY     always | interval | never (default interval):
 //                      when WAL appends reach disk; see README
 //   --checkpoint-bytes N   checkpoint a metric (overwrite one of its two
@@ -97,11 +99,18 @@ int main(int argc, char** argv) {
   try {
     std::unique_ptr<req::persist::DurabilityManager> durability;
     if (!flags.data_dir.empty()) {
+      const auto recovery_start = std::chrono::steady_clock::now();
       durability = std::make_unique<req::persist::DurabilityManager>(
           flags.data_dir, flags.durability);
       durability->RecoverInto(&registry);
-      std::printf("recovered %zu metric(s) from %s\n", registry.size(),
-                  flags.data_dir.c_str());
+      const std::chrono::duration<double, std::milli> recovery =
+          std::chrono::steady_clock::now() - recovery_start;
+      std::printf("recovered %zu metric(s) from %s in %.1f ms on %zu "
+                  "thread(s)\n",
+                  registry.size(),
+                  flags.data_dir.c_str(),
+                  recovery.count(),
+                  durability->recovery_threads());
     }
     for (const auto& [name, spec] : flags.precreate) {
       try {

@@ -96,6 +96,17 @@ def valid_e18():
                 "recovered_items": 6400,
                 "tail_bytes": 52000,
             },
+            {
+                "metrics": 64,
+                "batches": 3,
+                "checkpoint": True,
+                "read_ms": 6.0,
+                "recover_ms": 20.0,
+                "recover_cpu_ms": 40.0,
+                "recover_threads": 4,
+                "recovered_items": 1179648,
+                "tail_bytes": 3000000,
+            },
         ],
         "summary": [
             {
@@ -289,6 +300,35 @@ class CheckSchemaTest(unittest.TestCase):
         del report["recovery"][0]["read_ms"]
         errors = self.check(report)
         self.assertTrue(any("recovery[0]" in e and "read_ms" in e
+                            for e in errors))
+
+    def test_e18_needs_a_many_metric_recovery_row(self):
+        report = valid_e18()
+        del report["recovery"][1]
+        errors = self.check(report)
+        self.assertTrue(any("'recovery'" in e and "metrics" in e
+                            for e in errors))
+
+    def test_e18_many_metric_rows_need_cpu_time_and_threads(self):
+        for key in ("recover_cpu_ms", "recover_threads"):
+            report = valid_e18()
+            del report["recovery"][1][key]
+            errors = self.check(report)
+            self.assertTrue(any("recovery[1]" in e and key in e
+                                for e in errors), key)
+
+    def test_host_fingerprint_is_optional_but_checked(self):
+        report = valid_e17()
+        report["host"] = {"cores_online": 4, "compiler": "gcc 12.2.0",
+                          "build_type": "Release"}
+        self.assertEqual(self.check(report), [])
+        report["host"] = {"cores_online": "4", "compiler": "gcc 12.2.0"}
+        errors = self.check(report)
+        self.assertTrue(any("host.cores_online" in e for e in errors))
+        self.assertTrue(any("host.build_type" in e for e in errors))
+        report["host"] = "4 cores"
+        errors = self.check(report)
+        self.assertTrue(any("'host' must be an object" in e
                             for e in errors))
 
     def test_malformed_json_is_one_error(self):

@@ -296,6 +296,47 @@ class MainGateTest(unittest.TestCase):
             self.write("cur2.json", other))
         self.assertEqual(code, 2)
 
+    def test_host_mismatch_is_loud_but_never_gates(self):
+        base = baseline_report()
+        base["host"] = {"cores_online": 1, "compiler": "gcc 12.2.0",
+                        "build_type": "Release"}
+        current = baseline_report()
+        current["host"] = {"cores_online": 4, "compiler": "gcc 12.2.0",
+                           "build_type": "Release"}
+        code, out = self.run_main(self.write("base.json", base),
+                                  self.write("cur.json", current))
+        self.assertEqual(code, 0)
+        self.assertIn("HOST MISMATCH", out)
+        self.assertIn("cores_online=1", out)
+        self.assertIn("cores_online=4", out)
+        # A regression still gates, mismatch or not.
+        current["results"][0]["append_mups"] = 5.0
+        code, out = self.run_main(self.write("base.json", base),
+                                  self.write("cur.json", current))
+        self.assertEqual(code, 1)
+        self.assertIn("HOST MISMATCH", out)
+
+    def test_same_host_prints_no_host_note(self):
+        base = baseline_report()
+        base["host"] = {"cores_online": 4, "compiler": "gcc 12.2.0",
+                        "build_type": "Release"}
+        code, out = self.run_main(self.write("base.json", base),
+                                  self.write("cur.json", base))
+        self.assertEqual(code, 0)
+        self.assertNotIn("HOST", out)
+        self.assertNotIn("records no host", out)
+
+    def test_baseline_without_host_gets_a_plain_note(self):
+        current = baseline_report()
+        current["host"] = {"cores_online": 4, "compiler": "gcc 12.2.0",
+                           "build_type": "Release"}
+        code, out = self.run_main(
+            self.write("base.json", baseline_report()),
+            self.write("cur.json", current))
+        self.assertEqual(code, 0)
+        self.assertIn("NOTE: baseline records no host", out)
+        self.assertNotIn("HOST MISMATCH", out)
+
     def test_custom_threshold(self):
         current = baseline_report()
         current["results"][0]["append_mups"] = 9.0  # -10%
