@@ -122,8 +122,8 @@ double RankLatencyNs(uint32_t k, const std::vector<double>& values,
 }
 
 // A cold GetSortedView() after an update: the full O(S log S) build of a
-// caller-owned view (no query needs one; the Section 5 chain and bulk
-// benches build theirs this way).
+// caller-owned view (no query needs one; bulk benches and the
+// equivalence suites' references build theirs this way).
 double SortedViewBuildUs(uint32_t k, const std::vector<double>& values,
                          int reps) {
   auto sketch = MakeSketch(k);

@@ -24,6 +24,12 @@
 //   * sliding-window post-rotation query cost and warm window rank
 //     latency (a window rank sums its buckets' ranks).
 //
+// Every timed loop is its own never-inlined function, and CMake aligns
+// every function of this bench to a cache line, so an edit to main or to
+// another row cannot move a loop's code, and with it the loop's timing:
+// inlined into main, one added JSON field once moved the k = 256
+// bulk_vs_scalar_speedup median from 9.46 to 6.09.
+//
 // Results go to stdout as a table and to a JSON report (default
 // BENCH_e16_query.json) validated by tools/check_bench_schema.py.
 //
@@ -95,8 +101,8 @@ struct WindowResult {
 // build in a fresh heap pays first-touch page faults for its arrays (the
 // allocator's cost, not the build's), which a single-shot smoke run
 // would otherwise time.
-double SeedViewBuildUs(uint32_t k, const std::vector<double>& values,
-                       int reps) {
+[[gnu::noinline]] double SeedViewBuildUs(
+    uint32_t k, const std::vector<double>& values, int reps) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
     auto sketch = MakeSketch(k);
@@ -116,8 +122,9 @@ double SeedViewBuildUs(uint32_t k, const std::vector<double>& values,
 // `post_write`, each query follows one 64-item append; without, the
 // sketch never changes between queries. `query` returns a sink value.
 template <typename Query>
-double QueryUs(uint32_t k, const std::vector<double>& values, size_t rounds,
-               bool post_write, const Query& query) {
+[[gnu::noinline]] double QueryUs(
+    uint32_t k, const std::vector<double>& values, size_t rounds,
+    bool post_write, const Query& query) {
   constexpr size_t kBatch = 64;
   auto sketch = MakeSketch(k);
   sketch.Update(values);
@@ -143,6 +150,100 @@ std::vector<double> MakeProbes(const std::vector<double>& values,
     probes.push_back(values[(i * 2654435761ULL) % values.size()]);
   }
   return probes;
+}
+
+// BULK GetRanks: `calls` calls of the view's co-scan kernel over all the
+// probes; ns per point.
+[[gnu::noinline]] double BulkRankNs(
+    const req::SortedView<double>& view, const std::vector<double>& probes,
+    size_t calls) {
+  std::vector<uint64_t> out(probes.size());
+  const auto start = Clock::now();
+  for (size_t c = 0; c < calls; ++c) {
+    view.GetRanks(probes.data(), probes.size(), out.data(),
+                  req::Criterion::kInclusive);
+    g_sink += out[0];
+  }
+  return SecondsSince(start) * 1e9 /
+         static_cast<double>(calls * probes.size());
+}
+
+// Per-point view binary search (single-point bulk calls); ns per point.
+[[gnu::noinline]] double ViewScalarRankNs(
+    const req::SortedView<double>& view, const std::vector<double>& probes,
+    size_t calls) {
+  const auto start = Clock::now();
+  uint64_t rank = 0;
+  for (size_t c = 0; c < calls; ++c) {
+    for (const double y : probes) {
+      view.GetRanks(&y, 1, &rank, req::Criterion::kInclusive);
+      g_sink += rank;
+    }
+  }
+  return SecondsSince(start) * 1e9 /
+         static_cast<double>(calls * probes.size());
+}
+
+// Seed-era scalar loop: one GetRank (per-level CountRank sum) per point --
+// the only batch option before the bulk kernels existed; ns per point.
+[[gnu::noinline]] double ScalarLoopRankNs(
+    const req::ReqSketch<double>& sketch, const std::vector<double>& probes,
+    size_t calls) {
+  const auto start = Clock::now();
+  for (size_t c = 0; c < calls; ++c) {
+    for (const double y : probes) g_sink += sketch.GetRank(y);
+  }
+  return SecondsSince(start) * 1e9 /
+         static_cast<double>(calls * probes.size());
+}
+
+// GetCDF over the ascending splits on an unchanged sketch; us per call.
+[[gnu::noinline]] double CdfUs(
+    const req::ReqSketch<double>& sketch, const std::vector<double>& splits,
+    size_t calls) {
+  const auto start = Clock::now();
+  for (size_t c = 0; c < calls; ++c) {
+    g_sink += static_cast<uint64_t>(sketch.GetCDF(splits).back());
+  }
+  return SecondsSince(start) * 1e6 / static_cast<double>(calls);
+}
+
+// Serialization of the whole sketch; us per call.
+[[gnu::noinline]] double SerializeUs(
+    const req::ReqSketch<double>& sketch, int reps) {
+  const auto start = Clock::now();
+  for (int r = 0; r < reps; ++r) {
+    g_sink += req::SerializeSketch(sketch).size();
+  }
+  return SecondsSince(start) * 1e6 / static_cast<double>(reps);
+}
+
+// A window rank right after each of `rotations` rotations, a bucket of
+// items fed after each (untimed); mean us per query.
+[[gnu::noinline]] double PostRotateQueryUs(
+    req::window::WindowedReqSketch<double>* window,
+    const std::vector<double>& values, double probe, int rotations) {
+  const uint64_t bucket_items = window->config().bucket_items;
+  double total = 0.0;
+  size_t feed = 0;
+  for (int r = 0; r < rotations; ++r) {
+    window->Rotate();
+    const auto start = Clock::now();
+    g_sink += window->GetRank(probe);
+    total += SecondsSince(start);
+    window->Update(values.data() + feed, bucket_items);
+    feed = (feed + bucket_items) % (values.size() / 2);
+  }
+  return total * 1e6 / rotations;
+}
+
+// Repeated window rank on an unchanged window; ns per query.
+[[gnu::noinline]] double WarmRankNs(
+    const req::window::WindowedReqSketch<double>& window, double probe,
+    size_t queries) {
+  const auto start = Clock::now();
+  for (size_t i = 0; i < queries; ++i) g_sink += window.GetRank(probe);
+  return SecondsSince(start) * 1e9 / static_cast<double>(queries);
 }
 
 }  // namespace
@@ -193,58 +294,11 @@ int main(int argc, char** argv) {
     sketch.Update(values);
     res.retained = sketch.RetainedItems();
     const req::SortedView<double> view = sketch.GetSortedView();
-    std::vector<uint64_t> out(probes.size());
-    {
-      const auto start = Clock::now();
-      for (size_t c = 0; c < bulk_calls; ++c) {
-        view.GetRanks(probes.data(), probes.size(), out.data(),
-                      req::Criterion::kInclusive);
-        g_sink += out[0];
-      }
-      res.bulk_rank_ns = SecondsSince(start) * 1e9 /
-                         static_cast<double>(bulk_calls * probes.size());
-    }
-    {
-      // Per-point view binary search (single-point bulk calls).
-      const auto start = Clock::now();
-      uint64_t rank = 0;
-      for (size_t c = 0; c < bulk_calls; ++c) {
-        for (const double y : probes) {
-          view.GetRanks(&y, 1, &rank, req::Criterion::kInclusive);
-          g_sink += rank;
-        }
-      }
-      res.view_scalar_rank_ns =
-          SecondsSince(start) * 1e9 /
-          static_cast<double>(bulk_calls * probes.size());
-    }
-    {
-      // Seed-era scalar loop: one GetRank (per-level CountRank sum) per
-      // point -- the only batch option before the bulk kernels existed.
-      const auto start = Clock::now();
-      for (size_t c = 0; c < bulk_calls; ++c) {
-        for (const double y : probes) g_sink += sketch.GetRank(y);
-      }
-      res.scalar_loop_rank_ns =
-          SecondsSince(start) * 1e9 /
-          static_cast<double>(bulk_calls * probes.size());
-    }
-    {
-      const auto start = Clock::now();
-      for (size_t c = 0; c < bulk_calls; ++c) {
-        g_sink += static_cast<uint64_t>(sketch.GetCDF(splits).back());
-      }
-      res.cdf_1k_us = SecondsSince(start) * 1e6 /
-                      static_cast<double>(bulk_calls);
-    }
-    {
-      const auto start = Clock::now();
-      for (int r = 0; r < reps; ++r) {
-        g_sink += req::SerializeSketch(sketch).size();
-      }
-      res.serialize_us = SecondsSince(start) * 1e6 /
-                         static_cast<double>(reps);
-    }
+    res.bulk_rank_ns = BulkRankNs(view, probes, bulk_calls);
+    res.view_scalar_rank_ns = ViewScalarRankNs(view, probes, bulk_calls);
+    res.scalar_loop_rank_ns = ScalarLoopRankNs(sketch, probes, bulk_calls);
+    res.cdf_1k_us = CdfUs(sketch, splits, bulk_calls);
+    res.serialize_us = SerializeUs(sketch, reps);
     results.push_back(res);
     std::printf("%6u %10llu %12.1f %10.1f %12.1f %14.1f %10.1f %10.1f\n", k,
                 static_cast<unsigned long long>(res.retained),
@@ -273,23 +327,9 @@ int main(int argc, char** argv) {
     window.Update(values.data(),
                   std::min<size_t>(values.size(), window_items));
     const double probe = values[values.size() / 2];
-    const int rotations = smoke ? 4 : 16;
-    double total = 0.0;
-    size_t feed = 0;
-    for (int r = 0; r < rotations; ++r) {
-      window.Rotate();
-      const auto start = Clock::now();
-      g_sink += window.GetRank(probe);
-      total += SecondsSince(start);
-      window.Update(values.data() + feed, config.bucket_items);
-      feed = (feed + config.bucket_items) % (values.size() / 2);
-    }
-    wr.post_rotate_query_us = total * 1e6 / rotations;
-    const size_t warm_q = smoke ? 2000 : 20000;
-    const auto start = Clock::now();
-    for (size_t i = 0; i < warm_q; ++i) g_sink += window.GetRank(probe);
-    wr.warm_rank_ns = SecondsSince(start) * 1e9 /
-                      static_cast<double>(warm_q);
+    wr.post_rotate_query_us =
+        PostRotateQueryUs(&window, values, probe, smoke ? 4 : 16);
+    wr.warm_rank_ns = WarmRankNs(window, probe, smoke ? 2000 : 20000);
     window_results.push_back(wr);
     std::printf("%6u %8llu %20.1f %14.1f\n", k,
                 static_cast<unsigned long long>(wr.buckets),

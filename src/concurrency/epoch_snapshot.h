@@ -4,7 +4,9 @@
 // state shares one implementation (and one memory-ordering argument).
 //
 // Users: the service layer's SketchRegistry, for its sorted
-// metric-directory snapshots (LIST; service/sketch_registry.h).
+// metric-directory snapshots (LIST; service/sketch_registry.h), and the
+// sharded sketch, for its merged read sketch
+// (concurrency/sharded_req_sketch.h).
 //
 // Contract:
 //   * Writers bump a monotone epoch counter (owned by the caller) after
@@ -18,8 +20,7 @@
 //   * The epoch is re-read (via epoch_of) BEFORE rebuild() runs, under the
 //     rebuild lock: a mutation racing with the rebuild can only make the
 //     stored tag stale (forcing a fresh rebuild on the next read), never
-//     let stale data masquerade as fresh. This is the same one-sided-race
-//     argument as the sharded sketch's View().
+//     let stale data masquerade as fresh.
 //   * Returned shared_ptrs alias the tagged block, so a snapshot stays
 //     valid for as long as any reader holds it, across any number of
 //     later rebuilds.
@@ -45,6 +46,21 @@ class EpochSnapshotCache {
   // simply rebuilds on first use).
   EpochSnapshotCache(const EpochSnapshotCache&) = delete;
   EpochSnapshotCache& operator=(const EpochSnapshotCache&) = delete;
+
+  // The stored snapshot, stale or not (null when none is stored): for
+  // memory accounting, never for answers.
+  std::shared_ptr<const T> Peek() const {
+    std::shared_ptr<const Tagged> current =
+        std::atomic_load_explicit(&snapshot_, std::memory_order_acquire);
+    return current ? Alias(current) : nullptr;
+  }
+
+  // Drops the stored snapshot; the next Get rebuilds. Readers holding the
+  // old one keep it alive through their shared_ptrs.
+  void Clear() {
+    std::atomic_store_explicit(&snapshot_, std::shared_ptr<const Tagged>(),
+                               std::memory_order_release);
+  }
 
   // Returns a snapshot no older than the epoch epoch_of() returned at some
   // point during the call. `epoch_of` must be safe to call concurrently

@@ -16,12 +16,13 @@
 //     level-0 fill) and the only synchronization per buffer-full of items
 //     is one uncontended shard mutex.
 //   * A global atomic epoch counter is bumped after every flush. Queries
-//     go through a cached merged view: a ReqSketch built by a single
-//     N-way Merge over all shards, tagged with the epoch observed before
-//     the merge. While the epoch is unchanged, queries are lock-free
-//     (an atomic shared_ptr load) and read the merged sketch's levels,
-//     like any ReqSketch query; after a flush, the first query rebuilds
-//     the merged sketch.
+//     go through a cached merged view (an EpochSnapshotCache,
+//     concurrency/epoch_snapshot.h): a ReqSketch built by a single N-way
+//     Merge over all shards, tagged with the epoch observed before the
+//     merge. While the epoch is unchanged, queries are lock-free (an
+//     atomic shared_ptr load) and read the merged sketch's levels, like
+//     any ReqSketch query; after a flush, the first query rebuilds the
+//     merged sketch.
 //
 // Threading contract:
 //   * SINGLE WRITER PER SHARD: at most one thread may call
@@ -51,6 +52,7 @@
 #include <utility>
 #include <vector>
 
+#include "concurrency/epoch_snapshot.h"
 #include "concurrency/spsc_buffer.h"
 #include "core/req_common.h"
 #include "core/req_serde.h"
@@ -143,9 +145,9 @@ class ShardedReqSketch {
                shard->flush_scratch.capacity() * sizeof(T) +
                shard->sketch.MemoryBytes();
     }
-    std::shared_ptr<const MergedView> merged =
-        std::atomic_load_explicit(&merged_, std::memory_order_acquire);
-    if (merged) bytes += sizeof(MergedView) + merged->sketch.MemoryBytes();
+    if (const std::shared_ptr<const Sketch> merged = merged_.Peek()) {
+      bytes += merged->MemoryBytes();
+    }
     return bytes;
   }
 
@@ -161,8 +163,7 @@ class ShardedReqSketch {
       shard->flush_scratch.clear();
       shard->flush_scratch.shrink_to_fit();
     }
-    std::shared_ptr<const MergedView> empty;
-    std::atomic_store_explicit(&merged_, empty, std::memory_order_release);
+    merged_.Clear();
   }
 
   // Monotone counter bumped after every flush/merge; the cached merged
@@ -260,7 +261,7 @@ class ShardedReqSketch {
 
   // A standalone ReqSketch summarizing all flushed items (a copy of the
   // cached merged view).
-  Sketch Merged() const { return View()->sketch; }
+  Sketch Merged() const { return *View(); }
 
   // A copy of one shard's sketch (diagnostics and tests).
   Sketch ShardSnapshot(size_t shard) const {
@@ -280,20 +281,20 @@ class ShardedReqSketch {
   uint64_t GetRank(const T& y,
                    Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRank() on an empty sketch");
-    return View()->sketch.GetRank(y, criterion);
+    return View()->GetRank(y, criterion);
   }
 
   double GetNormalizedRank(
       const T& y, Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetNormalizedRank() on an empty sketch");
-    return View()->sketch.GetNormalizedRank(y, criterion);
+    return View()->GetNormalizedRank(y, criterion);
   }
 
   std::vector<uint64_t> GetRanks(
       const std::vector<T>& ys,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRanks() on an empty sketch");
-    return View()->sketch.GetRanks(ys, criterion);
+    return View()->GetRanks(ys, criterion);
   }
 
   // Bulk rank kernel (one forward scan of the merged sketch's levels);
@@ -301,7 +302,7 @@ class ShardedReqSketch {
   void GetRanks(const T* ys, size_t count, uint64_t* out,
                 Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRanks() on an empty sketch");
-    View()->sketch.GetRanks(ys, count, out, criterion);
+    View()->GetRanks(ys, count, out, criterion);
   }
 
   T GetQuantile(double q,
@@ -311,7 +312,7 @@ class ShardedReqSketch {
     // view rebuild performs.
     util::CheckArg(q >= 0.0 && q <= 1.0,
                    "normalized rank must be in [0, 1]");
-    return View()->sketch.GetQuantile(q, criterion);
+    return View()->GetQuantile(q, criterion);
   }
 
   std::vector<T> GetQuantiles(
@@ -322,44 +323,44 @@ class ShardedReqSketch {
       util::CheckArg(q >= 0.0 && q <= 1.0,
                      "normalized rank must be in [0, 1]");
     }
-    return View()->sketch.GetQuantiles(qs, criterion);
+    return View()->GetQuantiles(qs, criterion);
   }
 
   std::vector<double> GetCDF(
       const std::vector<T>& splits,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetCDF() on an empty sketch");
-    return View()->sketch.GetCDF(splits, criterion);
+    return View()->GetCDF(splits, criterion);
   }
 
   std::vector<double> GetPMF(
       const std::vector<T>& splits,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetPMF() on an empty sketch");
-    return View()->sketch.GetPMF(splits, criterion);
+    return View()->GetPMF(splits, criterion);
   }
 
   uint64_t GetRankLowerBound(
       const T& y, int num_std_devs,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRankLowerBound() on an empty sketch");
-    return View()->sketch.GetRankLowerBound(y, num_std_devs, criterion);
+    return View()->GetRankLowerBound(y, num_std_devs, criterion);
   }
 
   uint64_t GetRankUpperBound(
       const T& y, int num_std_devs,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(!is_empty(), "GetRankUpperBound() on an empty sketch");
-    return View()->sketch.GetRankUpperBound(y, num_std_devs, criterion);
+    return View()->GetRankUpperBound(y, num_std_devs, criterion);
   }
 
   T MinItem() const {
     util::CheckState(!is_empty(), "MinItem() on an empty sketch");
-    return View()->sketch.MinItem();
+    return View()->MinItem();
   }
   T MaxItem() const {
     util::CheckState(!is_empty(), "MaxItem() on an empty sketch");
-    return View()->sketch.MaxItem();
+    return View()->MaxItem();
   }
   double RelativeStdErr() const {
     return params::RelativeStdErr(config_.base.k_base);
@@ -470,13 +471,6 @@ class ShardedReqSketch {
     std::atomic<uint64_t> flushed_n{0};
   };
 
-  // The cached merge-on-query result: a merged sketch plus the epoch
-  // observed before the merge started.
-  struct MergedView {
-    Sketch sketch;
-    uint64_t epoch;
-  };
-
   Shard& GetShard(size_t shard) const {
     util::CheckArg(shard < shards_.size(), "shard index out of range");
     return *shards_[shard];
@@ -484,65 +478,47 @@ class ShardedReqSketch {
 
   void BumpEpoch() { epoch_.fetch_add(1, std::memory_order_release); }
 
-  // Returns the current merged view, rebuilding it when stale. The fast
-  // path (epoch unchanged) is one atomic shared_ptr load plus one epoch
-  // load; rebuilds serialize on merged_mutex_ and re-check so concurrent
-  // queries after a flush trigger exactly one merge.
-  std::shared_ptr<const MergedView> View() const {
-    std::shared_ptr<const MergedView> current =
-        std::atomic_load_explicit(&merged_, std::memory_order_acquire);
-    if (current &&
-        current->epoch == epoch_.load(std::memory_order_acquire)) {
-      return current;
-    }
-    std::lock_guard<std::mutex> lock(merged_mutex_);
-    current = std::atomic_load_explicit(&merged_, std::memory_order_acquire);
-    if (current &&
-        current->epoch == epoch_.load(std::memory_order_acquire)) {
-      return current;
-    }
-    // Snapshot the epoch *before* reading the shards: a flush racing with
-    // the merge below can only make the tag stale (forcing a rebuild on
-    // the next query), never let stale data masquerade as fresh.
-    const uint64_t epoch = epoch_.load(std::memory_order_acquire);
+  // Returns the current merged view, rebuilding it when stale: the fast
+  // path (epoch unchanged) is lock-free, and concurrent queries after a
+  // flush trigger exactly one merge (EpochSnapshotCache::Get).
+  std::shared_ptr<const Sketch> View() const {
+    return merged_.Get(
+        [this] { return epoch_.load(std::memory_order_acquire); },
+        [this] { return BuildMerged(); });
+  }
+
+  // One N-way Merge of every non-empty shard. The cache reads the epoch
+  // before calling this, so a flush racing with the merge can only make
+  // the tag stale (forcing a rebuild on the next query), never let stale
+  // data masquerade as fresh.
+  Sketch BuildMerged() const {
     ReqConfig merged_config = config_.base;
     // Decorrelate the merged sketch's compaction coin flips from shard 0's
     // (shard i is seeded base.seed + i).
     merged_config.seed = config_.base.seed ^ 0x9e3779b97f4a7c15ULL;
-    auto fresh = std::make_shared<MergedView>(
-        MergedView{Sketch(merged_config, comp_), epoch});
-    {
-      // Hold every shard lock for the duration of the single N-way merge:
-      // the merge then sees one consistent cross-shard snapshot and can
-      // pre-size its level buffers once. Flush() takes only its own
-      // shard's lock and View() acquires in index order, so this cannot
-      // deadlock.
-      std::vector<std::unique_lock<std::mutex>> locks;
-      locks.reserve(shards_.size());
-      std::vector<const Sketch*> sources;
-      sources.reserve(shards_.size());
-      for (const auto& shard : shards_) {
-        locks.emplace_back(shard->mutex);
-        if (!shard->sketch.is_empty()) sources.push_back(&shard->sketch);
-      }
-      if (!sources.empty()) {
-        fresh->sketch.Merge(sources.data(), sources.size());
-      }
+    Sketch merged(merged_config, comp_);
+    // Hold every shard lock for the duration of the single N-way merge:
+    // the merge then sees one consistent cross-shard snapshot and can
+    // pre-size its level buffers once. Flush() takes only its own shard's
+    // lock and this acquires in index order, so it cannot deadlock.
+    std::vector<std::unique_lock<std::mutex>> locks;
+    locks.reserve(shards_.size());
+    std::vector<const Sketch*> sources;
+    sources.reserve(shards_.size());
+    for (const auto& shard : shards_) {
+      locks.emplace_back(shard->mutex);
+      if (!shard->sketch.is_empty()) sources.push_back(&shard->sketch);
     }
-    std::shared_ptr<const MergedView> published = std::move(fresh);
-    std::atomic_store_explicit(&merged_, published,
-                               std::memory_order_release);
-    return published;
+    if (!sources.empty()) merged.Merge(sources.data(), sources.size());
+    return merged;
   }
 
   ShardedReqConfig config_;
   Compare comp_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Bumped after every flush/merge; compared against MergedView::epoch.
+  // Bumped after every flush/merge; tags the merged view.
   std::atomic<uint64_t> epoch_{0};
-  mutable std::mutex merged_mutex_;
-  // Accessed with std::atomic_load/store: queries snapshot it lock-free.
-  mutable std::shared_ptr<const MergedView> merged_;
+  EpochSnapshotCache<Sketch> merged_;
 };
 
 }  // namespace concurrency

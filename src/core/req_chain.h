@@ -9,6 +9,17 @@
 // one, and the rank estimate for y is the sum of the per-summary estimates
 // (each sub-stream achieving relative error eps implies the total does).
 //
+// Queries: GetRank is that sum. GetRanks, GetQuantile(s) and GetCDF read
+// the non-empty summaries, oldest first, through ReqSketch::LevelIndex --
+// the same weighted count over their levels, built per query and dropped
+// with it, as a sliding window's queries over its buckets -- so ranks and
+// CDFs equal the per-summary sums exactly. q = 0 and q = 1 return the
+// exact stream extremes, folded from the summaries' MinItem()/MaxItem().
+//
+// Thread safety: the chain keeps no query state, so any number of threads
+// may run const queries concurrently on a shared chain; Update requires
+// exclusive access.
+//
 // This class exists so the E8 bench can compare both schemes against the
 // known-n baseline; for general use prefer ReqSketch, which additionally
 // supports merging.
@@ -16,58 +27,23 @@
 #define REQSKETCH_CORE_REQ_CHAIN_H_
 
 #include <algorithm>
-#include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/req_common.h"
 #include "core/req_sketch.h"
-#include "core/sorted_view.h"
 #include "util/validation.h"
 
 namespace req {
-
-namespace detail {
-
-// std::atomic<bool> with value-copy semantics so the chain stays copyable.
-// Copies transfer the value, not any synchronization relationship: they are
-// only made while the source chain is externally quiescent.
-struct CopyableAtomicBool {
-  std::atomic<bool> value{false};
-  CopyableAtomicBool() = default;
-  CopyableAtomicBool(const CopyableAtomicBool& other) noexcept
-      : value(other.value.load(std::memory_order_acquire)) {}
-  CopyableAtomicBool& operator=(const CopyableAtomicBool& other) noexcept {
-    value.store(other.value.load(std::memory_order_acquire),
-                std::memory_order_release);
-    return *this;
-  }
-};
-
-// A mutex that copy/move-constructs to a fresh, unlocked mutex: the lock
-// protects per-object lazy initialization, so it never travels with the
-// data it guards.
-struct CopyableMutex {
-  std::mutex mutex;
-  CopyableMutex() = default;
-  CopyableMutex(const CopyableMutex&) noexcept {}
-  CopyableMutex& operator=(const CopyableMutex&) noexcept { return *this; }
-};
-
-}  // namespace detail
 
 template <typename T, typename Compare = std::less<T>>
 class ReqChain {
  public:
   explicit ReqChain(const ReqConfig& config = ReqConfig(),
                     Compare comp = Compare())
-      : config_(config), comp_(comp), view_(comp_) {
+      : config_(config), comp_(comp) {
     params::ValidateConfig(config_);
     current_bound_ = params::InitialN(config_.k_base);
     OpenSummary();
@@ -92,7 +68,6 @@ class ReqChain {
     if (n_ >= current_bound_) CloseOutAndGrow();
     summaries_.back()->Update(item);
     ++n_;
-    InvalidateView();
   }
 
   // Batch update: forwards run-length chunks to the active summary's batch
@@ -108,7 +83,6 @@ class ReqChain {
       n_ += chunk;
       i += chunk;
     }
-    if (count > 0) InvalidateView();
   }
 
   void Update(const std::vector<T>& items) {
@@ -132,134 +106,65 @@ class ReqChain {
            static_cast<double>(n_);
   }
 
-  // Bulk rank kernel over the memoized combined view: answers exactly
-  // equal the scalar GetRank loop (an item's combined-view rank is the
-  // total weight of stored items <= it, i.e. the sum of the per-summary
-  // estimates). NaN query points are rejected up front (the kernel
-  // sorts the points, and NaN breaks std::sort's ordering contract).
+  // Bulk rank kernel: one forward scan of the summaries' levels, exactly
+  // the scalar GetRank loop's answers.
   void GetRanks(const T* ys, size_t count, uint64_t* out,
                 Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(n_ > 0, "GetRanks() on an empty chain");
-    if (count == 0) return;
-    detail::CheckBulkQueryPoints(ys, count);
-    CombinedView().GetRanks(ys, count, out, criterion);
+    const std::vector<const Summary*> live = NonEmptySummaries();
+    Summary::LevelIndex::Ranks(live.data(), live.size(), ys, count, out,
+                               criterion);
   }
 
   std::vector<uint64_t> GetRanks(
       const std::vector<T>& ys,
       Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetRanks() on an empty chain");
     std::vector<uint64_t> out(ys.size());
-    if (!ys.empty()) {
-      detail::CheckBulkQueryPoints(ys.data(), ys.size());
-      CombinedView().GetRanks(ys.data(), ys.size(), out.data(), criterion);
-    }
+    GetRanks(ys.data(), ys.size(), out.data(), criterion);
     return out;
   }
 
   T GetQuantile(double q, Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(n_ > 0, "GetQuantile() on an empty chain");
-    // NaN-rejecting: validate before materializing the combined view.
-    util::CheckArg(q >= 0.0 && q <= 1.0, "normalized rank must be in [0, 1]");
-    return CombinedView().GetQuantile(q, criterion);
+    return GetQuantiles({q}, criterion).front();
   }
 
   std::vector<T> GetQuantiles(
       const std::vector<double>& qs,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(n_ > 0, "GetQuantiles() on an empty chain");
-    for (double q : qs) {
-      util::CheckArg(q >= 0.0 && q <= 1.0,
-                     "normalized rank must be in [0, 1]");
+    const std::vector<const Summary*> live = NonEmptySummaries();
+    const T* min = &live.front()->MinItem();
+    const T* max = &live.front()->MaxItem();
+    for (const Summary* s : live) {
+      if (comp_(s->MinItem(), *min)) min = &s->MinItem();
+      if (comp_(*max, s->MaxItem())) max = &s->MaxItem();
     }
-    const SortedView<T, Compare>& view = CombinedView();
-    std::vector<T> out;
-    out.reserve(qs.size());
-    for (double q : qs) out.push_back(view.GetQuantile(q, criterion));
-    return out;
+    return Summary::LevelIndex::Quantiles(live.data(), live.size(), *min,
+                                          *max, qs, criterion);
   }
 
-  // CDF at the given (ascending) split points; shares the combined view's
-  // co-scan kernel with the sketch surface.
+  // CDF at the given (strictly ascending) split points, with a final 1.0.
   std::vector<double> GetCDF(
       const std::vector<T>& splits,
       Criterion criterion = Criterion::kInclusive) const {
     util::CheckState(n_ > 0, "GetCDF() on an empty chain");
-    util::CheckArg(!splits.empty(), "split points must be non-empty");
-    for (size_t i = 0; i + 1 < splits.size(); ++i) {
-      util::CheckArg(comp_(splits[i], splits[i + 1]),
-                     "split points must be strictly ascending");
-    }
-    return CombinedView().GetCDF(splits, criterion);
+    const std::vector<const Summary*> live = NonEmptySummaries();
+    return Summary::LevelIndex::CDF(live.data(), live.size(), splits,
+                                    criterion);
   }
 
  private:
-  // Drops the memoized combined view (mutators run with exclusive
-  // access, so a plain store suffices; the cached closed run survives --
-  // it only ever grows at close-outs).
-  void InvalidateView() {
-    view_ready_.value.store(false, std::memory_order_release);
-  }
+  using Summary = ReqSketch<T, Compare>;
 
-  // The memoized combined view over every summary. Closed summaries are
-  // read-only forever (Section 5), so their sorted weighted runs are
-  // folded into one closed run exactly once (at collection); a rebuild
-  // after an update sorts the active summary's items (GetSortedView) and
-  // merges the two runs.
-  //
-  // Any number of threads may run const queries concurrently on a shared
-  // chain (the fill is double-checked: an atomic flag, then a lock);
-  // Update requires exclusive access.
-  const SortedView<T, Compare>& CombinedView() const {
-    if (!view_ready_.value.load(std::memory_order_acquire)) {
-      std::lock_guard<std::mutex> lock(view_mutex_.mutex);
-      if (!view_ready_.value.load(std::memory_order_relaxed)) {
-        RebuildViewLocked();
-        view_ready_.value.store(true, std::memory_order_release);
-      }
+  // The summaries a query reads, oldest first.
+  std::vector<const Summary*> NonEmptySummaries() const {
+    std::vector<const Summary*> live;
+    live.reserve(summaries_.size());
+    for (const auto& s : summaries_) {
+      if (!s->is_empty()) live.push_back(s.get());
     }
-    return view_;
-  }
-
-  void RebuildViewLocked() const {
-    // Fold newly closed summaries into the sorted closed run (each
-    // summary exactly once, at its close-out), through a transient sorted
-    // run.
-    while (closed_cached_ + 1 < summaries_.size()) {
-      const auto& closed = *summaries_[closed_cached_];
-      if (!closed.is_empty()) {
-        const SortedView<T, Compare> run = SortedRun(closed);
-        MergeWeightedRuns(closed_items_.data(), closed_weights_.data(),
-                          closed_items_.size(), run.items().data(),
-                          run_weights_.data(), run.size(), &scratch_items_,
-                          &scratch_weights_, comp_);
-        std::swap(closed_items_, scratch_items_);
-        std::swap(closed_weights_, scratch_weights_);
-      }
-      ++closed_cached_;
-    }
-    const auto& active = *summaries_.back();
-    if (active.is_empty()) {
-      view_.AssignMergedWeighted(closed_items_.data(),
-                                 closed_weights_.data(),
-                                 closed_items_.size(), nullptr, nullptr, 0,
-                                 n_);
-      return;
-    }
-    const SortedView<T, Compare> run = SortedRun(active);
-    view_.AssignMergedWeighted(closed_items_.data(), closed_weights_.data(),
-                               closed_items_.size(), run.items().data(),
-                               run_weights_.data(), run.size(), n_);
-  }
-
-  // One summary's items sorted (GetSortedView), with their per-entry
-  // weights left in run_weights_.
-  SortedView<T, Compare> SortedRun(
-      const ReqSketch<T, Compare>& summary) const {
-    SortedView<T, Compare> run = summary.GetSortedView();
-    run_weights_.resize(run.size());
-    for (size_t i = 0; i < run.size(); ++i) run_weights_[i] = run.WeightAt(i);
-    return run;
+    return live;
   }
 
   // Closes out the active summary (it stays read-only) and opens the next
@@ -277,28 +182,14 @@ class ReqChain {
     // Derive a distinct deterministic seed per summary.
     sub_config.seed = config_.seed + 0x9e3779b97f4a7c15ULL *
                                          (summaries_.size() + 1);
-    summaries_.push_back(
-        std::make_unique<ReqSketch<T, Compare>>(sub_config, comp_));
+    summaries_.push_back(std::make_unique<Summary>(sub_config, comp_));
   }
 
   ReqConfig config_;
   Compare comp_;
-  std::vector<std::unique_ptr<ReqSketch<T, Compare>>> summaries_;
+  std::vector<std::unique_ptr<Summary>> summaries_;
   uint64_t current_bound_ = 0;
   uint64_t n_ = 0;
-  // Combined-view memoization (see CombinedView): the sorted weighted
-  // run of every closed summary, merge scratch, a summary run's
-  // per-entry weight scratch, and the published view (rebuilt in place).
-  // Guarded by view_mutex_ behind the view_ready_ publication flag.
-  mutable std::vector<T> closed_items_;
-  mutable std::vector<uint64_t> closed_weights_;
-  mutable std::vector<T> scratch_items_;
-  mutable std::vector<uint64_t> scratch_weights_;
-  mutable std::vector<uint64_t> run_weights_;
-  mutable size_t closed_cached_ = 0;
-  mutable SortedView<T, Compare> view_;
-  mutable detail::CopyableAtomicBool view_ready_;
-  mutable detail::CopyableMutex view_mutex_;
 };
 
 }  // namespace req

@@ -490,8 +490,7 @@ class ReqSketch {
   }
 
   // Appends all stored items with their weights (2^level) to `out`; used by
-  // GetSortedView and by aggregators that combine several summaries (e.g.,
-  // the Section 5 chain in req_chain.h).
+  // GetSortedView and by the equivalence suites' seed-era references.
   void AppendWeightedItems(std::vector<std::pair<T, uint64_t>>* out) const {
     for (size_t h = 0; h < levels_.size(); ++h) {
       const uint64_t weight = uint64_t{1} << h;
@@ -504,7 +503,7 @@ class ReqSketch {
   // A caller-owned sorted view of the sketch contents, built on demand by
   // the seed-era full path: every weighted item from AppendWeightedItems,
   // sorted. No query needs one; callers that co-scan one view many times
-  // (the Section 5 chain, benches) build theirs here.
+  // (benches, reference answers in tests) build theirs here.
   SortedView<T, Compare> GetSortedView() const {
     util::CheckState(n_ > 0, "GetSortedView() on an empty sketch");
     std::vector<std::pair<T, uint64_t>> weighted;
@@ -541,7 +540,8 @@ class ReqSketch {
 
   // The query index: one query-local index over the levels of one or more
   // sketches read as a single summary. A sketch indexes itself; a sliding
-  // window (window/windowed_req_sketch.h) indexes its live buckets.
+  // window (window/windowed_req_sketch.h) indexes its live buckets, and
+  // the Section 5 chain (core/req_chain.h) its summaries.
   // Estimate-Rank weighs a level-h item by 2^h, so the rank of y over
   // several sketches is the sum of their weighted counts of items <= y --
   // Theorem 3's mergeability used at query time, without building the

@@ -2,22 +2,23 @@
 //
 // The REQ sketch answers every query directly from its levels (per-level
 // binary searches, and ReqSketch::LevelIndex for selection and multi-point
-// rank scans), so no sketch query needs a view. The view serves callers
-// that co-scan one summary's items in sorted order many times: the
-// Section 5 chain answers every order-based query from a view that
-// combines its summaries, and ReqSketch::GetSortedView builds one on
-// demand. It stores structure-of-arrays: one contiguous item array plus a
-// parallel *weight-prefix index* (inclusive cumulative weights), so a
-// rank binary search touches one cache-dense array and a quantile binary
-// search touches only the uint64 prefix array (Estimate-Rank in
-// Algorithm 2 is the rank direction; this is its inverse).
+// rank scans), and so do the sliding window and the Section 5 chain over
+// their summaries, so no query needs a view. The view serves callers that
+// co-scan one summary's items in sorted order many times:
+// ReqSketch::GetSortedView builds one on demand, the equivalence suites
+// use one as the seed-era reference their answers must match, and the
+// E16 bench times its bulk kernel. It stores structure-of-arrays: one
+// contiguous item array plus a parallel *weight-prefix index* (inclusive
+// cumulative weights), so a rank binary search touches one cache-dense
+// array and a quantile binary search touches only the uint64 prefix
+// array (Estimate-Rank in Algorithm 2 is the rank direction; this is its
+// inverse).
 //
 // Construction paths:
 //   * from unsorted (item, weight) pairs -- O(S log S) sort; the seed-era
 //     path, which GetSortedView and the equivalence references use.
-//   * AssignMergedWeighted: in-place rebuild from two already-sorted
-//     weighted runs, reusing the arrays' capacity (the chain merges its
-//     closed-summaries run with the active summary's view).
+//   * the default constructor: an empty view, only a target to assign a
+//     built one to.
 //
 // Query kernels:
 //   * GetRank / GetQuantile: one binary search each. GetQuantile's target
@@ -67,43 +68,6 @@ inline uint64_t QuantileTarget(double q, uint64_t total_weight,
 
 }  // namespace detail
 
-// Merges two sorted weighted runs into out_items/out_weights (cleared
-// first; ties go to run A). The chain's closed-run folding uses it;
-// SortedView::AssignMergedWeighted fuses the same loop with the
-// cumulative-weight pass for the published view.
-template <typename T, typename Compare>
-void MergeWeightedRuns(const T* a_items, const uint64_t* a_weights,
-                       size_t a_n, const T* b_items,
-                       const uint64_t* b_weights, size_t b_n,
-                       std::vector<T>* out_items,
-                       std::vector<uint64_t>* out_weights,
-                       const Compare& comp) {
-  out_items->clear();
-  out_weights->clear();
-  out_items->reserve(a_n + b_n);
-  out_weights->reserve(a_n + b_n);
-  size_t i = 0, j = 0;
-  while (i < a_n && j < b_n) {
-    if (comp(b_items[j], a_items[i])) {
-      out_items->push_back(b_items[j]);
-      out_weights->push_back(b_weights[j]);
-      ++j;
-    } else {
-      out_items->push_back(a_items[i]);
-      out_weights->push_back(a_weights[i]);
-      ++i;
-    }
-  }
-  for (; i < a_n; ++i) {
-    out_items->push_back(a_items[i]);
-    out_weights->push_back(a_weights[i]);
-  }
-  for (; j < b_n; ++j) {
-    out_items->push_back(b_items[j]);
-    out_weights->push_back(b_weights[j]);
-  }
-}
-
 template <typename T, typename Compare = std::less<T>>
 class SortedView {
  public:
@@ -130,50 +94,10 @@ class SortedView {
                      "sorted view weight mismatch: sketch corrupted");
   }
 
-  // Empty shell for in-place (re)builds via AssignMergedWeighted; queries
-  // are only legal after a successful assignment. The chain keeps one so
-  // repeated rebuilds reuse the arrays' heap capacity.
+  // An empty view, only to be assigned over: queries are legal only after
+  // a built view has been assigned to it.
   explicit SortedView(Compare comp = Compare())
       : comp_(std::move(comp)), total_weight_(0) {}
-
-  // In-place rebuild by merging two sorted weighted runs (ties go to run
-  // A). Either run may be empty (but not both). Reuses items_/cum_weights_
-  // capacity; O(|A| + |B|).
-  void AssignMergedWeighted(const T* a_items, const uint64_t* a_weights,
-                            size_t a_n, const T* b_items,
-                            const uint64_t* b_weights, size_t b_n,
-                            uint64_t total_weight) {
-    util::CheckArg(a_n + b_n > 0, "SortedView requires a non-empty sketch");
-    items_.clear();
-    cum_weights_.clear();
-    items_.reserve(a_n + b_n);
-    cum_weights_.reserve(a_n + b_n);
-    uint64_t cum = 0;
-    size_t i = 0, j = 0;
-    while (i < a_n && j < b_n) {
-      if (comp_(b_items[j], a_items[i])) {
-        cum += b_weights[j];
-        items_.push_back(b_items[j++]);
-      } else {
-        cum += a_weights[i];
-        items_.push_back(a_items[i++]);
-      }
-      cum_weights_.push_back(cum);
-    }
-    for (; i < a_n; ++i) {
-      cum += a_weights[i];
-      items_.push_back(a_items[i]);
-      cum_weights_.push_back(cum);
-    }
-    for (; j < b_n; ++j) {
-      cum += b_weights[j];
-      items_.push_back(b_items[j]);
-      cum_weights_.push_back(cum);
-    }
-    total_weight_ = total_weight;
-    util::CheckState(cum == total_weight_,
-                     "sorted view weight mismatch: sketch corrupted");
-  }
 
   size_t size() const { return items_.size(); }
   uint64_t total_weight() const { return total_weight_; }
@@ -184,10 +108,6 @@ class SortedView {
   const std::vector<uint64_t>& cum_weights() const { return cum_weights_; }
   const T& ItemAt(size_t i) const { return items_[i]; }
   uint64_t CumWeightAt(size_t i) const { return cum_weights_[i]; }
-  // Per-entry weight, recovered from the prefix index.
-  uint64_t WeightAt(size_t i) const {
-    return i == 0 ? cum_weights_[0] : cum_weights_[i] - cum_weights_[i - 1];
-  }
 
   // Estimated absolute rank of y: total weight of stored items <= y
   // (inclusive) or < y (exclusive).

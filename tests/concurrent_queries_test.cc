@@ -1,8 +1,9 @@
-// Concurrent const-query safety for the plain ReqSketch and the sliding
-// window: many threads may share a const sketch or window and issue
-// order-based queries at the same time. Every query reads the levels
-// through a query-local index and touches no shared state. These tests
-// pin that contract and are run under ThreadSanitizer in CI.
+// Concurrent const-query safety for the plain ReqSketch, the sliding
+// window and the Section 5 chain: many threads may share a const sketch,
+// window or chain and issue order-based queries at the same time. Every
+// query reads the levels through a query-local index and touches no
+// shared state. These tests pin that contract and are run under
+// ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/req_chain.h"
 #include "core/req_sketch.h"
 #include "window/windowed_req_sketch.h"
 #include "workload/distributions.h"
@@ -166,6 +168,65 @@ TEST(ConcurrentQueriesTest, WindowQueriesFromManyThreadsMatchSerialTwin) {
           case 3:
             for (size_t j = 0; j < ys.size(); ++j) {
               mismatches[t] += window.GetRank(ys[j]) != single[j];
+            }
+            break;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
+// Eight threads mix every query kind on one const chain that has closed
+// out summaries: each query builds its own index over the shared
+// summaries, and every answer must equal the same query on a serial twin
+// fed the same stream.
+TEST(ConcurrentQueriesTest, ChainQueriesFromManyThreadsMatchSerialTwin) {
+  ReqConfig config;
+  config.k_base = 32;
+  config.seed = 83;
+  const std::vector<double> values = workload::GenerateLognormal(100000, 89);
+  ReqChain<double> built(config);
+  built.Update(values);
+  ReqChain<double> twin(config);
+  twin.Update(values);
+  const ReqChain<double>& chain = built;
+  ASSERT_GT(chain.num_summaries(), 2u);
+
+  const std::vector<double> qs{0.0, 0.01, 0.5, 0.9, 0.999, 1.0};
+  const std::vector<double> ys = workload::GenerateLognormal(64, 97);
+  const std::vector<double> splits{0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
+  const std::vector<double> quantiles = twin.GetQuantiles(qs);
+  const std::vector<uint64_t> ranks = twin.GetRanks(ys);
+  const std::vector<double> cdf = twin.GetCDF(splits);
+  std::vector<uint64_t> single;
+  for (double y : ys) single.push_back(twin.GetRank(y));
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < 40; ++i) {
+        switch ((t + i) % 4) {
+          case 0:
+            mismatches[t] += chain.GetQuantiles(qs) != quantiles;
+            break;
+          case 1:
+            mismatches[t] += chain.GetRanks(ys) != ranks;
+            break;
+          case 2:
+            mismatches[t] += chain.GetCDF(splits) != cdf;
+            break;
+          case 3:
+            for (size_t j = 0; j < ys.size(); ++j) {
+              mismatches[t] += chain.GetRank(ys[j]) != single[j];
             }
             break;
         }

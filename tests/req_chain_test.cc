@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "core/req_common.h"
 #include "sim/metrics.h"
@@ -39,6 +41,16 @@ TEST(ReqChainTest, InvalidNormalizedRankRejected) {
   EXPECT_THROW(chain.GetQuantile(1.001), std::invalid_argument);
   EXPECT_NO_THROW(chain.GetQuantile(0.0));
   EXPECT_NO_THROW(chain.GetQuantile(1.0));
+}
+
+// A lone NaN split has no neighbour to fail the ascending-order check,
+// so the NaN check itself must reject it, as the sketch's GetCDF does.
+TEST(ReqChainTest, NaNSplitRejected) {
+  ReqChain<double> chain(MakeConfig());
+  for (int i = 0; i < 100; ++i) chain.Update(static_cast<double>(i));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(chain.GetCDF({nan}), std::invalid_argument);
+  EXPECT_THROW(chain.GetCDF({1.0, nan}), std::invalid_argument);
 }
 
 TEST(ReqChainTest, SmallStreamSingleSummary) {
@@ -92,6 +104,33 @@ TEST(ReqChainTest, QuantileAcrossSummaries) {
   for (double q : {0.1, 0.5, 0.9}) {
     const double v = chain.GetQuantile(q);
     EXPECT_NEAR(v / static_cast<double>(n), q, 0.05) << "q=" << q;
+  }
+}
+
+// q = 0 and q = 1 answer the exact stream extremes, under both
+// criteria, although compaction drops the extreme at the inaccurate end
+// from every summary's buffers (the minimum under HRA, the maximum under
+// LRA).
+TEST(ReqChainTest, QuantilesAtZeroAndOneAreTheExactExtremes) {
+  const auto values = workload::GenerateLognormal(200000, 6);
+  const auto [min_it, max_it] =
+      std::minmax_element(values.begin(), values.end());
+  for (RankAccuracy accuracy :
+       {RankAccuracy::kHighRanks, RankAccuracy::kLowRanks}) {
+    ReqConfig config = MakeConfig(16);
+    config.accuracy = accuracy;
+    ReqChain<double> chain(config);
+    chain.Update(values);
+    ASSERT_GT(chain.num_summaries(), 1u);
+    for (Criterion criterion :
+         {Criterion::kInclusive, Criterion::kExclusive}) {
+      EXPECT_EQ(chain.GetQuantile(0.0, criterion), *min_it);
+      EXPECT_EQ(chain.GetQuantile(1.0, criterion), *max_it);
+      const std::vector<double> q =
+          chain.GetQuantiles({0.0, 0.5, 1.0}, criterion);
+      EXPECT_EQ(q.front(), *min_it);
+      EXPECT_EQ(q.back(), *max_it);
+    }
   }
 }
 

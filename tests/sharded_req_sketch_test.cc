@@ -236,6 +236,35 @@ TEST(ShardedReqSketchTest, SerializeRequiresFlush) {
   EXPECT_NO_THROW(sketch.Serialize());
 }
 
+// TrimMemory drops the cached merged sketch, charging it off MemoryBytes,
+// without a new epoch; the next query rebuilds the same merge.
+TEST(ShardedReqSketchTest, TrimMemoryDropsTheMergedView) {
+  const auto values = workload::GenerateLognormal(40000, 31);
+  ShardedReqSketch<double> sketch(MakeConfig(4, /*buffer=*/512));
+  for (size_t i = 0; i < values.size(); ++i) {
+    sketch.Update(i % 4, values[i]);
+  }
+  sketch.FlushAll();
+  // Trim the shards first, so the trim under test has only the merged
+  // view left to release.
+  sketch.TrimMemory();
+  const size_t without_view = sketch.MemoryBytes();
+
+  (void)sketch.GetQuantile(0.5);
+  const ReqSketch<double> merged = sketch.Merged();
+  const size_t with_view = sketch.MemoryBytes();
+  EXPECT_GE(with_view - without_view,
+            sizeof(ReqSketch<double>) +
+                merged.RetainedItems() * sizeof(double));
+  const uint64_t epoch = sketch.Epoch();
+
+  sketch.TrimMemory();
+  EXPECT_EQ(sketch.MemoryBytes(), without_view);
+  EXPECT_EQ(sketch.Epoch(), epoch);
+  EXPECT_EQ(SerializeSketch(sketch.Merged()), SerializeSketch(merged));
+  EXPECT_EQ(sketch.MemoryBytes(), with_view);
+}
+
 // Producers on every shard race a query thread and an administrative
 // flusher; run under TSan in CI. Checks exact final bookkeeping and that
 // mid-stream queries return sane (monotone-bounded) answers.
