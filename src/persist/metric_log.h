@@ -37,7 +37,17 @@
 // A crash during 1 tears that slot alone: its CRC fails, and recovery
 // takes the other slot plus the untouched WAL. Between 1 and 2 the WAL
 // holds only records below the new slot's LSN, which recovery skips.
-// During 2 the WAL has no whole header, which recovery resets.
+// During 2 the WAL has no whole header, which recovery resets. A failure
+// in 1 leaves the WAL as it was, so the next checkpoint simply retries.
+//
+// Who checkpoints, and when: the engine (service/sketch_registry.h) calls
+// WriteCheckpoint under its append mutex, so no batch is logged between
+// its snapshot and the WAL cut. In a serving reqd that happens on the
+// server's one background checkpointer thread, after an APPEND carries
+// the WAL past checkpoint_bytes (ShouldCheckpoint); on the APPEND itself
+// only if the WAL reaches twice that while the checkpointer has not yet
+// reached the metric, which bounds replay at 2x checkpoint_bytes; at
+// idle eviction; and for every resident metric at graceful shutdown.
 //
 // Old layout: directories written by earlier versions hold
 // ckpt-<lsn>.snap checkpoints and wal-<first_lsn>.log segments. Recovery
@@ -294,9 +304,11 @@ class MetricLog {
     return next_lsn_.fetch_add(1, std::memory_order_release);
   }
 
-  // Cheap threshold probe for the post-append checkpoint hook.
-  bool ShouldCheckpoint() const {
-    return bytes_since_checkpoint_.load(std::memory_order_relaxed) >=
+  // Cheap threshold probe: whether the WAL has logged at least
+  // `thresholds` x checkpoint_bytes since the last checkpoint.
+  bool ShouldCheckpoint(uint64_t thresholds = 1) const {
+    return bytes_since_checkpoint_.load(std::memory_order_relaxed) /
+               thresholds >=
            options_.checkpoint_bytes;
   }
 
@@ -306,7 +318,7 @@ class MetricLog {
   // call after recovering an old-layout directory then deletes that
   // layout's files. Caller context: the engine's append mutex, with
   // `lsn == next_lsn()` and `blob` serialized from the state that
-  // position corresponds to.
+  // position corresponds to (see "Who checkpoints" above).
   void WriteCheckpoint(uint64_t lsn, uint64_t accepted_n,
                        const std::vector<uint8_t>& blob) {
     if (dropped_.load(std::memory_order_acquire)) return;

@@ -65,11 +65,27 @@
 //     runtime_error -> kBadRequest, anything else -> kError. The server
 //     never dies on a request.
 //
+// Checkpoints stay off the request path. When an APPEND's WAL write
+// carries its metric past checkpoint_bytes, the worker answers the APPEND
+// and queues the engine handle for one background checkpointer thread,
+// which snapshots the metric under its append mutex (so the snapshot sits
+// at an exact WAL position) and cuts its WAL. A metric is queued at most
+// once at a time. Should its WAL reach twice the threshold while it is
+// still queued, the APPEND that sees this checkpoints inline: the only
+// request that ever waits on a snapshot, and what keeps replay bounded at
+// 2x checkpoint_bytes plus one record per concurrent appender. A failed
+// checkpoint is counted (kStats "checkpoint_failures"), leaves the WAL
+// intact (persist/metric_log.h), and is retried at the next APPEND past
+// the threshold; the APPEND that triggered it has already acked. The
+// thread starts on first use, so a memory-only server never starts it.
+//
 // Lifecycle: Start() binds/listens (port 0 picks an ephemeral port,
 // re-read via port() -- how the tests and benches run parallel-safe
 // loopback instances), builds the worker pool, and spawns the loops;
-// Stop() shuts the listener, wakes every worker, and joins everything.
-// The destructor calls Stop().
+// Stop() shuts the listener, wakes every worker, and joins everything,
+// the checkpointer last (dropping the handles still queued: a graceful
+// shutdown checkpoints every metric afterwards anyway). The destructor
+// calls Stop().
 #ifndef REQSKETCH_SERVICE_REQD_SERVER_H_
 #define REQSKETCH_SERVICE_REQD_SERVER_H_
 
@@ -81,13 +97,17 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -290,6 +310,17 @@ class ReqdServer {
       if (w->thread.joinable()) w->thread.join();
     }
     workers_.clear();
+    // No worker is left to queue a checkpoint: drop the queue and let a
+    // checkpoint in progress finish.
+    {
+      std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+      checkpoint_stop_ = true;
+      checkpoint_queue_.clear();
+      checkpoint_claims_.clear();
+    }
+    checkpoint_cv_.notify_all();
+    if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
+    checkpoint_stop_ = false;  // a restarted server starts it afresh
   }
 
   // Graceful shutdown, phase one: stop taking new connections (they shed
@@ -334,6 +365,10 @@ class ReqdServer {
   uint64_t LiveConnections() const {
     return live_connections_.load(std::memory_order_acquire);
   }
+  // Checkpoints this server wrote after APPENDs crossed checkpoint_bytes,
+  // in the background or inline, and those that failed.
+  uint64_t Checkpoints() const { return checkpoints_.load(); }
+  uint64_t CheckpointFailures() const { return checkpoint_failures_.load(); }
 
  private:
   // Per-connection state, owned by exactly one worker. The output queue
@@ -885,10 +920,9 @@ class ReqdServer {
         // read now could include a concurrent append to the same metric.
         response.n =
             engine->Append(request.values.data(), request.values.size());
-        // Checkpoint on the append path, after the ack state is set: the
-        // engine decides (by WAL bytes written) whether a snapshot is
-        // due, so recovery replay stays short without a background timer.
-        engine->MaybeCheckpoint();
+        // The batch is logged and applied, so the APPEND acks from here
+        // on; a checkpoint it made due goes to the checkpointer.
+        ScheduleCheckpoint(std::move(engine));
         break;
       }
       case Opcode::kFlush:
@@ -949,10 +983,87 @@ class ReqdServer {
             {"metrics", registry_->size()},
             {"draining",
              draining_.load(std::memory_order_acquire) ? 1u : 0u},
+            {"checkpoints", checkpoints_.load()},
+            {"checkpoint_failures", checkpoint_failures_.load()},
         };
         break;
     }
     return response;
+  }
+
+  // After an APPEND (see the class comment): queues the metric for the
+  // checkpointer once its WAL passes checkpoint_bytes, and checkpoints
+  // inline only when the WAL reached twice that with the metric still
+  // queued, or when no checkpointer thread can be started. Throws
+  // nothing: the APPEND it follows must ack.
+  void ScheduleCheckpoint(SketchRegistry::EnginePtr engine) {
+    try {
+      const int passed = engine->WalThresholdsPassed();
+      if (passed == 0) return;
+      {
+        std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+        const bool queued = checkpoint_claims_.count(engine.get()) != 0;
+        if (!queued && StartCheckpointerLocked()) {
+          checkpoint_queue_.push_back(engine);
+          checkpoint_claims_.insert(engine.get());
+          checkpoint_cv_.notify_one();
+          return;
+        }
+        if (queued && passed < 2) return;
+      }
+      Checkpoint(engine.get(), /*claimed=*/false);
+    } catch (const std::exception&) {
+      checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  // Starts the checkpointer on first use; false if no thread can start.
+  bool StartCheckpointerLocked() {
+    if (checkpoint_thread_.joinable()) return true;
+    try {
+      checkpoint_thread_ = std::thread([this] { CheckpointLoop(); });
+    } catch (const std::system_error&) {
+      return false;
+    }
+    return true;
+  }
+
+  // The checkpointer thread: checkpoints queued metrics in the order they
+  // crossed the threshold, until Stop(). A metric stays claimed until its
+  // checkpoint ends, so it is never queued twice.
+  void CheckpointLoop() {
+    while (true) {
+      SketchRegistry::EnginePtr engine;
+      {
+        std::unique_lock<std::mutex> lock(checkpoint_mutex_);
+        checkpoint_cv_.wait(lock, [this] {
+          return checkpoint_stop_ || !checkpoint_queue_.empty();
+        });
+        if (checkpoint_stop_) return;
+        engine = std::move(checkpoint_queue_.front());
+        checkpoint_queue_.pop_front();
+      }
+      Checkpoint(engine.get(), /*claimed=*/true);
+    }
+  }
+
+  // One checkpoint, counted. A failure leaves the WAL to replay. A
+  // `claimed` metric's claim is released before the count moves, so once
+  // a failure shows, the next APPEND past the threshold queues a retry.
+  void Checkpoint(MetricEngine* engine, bool claimed) {
+    bool wrote = false;
+    bool failed = false;
+    try {
+      wrote = engine->ForceCheckpoint();
+    } catch (const std::exception&) {
+      failed = true;
+    }
+    if (claimed) {
+      std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+      checkpoint_claims_.erase(engine);
+    }
+    if (wrote) checkpoints_.fetch_add(1, std::memory_order_relaxed);
+    if (failed) checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
   }
 
   SketchRegistry* registry_;
@@ -971,6 +1082,17 @@ class ReqdServer {
   std::atomic<uint64_t> deadline_exceeded_{0};
   std::atomic<uint64_t> idle_reaped_{0};
   std::atomic<uint64_t> accept_failures_{0};
+  // The checkpointer. checkpoint_mutex_ guards the queue, the claims (the
+  // engines queued or being checkpointed) and the stop flag; the workers
+  // and Stop() start and join the thread under it or after the workers.
+  std::mutex checkpoint_mutex_;
+  std::condition_variable checkpoint_cv_;
+  std::deque<SketchRegistry::EnginePtr> checkpoint_queue_;
+  std::unordered_set<const MetricEngine*> checkpoint_claims_;
+  bool checkpoint_stop_ = false;
+  std::thread checkpoint_thread_;
+  std::atomic<uint64_t> checkpoints_{0};
+  std::atomic<uint64_t> checkpoint_failures_{0};
 };
 
 }  // namespace service

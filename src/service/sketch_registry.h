@@ -181,9 +181,7 @@ class MetricEngine {
   void RetireForEviction() {
     std::lock_guard<std::mutex> produce(append_mutex_);
     util::CheckState(log_ != nullptr, "RetireForEviction requires a WAL");
-    const uint64_t lsn = log_->next_lsn();
-    const std::vector<uint8_t> blob = SnapshotLocked();
-    log_->WriteCheckpoint(lsn, AcceptedN(), blob);
+    CheckpointLocked();
     // Nothing can append between the checkpoint and the flag: both sit
     // under the append mutex. From here the engine is a read-only relic.
     retired_.store(true, std::memory_order_release);
@@ -215,25 +213,45 @@ class MetricEngine {
   }
   persist::MetricLog* wal() const { return log_.get(); }
 
-  // Checkpoint when the WAL has grown past its threshold; the server
-  // calls this after APPEND acks. No-op without a WAL.
-  void MaybeCheckpoint() {
-    if (log_ && log_->ShouldCheckpoint()) ForceCheckpoint();
+  // Checkpoints. Both entry points read log_ under the append mutex:
+  // RetireForEviction releases the log under that mutex, so an eviction
+  // that wins a race with them leaves no WAL to checkpoint instead of a
+  // log released mid-call. A server reads WalThresholdsPassed() after
+  // each APPEND and leaves the checkpoint itself to its background
+  // checkpointer (service/reqd_server.h), off the request path.
+
+  // Whole checkpoint thresholds (the log's checkpoint_bytes) of WAL
+  // logged since the last checkpoint, capped at 2; 0 without a WAL
+  // (memory-only, or retired by an eviction).
+  int WalThresholdsPassed() {
+    std::lock_guard<std::mutex> produce(append_mutex_);
+    if (!log_) return 0;
+    if (log_->ShouldCheckpoint(2)) return 2;
+    return log_->ShouldCheckpoint() ? 1 : 0;
   }
 
-  // Unconditional checkpoint (shutdown, tests). Takes the append mutex,
-  // so the snapshot LSN is exact: state == first next_lsn() batches.
-  void ForceCheckpoint() {
-    if (!log_) return;
+  // Checkpoints now, whatever the WAL holds (the server's checkpointer,
+  // shutdown, tests). The append mutex pins the snapshot to an exact WAL
+  // position: state == first next_lsn() batches. Returns false, writing
+  // nothing, without a WAL; throws IoError when the write fails, which
+  // leaves the WAL as MetricLog::WriteCheckpoint describes.
+  bool ForceCheckpoint() {
     std::lock_guard<std::mutex> produce(append_mutex_);
-    const uint64_t lsn = log_->next_lsn();
-    const std::vector<uint8_t> blob = SnapshotLocked();
-    log_->WriteCheckpoint(lsn, AcceptedN(), blob);
+    if (!log_) return false;
+    CheckpointLocked();
+    return true;
   }
 
  protected:
   // Snapshot with append_mutex_ held by the caller.
   virtual std::vector<uint8_t> SnapshotLocked() = 0;
+
+  // Checkpoint with append_mutex_ held by the caller and a WAL attached.
+  void CheckpointLocked() {
+    const uint64_t lsn = log_->next_lsn();
+    const std::vector<uint8_t> blob = SnapshotLocked();
+    log_->WriteCheckpoint(lsn, AcceptedN(), blob);
+  }
 
   // Every Append implementation calls this under append_mutex_, so no
   // batch can slip past a completed retirement (the engine has released

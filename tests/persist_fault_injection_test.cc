@@ -156,8 +156,9 @@ TEST(FaultInjection, EngineAppendFailureAcknowledgesNothing) {
   // Queries keep working on the already-acknowledged state.
   EXPECT_NO_THROW(engine->GetQuantiles({0.5}, Criterion::kInclusive));
 
-  // Clearing the fault and checkpointing (WAL reset) restores the
-  // append path -- the server does this via ForceCheckpoint on demand.
+  // Clearing the fault and checkpointing (WAL reset) restores the append
+  // path. A server checkpoints only after an APPEND that applied, so its
+  // poisoned WAL waits for an idle eviction's checkpoint or a restart.
   injector.Reset();
   engine->ForceCheckpoint();
   engine->Append(batch.data(), batch.size());

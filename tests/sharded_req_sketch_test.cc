@@ -350,8 +350,12 @@ TEST(ShardedReqSketchStressTest, ConcurrentBulkQueries) {
       std::sort(sorted_probes.begin(), sorted_probes.end());
       std::vector<uint64_t> out(probes.size());
       uint64_t checks = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        if (sketch.n() == 0) {
+      // Checks until the producers are done, and once more after: by then
+      // every shard has flushed, so n() > 0 and a querier the scheduler
+      // kept off the CPU for the whole load still checks once.
+      for (bool last = false; !last;) {
+        last = done.load(std::memory_order_acquire);
+        if (!last && sketch.n() == 0) {
           std::this_thread::yield();
           continue;
         }

@@ -27,7 +27,8 @@
 //                      when WAL appends reach disk; see README
 //   --checkpoint-bytes N   checkpoint a metric (overwrite one of its two
 //                      snapshot slots, cut its WAL back to the header)
-//                      after N logged bytes (default 4194304)
+//                      after N logged bytes, on a background thread
+//                      (default 4194304)
 //   --port-file PATH   write the bound port to PATH (tmp + rename) once
 //                      listening -- how the crash-recovery test finds an
 //                      ephemeral-port daemon
