@@ -22,11 +22,11 @@
 // reconstructs the pre-crash state bit-identically.
 //
 // Write protocol per append: frame + CRC the batch, append to the WAL,
-// fsync per policy -- all BEFORE the engine applies the items and the
-// server acknowledges. A torn tail is therefore always an unacknowledged
-// suffix, and recovery may legitimately resurrect slightly MORE than the
-// client saw acknowledged (the record survived, the ack did not) but
-// never less.
+// fsync per policy -- all BEFORE the server acknowledges the batch (and
+// the engine applies it, right after the ack is sent). A torn tail is
+// therefore always an unacknowledged suffix, and recovery may
+// legitimately resurrect slightly MORE than the client saw acknowledged
+// (the record survived, the ack did not) but never less.
 //
 // Checkpoint protocol (WriteCheckpoint), which creates, renames and
 // unlinks no file once both slots exist:
@@ -288,7 +288,8 @@ class MetricLog {
     // recovery (prefix semantics) can never reach it. The log refuses
     // further appends until a checkpoint resets the WAL; every refusal is
     // an IoError the server answers as kError, so nothing unrecoverable
-    // is ever acknowledged.
+    // is ever acknowledged, and each refusal queues the metric for the
+    // server's checkpointer, whose next checkpoint heals the log.
     if (failed_) {
       throw IoError("WAL write failed; awaiting a checkpoint: " + dir_);
     }

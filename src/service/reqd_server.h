@@ -18,6 +18,28 @@
 //   EPOLLOUT <-- output buffer; writev flushes both -- staging buffer
 //                halves in one syscall, EAGAIN arms EPOLLOUT)
 //
+// An APPEND acks once its batch is logged, and takes one more step before
+// the next frame. HandleFrame only begins it (MetricEngine::BeginAppend:
+// validate, log, count, and hold the metric's append and state mutexes)
+// and encodes the ack; the worker then flushes that ack, applies the
+// batch, which releases the mutexes, and schedules any checkpoint due. A
+// closed-loop client's next request thus overlaps the sketch update, and
+// often arrives before the apply ends. So that such a client cannot hold
+// its worker, a read whose frames included an APPEND ends that
+// connection's turn: it goes on the worker's resume list and is read
+// again once the other ready connections have been served.
+//
+// What an ack promises still holds: the batch is in the WAL, the count is
+// the metric's count at the batch's log position, and every operation
+// that starts after the ack observes the batch -- queries wait on the
+// state mutex, SNAPSHOT and checkpoints on the append mutex, and FLUSH
+// reads the count taken before the ack. Every APPEND frame flushes its
+// own ack before the next frame is read from the decoder; a peer found
+// gone by that flush still has its batch applied before the connection
+// closes. The apply is fail-stop: a failure there (only allocation can
+// fail) terminates the process rather than serve an acked batch missing,
+// and a restart replays the batch from the WAL.
+//
 // The output queue is a double buffer: `pending` is the run currently
 // being flushed (from an offset) and `staging` is where new responses
 // encode; one gather-write (WritevNonBlocking) sends both, and when
@@ -40,10 +62,10 @@
 //     frames queued behind a slow request inherit the wait they already
 //     paid. A frame whose budget is spent before dispatch answers
 //     kDeadlineExceeded with no work done; after dispatch only read-only
-//     ops convert to kDeadlineExceeded -- a mutation that applied is
-//     always acked (kAppend/kFlush carry the accepted count the client
-//     reconciles against; answering "timeout" after the fact would
-//     desync that accounting).
+//     ops convert to kDeadlineExceeded -- a mutation that ran (an APPEND
+//     once logged) is always acked (kAppend/kFlush carry the accepted
+//     count the client reconciles against; answering "timeout" after the
+//     fact would desync that accounting).
 //   * A peer that takes NO response bytes for send_timeout_ms while the
 //     server holds un-flushed output is closed (the write-stall reap;
 //     the old thread-per-connection server blocked in send here).
@@ -71,13 +93,18 @@
 // which snapshots the metric under its append mutex (so the snapshot sits
 // at an exact WAL position) and cuts its WAL. A metric is queued at most
 // once at a time. Should its WAL reach twice the threshold while it is
-// still queued, the APPEND that sees this checkpoints inline: the only
-// request that ever waits on a snapshot, and what keeps replay bounded at
-// 2x checkpoint_bytes plus one record per concurrent appender. A failed
-// checkpoint is counted (kStats "checkpoint_failures"), leaves the WAL
-// intact (persist/metric_log.h), and is retried at the next APPEND past
-// the threshold; the APPEND that triggered it has already acked. The
-// thread starts on first use, so a memory-only server never starts it.
+// still queued, the APPEND that sees this checkpoints inline once its ack
+// is sent: the only time a worker waits on a snapshot, and what keeps
+// replay bounded at 2x checkpoint_bytes plus one record per concurrent
+// appender. A failed checkpoint is counted (kStats
+// "checkpoint_failures"), leaves the WAL intact (persist/metric_log.h),
+// and is retried at the next APPEND past the threshold; the APPEND that
+// triggered it has already acked. An APPEND whose WAL write fails or is
+// refused (a failed write or WAL cut poisons the log until a checkpoint
+// resets it) answers kError and queues its metric for the checkpointer
+// whatever its thresholds, so a poisoned WAL heals under traffic once the
+// disk recovers. The thread starts on first use, so a memory-only server
+// never starts it.
 //
 // Lifecycle: Start() binds/listens (port 0 picks an ephemeral port,
 // re-read via port() -- how the tests and benches run parallel-safe
@@ -102,6 +129,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -371,6 +399,14 @@ class ReqdServer {
   uint64_t CheckpointFailures() const { return checkpoint_failures_.load(); }
 
  private:
+  // An APPEND that HandleFrame began and acked but did not apply: the
+  // worker flushes the ack, then applies (see the class comment). The
+  // engine is declared first, so it outlives the append on destruction.
+  struct DeferredAppend {
+    SketchRegistry::EnginePtr engine;
+    std::optional<MetricEngine::PendingAppend> append;
+  };
+
   // Per-connection state, owned by exactly one worker. The output queue
   // is the double buffer described in the class comment: `pending` (from
   // `pending_off`) is being flushed, `staging` receives new responses.
@@ -410,6 +446,11 @@ class ReqdServer {
     std::vector<int> inbox;
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
     TimerWheel wheel;
+    // Connections that stopped reading after an APPEND's apply, to pump
+    // again once the worker's other ready connections had their turn
+    // (ResumeConnections); `resuming` is its recycled scratch.
+    std::vector<int> resume;
+    std::vector<int> resuming;
   };
 
   static void WakeWorker(Worker* w) {
@@ -501,6 +542,7 @@ class ReqdServer {
       int timeout_ms =
           w->wheel.empty() ? 250 : static_cast<int>(TimerWheel::kTickMs);
       if (draining_.load(std::memory_order_acquire)) timeout_ms = 10;
+      if (!w->resume.empty()) timeout_ms = 0;
       const int n =
           ::epoll_wait(w->epoll_fd.get(), events, kMaxEvents, timeout_ms);
       if (!running_.load(std::memory_order_acquire)) break;
@@ -534,9 +576,11 @@ class ReqdServer {
         }
         if (!alive) CloseConn(w, fd);
       }
-      // Adoption AFTER the event batch: a freshly accepted fd may reuse
-      // the number of one closed above, and a stale event for the dead
-      // connection must never be applied to its successor.
+      ResumeConnections(w, &payload);
+      // Adoption AFTER the event batch and the resumes: a freshly
+      // accepted fd may reuse the number of one closed above, and a stale
+      // event or resume for the dead connection must never be applied to
+      // its successor.
       if (adopt) AdoptConnections(w, &payload);
       w->wheel.Advance(SocketClock::now(),
                        [this, w](int fd) { OnTimer(w, fd); });
@@ -591,12 +635,17 @@ class ReqdServer {
 
   // Drives one connection's read -> decode -> dispatch -> flush cycle
   // until the socket runs dry (edge-triggered epoll requires reading to
-  // EAGAIN). Returns false when the connection must close.
+  // EAGAIN), or until the frames of one read included an APPEND: its
+  // client's next request may arrive during the apply, and reading it
+  // right away would let one closed-loop client hold the worker, so the
+  // connection goes on the resume list instead. Returns false when the
+  // connection must close.
   bool PumpConn(Worker* w, Conn* c, std::vector<uint8_t>* payload) {
     uint8_t chunk[1 << 16];
     SocketDeadline budget = NoDeadline();
     bool stamped = false;
-    while (!c->close_after_flush) {
+    bool yielded = false;
+    while (!c->close_after_flush && !yielded) {
       if (c->paused_read) {
         if (!FlushOutbound(w, c)) return false;
         if (c->OutboundBytes() > 0) break;  // EPOLLOUT resumes us later
@@ -646,8 +695,19 @@ class ReqdServer {
           c->close_after_flush = true;
           break;
         }
-        HandleFrame(*payload, budget, &c->staging);
+        DeferredAppend deferred;
+        HandleFrame(*payload, budget, &c->staging, &deferred);
         frames_.fetch_add(1, std::memory_order_relaxed);
+        if (deferred.append) {
+          // The ack is encoded: send it, then apply the batch. A peer
+          // found gone still has its logged, counted batch applied
+          // before the connection closes.
+          const bool sent = FlushOutbound(w, c);
+          deferred.append->Apply();
+          ScheduleCheckpoint(std::move(deferred.engine));
+          if (!sent) return false;
+          yielded = true;
+        }
       }
       if (config_.max_outbound_bytes > 0 &&
           c->OutboundBytes() > config_.max_outbound_bytes) {
@@ -655,8 +715,10 @@ class ReqdServer {
       }
     }
     if (!FlushOutbound(w, c)) return false;
-    if (draining_.load(std::memory_order_acquire) && !c->close_after_flush &&
-        c->OutboundBytes() == 0) {
+    if (yielded) {
+      w->resume.push_back(c->fd.get());
+    } else if (draining_.load(std::memory_order_acquire) &&
+               !c->close_after_flush && c->OutboundBytes() == 0) {
       // Drain: every complete frame this connection sent has been
       // answered and flushed; anything still buffered is a partial the
       // peer may never finish. Close now.
@@ -782,6 +844,19 @@ class ReqdServer {
     ScheduleTimers(w, c);
   }
 
+  // Pumps each connection that yielded after an APPEND once more: its
+  // socket may still hold input that edge-triggered epoll will not
+  // report again.
+  void ResumeConnections(Worker* w, std::vector<uint8_t>* payload) {
+    w->resuming.clear();
+    w->resuming.swap(w->resume);
+    for (int fd : w->resuming) {
+      auto it = w->conns.find(fd);
+      if (it == w->conns.end()) continue;  // closed since it yielded
+      if (!PumpConn(w, it->second.get(), payload)) CloseConn(w, fd);
+    }
+  }
+
   // Drain phase: pump every connection (answering whatever complete
   // frames it holds) and close the ones with nothing left in flight.
   void DrainSweep(Worker* w, std::vector<uint8_t>* payload) {
@@ -823,13 +898,14 @@ class ReqdServer {
 
   // Parses one request payload and appends the framed response to
   // `*out` (the connection's staging buffer). All throwing paths are
-  // caught here; see the class comment for the status mapping.
+  // caught here; see the class comment for the status mapping. An APPEND
+  // that acks leaves its batch unapplied in `*deferred`.
   void HandleFrame(const std::vector<uint8_t>& payload, SocketDeadline budget,
-                   std::vector<uint8_t>* out) {
+                   std::vector<uint8_t>* out, DeferredAppend* deferred) {
     Opcode op = Opcode::kPing;
     Response response;
     try {
-      const Request request = ParseRequest(payload);
+      Request request = ParseRequest(payload);
       op = request.op;
       if (SocketClock::now() >= budget) {
         // Budget spent before dispatch (a burst pipelined behind a slow
@@ -848,7 +924,7 @@ class ReqdServer {
       // latency. Bounded so a pathological evict loop cannot spin here.
       for (int attempt = 0;; ++attempt) {
         try {
-          response = Dispatch(request);
+          response = Dispatch(&request, deferred);
           break;
         } catch (const MetricRetired&) {
           if (attempt >= 2) throw;
@@ -904,56 +980,70 @@ class ReqdServer {
     AppendResponseFrame(op, response, out);
   }
 
-  Response Dispatch(const Request& request) {
+  // Runs one request. An APPEND is only begun: its values move into
+  // `*deferred`, whose handle the caller applies once the ack is sent.
+  // Anything that throws has moved nothing out of `*request`, so the
+  // eviction retry in HandleFrame can dispatch it again.
+  Response Dispatch(Request* request, DeferredAppend* deferred) {
     Response response;
-    switch (request.op) {
+    switch (request->op) {
       case Opcode::kPing:
         response.protocol_version = kProtocolVersion;
         break;
       case Opcode::kCreate:
-        registry_->Create(request.metric, request.spec);
+        registry_->Create(request->metric, request->spec);
         break;
       case Opcode::kAppend: {
         SketchRegistry::EnginePtr engine =
-            registry_->Require(request.metric);
-        // Ack with the count at this batch's apply point; AcceptedN()
-        // read now could include a concurrent append to the same metric.
-        response.n =
-            engine->Append(request.values.data(), request.values.size());
-        // The batch is logged and applied, so the APPEND acks from here
-        // on; a checkpoint it made due goes to the checkpointer.
-        ScheduleCheckpoint(std::move(engine));
+            registry_->Require(request->metric);
+        try {
+          deferred->append.emplace(
+              engine->BeginAppend(std::move(request->values)));
+        } catch (const persist::IoError&) {
+          // The WAL write failed or was refused: the log takes no record
+          // until a checkpoint resets it, so queue one now.
+          ScheduleCheckpoint(std::move(engine), /*wal_failed=*/true);
+          throw;
+        }
+        // The batch is logged and counted, so the APPEND acks from here
+        // on, with the count at this batch's log position (AcceptedN()
+        // read now could include a concurrent append to the same
+        // metric). The caller applies it once the ack is sent, then
+        // hands a checkpoint it made due to the checkpointer.
+        response.n = deferred->append->n();
+        deferred->engine = std::move(engine);
         break;
       }
       case Opcode::kFlush:
-        // Every acknowledged append is already query-visible; FLUSH
-        // answers the metric's accepted count.
-        response.n = registry_->Require(request.metric)->AcceptedN();
+        // Every acknowledged append is counted and logged, and becomes
+        // query-visible before any later query runs; FLUSH answers the
+        // metric's accepted count.
+        response.n = registry_->Require(request->metric)->AcceptedN();
         break;
       case Opcode::kRank:
-        response.ranks = registry_->Require(request.metric)
-                             ->GetRanks(request.values, request.criterion);
+        response.ranks = registry_->Require(request->metric)
+                             ->GetRanks(request->values, request->criterion);
         break;
       case Opcode::kQuantiles:
         response.values =
-            registry_->Require(request.metric)
-                ->GetQuantiles(request.values, request.criterion);
+            registry_->Require(request->metric)
+                ->GetQuantiles(request->values, request->criterion);
         break;
       case Opcode::kCdf:
-        response.values = registry_->Require(request.metric)
-                              ->GetCDF(request.values, request.criterion);
+        response.values = registry_->Require(request->metric)
+                              ->GetCDF(request->values, request->criterion);
         break;
       case Opcode::kSnapshot:
-        response.blob = registry_->Require(request.metric)->Snapshot();
+        response.blob = registry_->Require(request->metric)->Snapshot();
         break;
       case Opcode::kList: {
-        if (request.list_paged) {
+        if (request->list_paged) {
           // v2 paged form: prefix filter + offset/limit, served from the
           // lazily merged per-shard name runs.
           response.list_paged = true;
           response.names =
-              registry_->ListPage(request.list_prefix, request.list_offset,
-                                  request.list_limit, &response.total);
+              registry_->ListPage(request->list_prefix, request->list_offset,
+                                  request->list_limit, &response.total);
         } else {
           std::shared_ptr<const std::vector<std::string>> names =
               registry_->List();
@@ -962,8 +1052,8 @@ class ReqdServer {
         break;
       }
       case Opcode::kDrop:
-        if (!registry_->Drop(request.metric)) {
-          throw MetricNotFound(request.metric);
+        if (!registry_->Drop(request->metric)) {
+          throw MetricNotFound(request->metric);
         }
         break;
       case Opcode::kStats:
@@ -985,6 +1075,9 @@ class ReqdServer {
              draining_.load(std::memory_order_acquire) ? 1u : 0u},
             {"checkpoints", checkpoints_.load()},
             {"checkpoint_failures", checkpoint_failures_.load()},
+            {"evictions", registry_->Evictions()},
+            {"rehydrations", registry_->Rehydrations()},
+            {"accounted_bytes", registry_->AccountedMemoryBytes()},
         };
         break;
     }
@@ -992,20 +1085,23 @@ class ReqdServer {
   }
 
   // After an APPEND (see the class comment): queues the metric for the
-  // checkpointer once its WAL passes checkpoint_bytes, and checkpoints
-  // inline only when the WAL reached twice that with the metric still
-  // queued, or when no checkpointer thread can be started. Throws
-  // nothing: the APPEND it follows must ack.
-  void ScheduleCheckpoint(SketchRegistry::EnginePtr engine) {
+  // checkpointer once its WAL passes checkpoint_bytes, or whatever its
+  // thresholds when the APPEND's WAL write failed or was refused, and
+  // checkpoints inline only when the WAL reached twice the threshold with
+  // the metric still queued, or when no checkpointer thread can be
+  // started. Throws nothing: the APPEND it follows must ack, or answer its
+  // own error.
+  void ScheduleCheckpoint(SketchRegistry::EnginePtr engine,
+                          bool wal_failed = false) {
     try {
-      const int passed = engine->WalThresholdsPassed();
+      const int passed = wal_failed ? 1 : engine->WalThresholdsPassed();
       if (passed == 0) return;
       {
         std::lock_guard<std::mutex> lock(checkpoint_mutex_);
         const bool queued = checkpoint_claims_.count(engine.get()) != 0;
         if (!queued && StartCheckpointerLocked()) {
-          checkpoint_queue_.push_back(engine);
           checkpoint_claims_.insert(engine.get());
+          checkpoint_queue_.push_back(std::move(engine));
           checkpoint_cv_.notify_one();
           return;
         }

@@ -13,11 +13,15 @@
 // still holds one boots it as a plain metric (its shards merge into one
 // sketch -- REQ is fully mergeable, Theorem 3 -- see MakeRecoveredEngine).
 //
-// Ingest path (both kinds): an APPEND batch is logged, then applied with
-// one batch Update(data, count) on the underlying structure. A per-engine
-// append mutex orders appending connections (many may append to one
-// metric) and the engine state mutex guards the structure against
-// queries.
+// Ingest path (both kinds): an append runs in two phases. BeginAppend
+// rejects NaN, logs the batch and counts it, and returns a handle that
+// holds the engine's append mutex (which orders appending connections,
+// many of which may append to one metric) and its state mutex (which
+// guards the structure against queries); the handle's Apply then runs one
+// batch Update(data, count) on the underlying structure and releases
+// both. The server acks an APPEND between the two phases, so its apply
+// overlaps the client's next request, and every later operation still
+// waits on the mutexes the handle holds.
 //
 // Query path: a query runs the sketch's or window's own query under the
 // state mutex, so every APPEND acknowledged before it is visible.
@@ -126,18 +130,83 @@ inline void ValidateMetricSpec(const MetricSpec& spec) {
   }
 }
 
-// One metric's engine. Thread safety: Append may be called from any number
-// of connections concurrently (serialized internally); queries and
-// Snapshot may run concurrently with appends and each other.
+// One metric's engine. Thread safety: appends may come from any number of
+// connections concurrently (serialized internally); queries and Snapshot
+// may run concurrently with appends and each other.
 //
 // Durability: when a WAL is attached (SetLog, done by the registry's
-// durability hook or the recovery path), every Append logs its batch
+// durability hook or the recovery path), every append logs its batch
 // BEFORE applying it, under the same append mutex -- so the WAL's batch
 // order IS the engine's apply order, and the engine's state at WAL
 // position L is exactly "the first L batches applied". Snapshot() and the
 // checkpoint hooks quiesce the append path to pin that correspondence.
+//
+// Lock order: append mutex, then state mutex. An append takes the state
+// mutex only after its WAL write, so a query never waits on WAL I/O.
 class MetricEngine {
  public:
+  // An append between its two phases: logged and counted, not yet
+  // applied. Move-only; holds the engine's append and state mutexes until
+  // Apply.
+  class PendingAppend {
+   public:
+    PendingAppend(PendingAppend&& other) noexcept
+        : engine_(std::exchange(other.engine_, nullptr)),
+          append_lock_(std::move(other.append_lock_)),
+          state_lock_(std::move(other.state_lock_)),
+          values_(std::move(other.values_)),
+          data_(other.data_),
+          count_(other.count_),
+          n_(other.n_) {}
+    PendingAppend& operator=(PendingAppend&&) = delete;
+    ~PendingAppend() { Apply(); }
+
+    // The metric's AcceptedN() at this batch's log position: what the
+    // APPEND's ack carries.
+    uint64_t n() const { return n_; }
+
+    // Applies the batch with one batch Update, then releases the state
+    // and append mutexes; a no-op once applied. Fail-stop: NaN was
+    // rejected before the batch was logged, so only allocation can fail
+    // here, and a batch that is logged (and perhaps already acknowledged)
+    // must never be served missing, nor answered with an error a client
+    // would retry. An exception therefore terminates the process, and a
+    // restart replays the batch from the WAL.
+    void Apply() noexcept {
+      if (engine_ == nullptr) return;
+      engine_->UpdateLocked(data_, count_);
+      engine_ = nullptr;
+      state_lock_.unlock();
+      append_lock_.unlock();
+    }
+
+   private:
+    friend class MetricEngine;
+
+    PendingAppend(MetricEngine* engine,
+                  std::unique_lock<std::mutex> append_lock,
+                  std::unique_lock<std::mutex> state_lock,
+                  const double* data, size_t count,
+                  std::vector<double>&& values, uint64_t n)
+        : engine_(engine),
+          append_lock_(std::move(append_lock)),
+          state_lock_(std::move(state_lock)),
+          values_(std::move(values)),
+          data_(data),
+          count_(count),
+          n_(n) {}
+
+    MetricEngine* engine_;  // null once applied or moved from
+    std::unique_lock<std::mutex> append_lock_;
+    std::unique_lock<std::mutex> state_lock_;
+    // The batch BeginAppend moved in (empty for Append): a vector's move
+    // keeps its buffer, so data_ stays valid through moves of the handle.
+    std::vector<double> values_;
+    const double* data_;
+    size_t count_;
+    uint64_t n_;
+  };
+
   virtual ~MetricEngine() = default;
 
   virtual EngineKind kind() const = 0;
@@ -149,13 +218,30 @@ class MetricEngine {
     return accepted_n_.load(std::memory_order_acquire);
   }
 
-  // Applies `count` items; rejects NaN up front (strong guarantee:
-  // nothing is applied on throw -- including a WAL write failure, which
-  // surfaces as persist::IoError before any state change). Returns
-  // AcceptedN() as of this batch's apply point, read under the append
-  // mutex: a later read of AcceptedN() may already include a concurrent
-  // append.
-  virtual uint64_t Append(const double* data, size_t count) = 0;
+  // The first phase of an append: rejects NaN, takes the append mutex,
+  // checks retirement, logs the batch, then takes the state mutex and
+  // counts the batch into AcceptedN(). Every failure throws before
+  // anything is logged or counted, leaving `values` untouched: NaN
+  // (invalid_argument), a retired engine (MetricRetired), a WAL write
+  // that failed or was refused (persist::IoError). The returned handle
+  // owns both mutexes, the count and the moved-in values; its Apply (or
+  // its destructor) applies the batch and releases the mutexes. Until
+  // then no query, snapshot, checkpoint or other append of this metric
+  // runs, so an operation that starts after the caller acknowledges
+  // handle.n() observes the batch.
+  PendingAppend BeginAppend(std::vector<double>&& values) {
+    return Begin(values.data(), values.size(), std::move(values));
+  }
+
+  // BeginAppend, then Apply, for in-process callers (recovery replay,
+  // tests, benches); `data` is read, not copied. Returns AcceptedN() at
+  // this batch's log position: a later read of AcceptedN() may already
+  // include a concurrent append.
+  uint64_t Append(const double* data, size_t count) {
+    PendingAppend pending = Begin(data, count, std::vector<double>());
+    pending.Apply();
+    return pending.n();
+  }
 
   // Resident heap bytes this engine holds (sketch payload and allocator
   // slack; queries leave nothing behind). The registry's quota accounting
@@ -246,6 +332,10 @@ class MetricEngine {
   // Snapshot with append_mutex_ held by the caller.
   virtual std::vector<uint8_t> SnapshotLocked() = 0;
 
+  // Applies a batch that Begin validated, with both mutexes held by the
+  // caller (a PendingAppend).
+  virtual void UpdateLocked(const double* data, size_t count) = 0;
+
   // Checkpoint with append_mutex_ held by the caller and a WAL attached.
   void CheckpointLocked() {
     const uint64_t lsn = log_->next_lsn();
@@ -253,22 +343,42 @@ class MetricEngine {
     log_->WriteCheckpoint(lsn, AcceptedN(), blob);
   }
 
-  // Every Append implementation calls this under append_mutex_, so no
-  // batch can slip past a completed retirement (the engine has released
-  // the metric's WAL; an append applied there would be logged nowhere and
-  // lost on rehydrate).
-  void CheckNotRetired() const {
-    if (retired_.load(std::memory_order_relaxed)) throw MetricRetired();
-  }
-
   // Orders appending connections, so WAL position and apply order agree,
   // and pins the WAL-position <-> engine-state correspondence for
   // snapshots and checkpoints (which hold it to quiesce appends).
   std::mutex append_mutex_;
+  // Guards the underlying structure against concurrent appends, queries
+  // and snapshots.
+  mutable std::mutex state_mutex_;
   std::atomic<uint64_t> accepted_n_{0};
   std::atomic<bool> retired_{false};
   std::shared_ptr<persist::MetricLog> log_;
+
+ private:
+  // BeginAppend's body; `owned` is empty, or the vector `data` points
+  // into, moved into the handle only once nothing can throw. Retirement
+  // is checked under append_mutex_, so no batch can slip past a completed
+  // retirement (the engine has released the metric's WAL; an append
+  // applied there would be logged nowhere and lost on rehydrate). WAL
+  // before apply: if the log write fails (persist::IoError), nothing was
+  // counted and nothing gets acknowledged. The reverse order could
+  // acknowledge a batch that never reached the log.
+  PendingAppend Begin(const double* data, size_t count,
+                      std::vector<double>&& owned) {
+    for (size_t i = 0; i < count; ++i) {
+      util::CheckArg(!std::isnan(data[i]), "cannot append NaN");
+    }
+    std::unique_lock<std::mutex> produce(append_mutex_);
+    if (retired_.load(std::memory_order_relaxed)) throw MetricRetired();
+    if (log_) log_->AppendBatch(data, count);
+    std::unique_lock<std::mutex> state(state_mutex_);
+    const uint64_t n =
+        accepted_n_.fetch_add(count, std::memory_order_release) + count;
+    return PendingAppend(this, std::move(produce), std::move(state), data,
+                         count, std::move(owned), n);
+  }
 };
+
 
 // Splits a snapshot blob into its kind tag and serde payload; throws
 // runtime_error on an empty or unknown-kind blob.
@@ -300,8 +410,8 @@ inline std::vector<uint8_t> SerializeUnderlying(
 // the two locks, with one ingest path. Derived classes choose the
 // underlying type and its kind tag.
 //
-// Append holds append_mutex_ (see MetricEngine), logs the batch, and
-// applies it with one batch Update(data, count) under state_mutex_.
+// An append's apply phase (UpdateLocked) is one batch Update(data, count)
+// on the underlying structure, under both of MetricEngine's mutexes.
 // Queries take state_mutex_ alone and call the underlying structure's own
 // query, so a query never waits on WAL I/O; the structure keeps no query
 // cache, and no copy of the sketch or window is ever kept.
@@ -309,23 +419,6 @@ template <typename Underlying>
 class SketchEngineBase : public MetricEngine {
  public:
   const MetricSpec& spec() const override { return spec_; }
-
-  uint64_t Append(const double* data, size_t count) override {
-    for (size_t i = 0; i < count; ++i) {
-      util::CheckArg(!std::isnan(data[i]), "cannot append NaN");
-    }
-    std::lock_guard<std::mutex> produce(append_mutex_);
-    CheckNotRetired();
-    // WAL before apply: if the log write fails (persist::IoError),
-    // nothing was applied and nothing gets acknowledged. The reverse
-    // order could acknowledge a batch that never reached the log.
-    if (log_) log_->AppendBatch(data, count);
-    {
-      std::lock_guard<std::mutex> lock(state_mutex_);
-      underlying_.Update(data, count);
-    }
-    return accepted_n_.fetch_add(count, std::memory_order_release) + count;
-  }
 
   // Always false: nothing is staged. Kept only for reqbench's ladder,
   // which reads it for engine.contended_metrics.
@@ -384,10 +477,12 @@ class SketchEngineBase : public MetricEngine {
     return blob;
   }
 
+  void UpdateLocked(const double* data, size_t count) override {
+    underlying_.Update(data, count);
+  }
+
   const MetricSpec spec_;
-  // Guards underlying_ against concurrent appends, queries and snapshots.
-  mutable std::mutex state_mutex_;
-  Underlying underlying_;
+  Underlying underlying_;  // guarded by state_mutex_
 };
 
 // --- plain -----------------------------------------------------------------

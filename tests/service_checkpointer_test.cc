@@ -3,8 +3,9 @@
 // acks at once and its checkpoint lands on the server's one checkpointer
 // thread; a checkpoint that fails is counted and never turns an applied
 // APPEND into an error; a checkpointer held back cannot let a metric's WAL
-// grow past twice the threshold; a memory-only server never starts the
-// thread, and Stop() leaves no thread or queued engine handle behind.
+// grow past twice the threshold; an APPEND refused by a poisoned WAL
+// queues the checkpoint that heals it; a memory-only server never starts
+// the thread, and Stop() leaves no thread or queued engine handle behind.
 //
 // Tests that need a checkpoint to have happened wait on the kStats
 // counter "checkpoints" rather than assume it ran on the request path.
@@ -416,6 +417,73 @@ TEST(Checkpointer, FailedCheckpointIsRetriedAtTheNextAppendPastTheThreshold) {
       persist::ReadMetricState(dir + "/m0", "m");
   EXPECT_EQ(state.snapshot_accepted_n, acked);
   EXPECT_TRUE(state.batches.empty());
+  EXPECT_EQ(RecoveredCount(dir, "m"), acked);
+}
+
+TEST(Checkpointer, PoisonedWalHealsUnderTraffic) {
+  // The WAL cut of the metric's first checkpoint fails after its slot is
+  // written. That poisons the WAL: the log refuses every append until a
+  // checkpoint resets it. Each refused APPEND answers kError and queues
+  // the metric for the checkpointer whatever its thresholds, so once the
+  // fault clears a checkpoint heals the WAL under steady traffic, with no
+  // idle eviction or restart.
+  const ScratchDir scratch("poisoned");
+  const std::string& dir = scratch.path;
+  FaultInjector injector;
+  uint64_t acked = 0;
+  {
+    DurabilityManager manager(dir, Options(&injector));
+    SketchRegistry registry;
+    manager.RecoverInto(&registry);
+    ReqdServer server(&registry, OneWorker());
+    server.Start();
+    ReqClient client;
+    client.Connect("127.0.0.1", server.port());
+    client.Create("m", PlainSpec());
+    uint64_t seed = 1;
+    AppendBelowThreshold(&client, "m", WalPath(dir, 0), &seed);
+    // The crossing APPEND's WAL write is one op (fsync never). Its
+    // checkpoint then writes, truncates and fsyncs the new slot and
+    // fsyncs the directory (four ops), and its next op, the truncate that
+    // cuts the WAL, fails. The injector fails every op from there on.
+    injector.FailAfterOps(injector.ops() + 5);
+    acked = client.Append("m", Batch(seed++));
+    ASSERT_TRUE(WaitForStat(&client, "checkpoint_failures", 1));
+    EXPECT_EQ(Stat(&client, "checkpoints"), 0u);
+    const auto append_fails = [&client, &seed] {
+      try {
+        client.Append("m", Batch(seed++));
+      } catch (const ServiceError& e) {
+        EXPECT_EQ(e.status, Status::kError) << e.what();
+        return true;
+      }
+      return false;
+    };
+    // While the fault holds, every APPEND answers kError.
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_TRUE(append_fails()) << "APPEND " << i << " acked";
+    }
+    EXPECT_EQ(Stat(&client, "checkpoints"), 0u);
+    EXPECT_EQ(client.Flush("m"), acked);
+
+    // The fault clears: within a bounded wait, APPENDs ack again.
+    injector.Reset();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    bool healed = false;
+    while (!healed && std::chrono::steady_clock::now() < deadline) {
+      healed = !append_fails();
+      if (!healed) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_TRUE(healed) << "APPENDs still refused 20 s after the fault";
+    acked = client.Flush("m");
+    for (int i = 0; i < 10; ++i) acked = client.Append("m", Batch(seed++));
+    EXPECT_GE(Stat(&client, "checkpoints"), 1u);
+    EXPECT_GE(Stat(&client, "checkpoint_failures"), 1u);
+    EXPECT_EQ(client.Flush("m"), acked);
+    client.Close();
+    server.Stop();
+  }
   EXPECT_EQ(RecoveredCount(dir, "m"), acked);
 }
 

@@ -1,15 +1,17 @@
 // Metric-lifecycle tests for the sharded SketchRegistry: paged
 // prefix-filtered LIST against a brute-force model, tenancy quotas (and
 // their exact rollback), contended appends (bit-identical to serial
-// ones), idle eviction + touch rehydration for both engine kinds, checkpoint
-// memory (a snapshot serializes the live sketch and leaves nothing
-// resident), query memory (a queried engine holds its structure and that
-// structure's view, no copy), and a registry-wide eviction-vs-append race
-// stress that the CI ThreadSanitizer job runs.
+// ones), idle eviction + touch rehydration for both engine kinds (and the
+// kStats counters that export them), checkpoint memory (a snapshot
+// serializes the live sketch and leaves nothing resident), query memory
+// (a queried engine holds its structure and that structure's view, no
+// copy), and a registry-wide eviction-vs-append race stress that the CI
+// ThreadSanitizer job runs.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -336,6 +338,53 @@ TEST(Eviction, EvictsIdleRehydratesBitIdenticallyAllKinds) {
                 accepted[k] + 100)
           << kinds[k].first;
     }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Eviction, StatsExportEvictionsRehydrationsAndAccountedBytes) {
+  const std::string dir = FreshDir("stats");
+  persist::DurabilityOptions options;
+  options.fsync = persist::FsyncPolicy::kNever;
+  {
+    persist::DurabilityManager manager(dir, options);
+    SketchRegistry registry;
+    manager.RecoverInto(&registry);
+    ReqdServer server(&registry);
+    server.Start();
+    ReqClient client;
+    client.Connect("127.0.0.1", server.port());
+    const auto stats = [&client] {
+      std::map<std::string, uint64_t> by_name;
+      for (const auto& [name, value] : client.Stats()) by_name[name] = value;
+      return by_name;
+    };
+    client.Create("m", SpecOf(EngineKind::kPlain));
+    const std::vector<double> stream = TestStream(6, 5000);
+    client.Append("m", stream);
+    const std::map<std::string, uint64_t> before = stats();
+    EXPECT_EQ(before.at("evictions"), 0u);
+    EXPECT_EQ(before.at("rehydrations"), 0u);
+    EXPECT_EQ(before.at("accounted_bytes"), registry.AccountedMemoryBytes());
+
+    ASSERT_EQ(registry.EvictIdle(0).evicted, 1u);
+    const std::map<std::string, uint64_t> evicted = stats();
+    EXPECT_EQ(evicted.at("evictions"), 1u);
+    EXPECT_EQ(evicted.at("rehydrations"), 0u);
+    // An evicted metric is charged its directory entry and name only.
+    EXPECT_EQ(evicted.at("accounted_bytes"),
+              SketchRegistry::kEvictedEntryBytes + 1);
+
+    EXPECT_EQ(client.Flush("m"), stream.size());  // the touch rehydrates
+    const std::map<std::string, uint64_t> rehydrated = stats();
+    EXPECT_EQ(rehydrated.at("evictions"), 1u);
+    EXPECT_EQ(rehydrated.at("rehydrations"), 1u);
+    EXPECT_EQ(rehydrated.at("accounted_bytes"),
+              registry.Require("m")->MemoryFootprint());
+    EXPECT_GT(rehydrated.at("accounted_bytes"),
+              evicted.at("accounted_bytes"));
+    client.Close();
+    server.Stop();
   }
   std::filesystem::remove_all(dir);
 }
