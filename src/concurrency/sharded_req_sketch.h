@@ -16,13 +16,14 @@
 //     level-0 fill) and the only synchronization per buffer-full of items
 //     is one uncontended shard mutex.
 //   * A global atomic epoch counter is bumped after every flush. Queries
-//     go through a cached merged view (an EpochSnapshotCache,
-//     concurrency/epoch_snapshot.h): a ReqSketch built by a single N-way
-//     Merge over all shards, tagged with the epoch observed before the
-//     merge. While the epoch is unchanged, queries are lock-free (an
-//     atomic shared_ptr load) and read the merged sketch's levels, like
-//     any ReqSketch query; after a flush, the first query rebuilds the
-//     merged sketch.
+//     come from SummaryQueries (core/summary_queries.h), the query
+//     surface every summary shares, with one part: a cached merged view
+//     (an EpochSnapshotCache, concurrency/epoch_snapshot.h), a ReqSketch
+//     built by a single N-way Merge over all shards and tagged with the
+//     epoch observed before the merge. While the epoch is unchanged,
+//     queries are lock-free (an atomic shared_ptr load, held for the
+//     whole query) and read the merged sketch's levels; after a flush,
+//     the first query that passes its checks rebuilds the merged sketch.
 //
 // Threading contract:
 //   * SINGLE WRITER PER SHARD: at most one thread may call
@@ -57,6 +58,7 @@
 #include "core/req_common.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
+#include "core/summary_queries.h"
 #include "util/serde.h"
 #include "util/validation.h"
 
@@ -76,7 +78,8 @@ struct ShardedReqConfig {
 };
 
 template <typename T, typename Compare = std::less<T>>
-class ShardedReqSketch {
+class ShardedReqSketch
+    : public SummaryQueries<ShardedReqSketch<T, Compare>, T, Compare> {
  public:
   using Sketch = ReqSketch<T, Compare>;
   using value_type = T;
@@ -270,98 +273,11 @@ class ShardedReqSketch {
     return s.sketch;
   }
 
-  // --- queries (delegating to the cached merged view) ----------------------
+  // --- queries: SummaryQueries (core/summary_queries.h) --------------------
   //
-  // Querying an empty sharded sketch throws the same "empty sketch"
-  // std::logic_error a plain ReqSketch does -- checked up front, so shards
-  // that were flushed while empty never cause an empty merged view to be
-  // built and queried (the plain sketch's own CheckState would fire only
-  // after that wasted merge, and with a message blaming the inner object).
+  // The part is the cached merged view. An empty sketch and a bad argument
+  // are rejected before the view is touched, so they never build one.
 
-  uint64_t GetRank(const T& y,
-                   Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetRank() on an empty sketch");
-    return View()->GetRank(y, criterion);
-  }
-
-  double GetNormalizedRank(
-      const T& y, Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetNormalizedRank() on an empty sketch");
-    return View()->GetNormalizedRank(y, criterion);
-  }
-
-  std::vector<uint64_t> GetRanks(
-      const std::vector<T>& ys,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetRanks() on an empty sketch");
-    return View()->GetRanks(ys, criterion);
-  }
-
-  // Bulk rank kernel (one forward scan of the merged sketch's levels);
-  // safe to call from any number of threads concurrently.
-  void GetRanks(const T* ys, size_t count, uint64_t* out,
-                Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetRanks() on an empty sketch");
-    View()->GetRanks(ys, count, out, criterion);
-  }
-
-  T GetQuantile(double q,
-                Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetQuantile() on an empty sketch");
-    // NaN-rejecting, and before the (possibly expensive) N-way merge the
-    // view rebuild performs.
-    util::CheckArg(q >= 0.0 && q <= 1.0,
-                   "normalized rank must be in [0, 1]");
-    return View()->GetQuantile(q, criterion);
-  }
-
-  std::vector<T> GetQuantiles(
-      const std::vector<double>& qs,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetQuantiles() on an empty sketch");
-    for (double q : qs) {
-      util::CheckArg(q >= 0.0 && q <= 1.0,
-                     "normalized rank must be in [0, 1]");
-    }
-    return View()->GetQuantiles(qs, criterion);
-  }
-
-  std::vector<double> GetCDF(
-      const std::vector<T>& splits,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetCDF() on an empty sketch");
-    return View()->GetCDF(splits, criterion);
-  }
-
-  std::vector<double> GetPMF(
-      const std::vector<T>& splits,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetPMF() on an empty sketch");
-    return View()->GetPMF(splits, criterion);
-  }
-
-  uint64_t GetRankLowerBound(
-      const T& y, int num_std_devs,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetRankLowerBound() on an empty sketch");
-    return View()->GetRankLowerBound(y, num_std_devs, criterion);
-  }
-
-  uint64_t GetRankUpperBound(
-      const T& y, int num_std_devs,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetRankUpperBound() on an empty sketch");
-    return View()->GetRankUpperBound(y, num_std_devs, criterion);
-  }
-
-  T MinItem() const {
-    util::CheckState(!is_empty(), "MinItem() on an empty sketch");
-    return View()->MinItem();
-  }
-  T MaxItem() const {
-    util::CheckState(!is_empty(), "MaxItem() on an empty sketch");
-    return View()->MaxItem();
-  }
   double RelativeStdErr() const {
     return params::RelativeStdErr(config_.base.k_base);
   }
@@ -439,6 +355,8 @@ class ShardedReqSketch {
   }
 
  private:
+  friend class SummaryQueries<ShardedReqSketch, T, Compare>;
+
   static constexpr uint32_t kMagic = 0x53485251;  // "SHRQ"
   static constexpr uint8_t kVersion = 1;
 
@@ -485,6 +403,19 @@ class ShardedReqSketch {
     return merged_.Get(
         [this] { return epoch_.load(std::memory_order_acquire); },
         [this] { return BuildMerged(); });
+  }
+
+  // SummaryQueries' hook: the merged view is the one part, held alive
+  // for the whole query. The view can only be empty when Merged() cached
+  // one before any flush and a query runs between a flush's count store
+  // and its epoch bump; that query throws instead of reading it.
+  template <typename F>
+  auto WithParts(F&& f) const {
+    const std::shared_ptr<const Sketch> view = View();
+    util::CheckState(!view->is_empty(),
+                     "query raced the first flush of a sharded sketch");
+    const Sketch* part = view.get();
+    return f(&part, size_t{1});
   }
 
   // One N-way Merge of every non-empty shard. The cache reads the epoch

@@ -9,12 +9,10 @@
 // one, and the rank estimate for y is the sum of the per-summary estimates
 // (each sub-stream achieving relative error eps implies the total does).
 //
-// Queries: GetRank is that sum. GetRanks, GetQuantile(s) and GetCDF read
-// the non-empty summaries, oldest first, through ReqSketch::LevelIndex --
-// the same weighted count over their levels, built per query and dropped
-// with it, as a sliding window's queries over its buckets -- so ranks and
-// CDFs equal the per-summary sums exactly. q = 0 and q = 1 return the
-// exact stream extremes, folded from the summaries' MinItem()/MaxItem().
+// Queries: the full surface of SummaryQueries (core/summary_queries.h),
+// with the non-empty summaries, oldest first, as the parts. GetRank is
+// that sum, and bulk ranks and CDFs equal it exactly. q = 0 and q = 1,
+// like MinItem()/MaxItem(), are the exact stream extremes.
 //
 // Thread safety: the chain keeps no query state, so any number of threads
 // may run const queries concurrently on a shared chain; Update requires
@@ -34,12 +32,13 @@
 
 #include "core/req_common.h"
 #include "core/req_sketch.h"
+#include "core/summary_queries.h"
 #include "util/validation.h"
 
 namespace req {
 
 template <typename T, typename Compare = std::less<T>>
-class ReqChain {
+class ReqChain : public SummaryQueries<ReqChain<T, Compare>, T, Compare> {
  public:
   explicit ReqChain(const ReqConfig& config = ReqConfig(),
                     Compare comp = Compare())
@@ -89,82 +88,20 @@ class ReqChain {
     Update(items.data(), items.size());
   }
 
-  // Rank estimate: sum of the per-summary estimates (Section 5).
-  uint64_t GetRank(const T& y,
-                   Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetRank() on an empty chain");
-    uint64_t rank = 0;
-    for (const auto& s : summaries_) {
-      if (!s->is_empty()) rank += s->GetRank(y, criterion);
-    }
-    return rank;
-  }
-
-  double GetNormalizedRank(
-      const T& y, Criterion criterion = Criterion::kInclusive) const {
-    return static_cast<double>(GetRank(y, criterion)) /
-           static_cast<double>(n_);
-  }
-
-  // Bulk rank kernel: one forward scan of the summaries' levels, exactly
-  // the scalar GetRank loop's answers.
-  void GetRanks(const T* ys, size_t count, uint64_t* out,
-                Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetRanks() on an empty chain");
-    const std::vector<const Summary*> live = NonEmptySummaries();
-    Summary::LevelIndex::Ranks(live.data(), live.size(), ys, count, out,
-                               criterion);
-  }
-
-  std::vector<uint64_t> GetRanks(
-      const std::vector<T>& ys,
-      Criterion criterion = Criterion::kInclusive) const {
-    std::vector<uint64_t> out(ys.size());
-    GetRanks(ys.data(), ys.size(), out.data(), criterion);
-    return out;
-  }
-
-  T GetQuantile(double q, Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetQuantile() on an empty chain");
-    return GetQuantiles({q}, criterion).front();
-  }
-
-  std::vector<T> GetQuantiles(
-      const std::vector<double>& qs,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetQuantiles() on an empty chain");
-    const std::vector<const Summary*> live = NonEmptySummaries();
-    const T* min = &live.front()->MinItem();
-    const T* max = &live.front()->MaxItem();
-    for (const Summary* s : live) {
-      if (comp_(s->MinItem(), *min)) min = &s->MinItem();
-      if (comp_(*max, s->MaxItem())) max = &s->MaxItem();
-    }
-    return Summary::LevelIndex::Quantiles(live.data(), live.size(), *min,
-                                          *max, qs, criterion);
-  }
-
-  // CDF at the given (strictly ascending) split points, with a final 1.0.
-  std::vector<double> GetCDF(
-      const std::vector<T>& splits,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetCDF() on an empty chain");
-    const std::vector<const Summary*> live = NonEmptySummaries();
-    return Summary::LevelIndex::CDF(live.data(), live.size(), splits,
-                                    criterion);
-  }
-
  private:
+  friend class SummaryQueries<ReqChain, T, Compare>;
   using Summary = ReqSketch<T, Compare>;
 
-  // The summaries a query reads, oldest first.
-  std::vector<const Summary*> NonEmptySummaries() const {
+  // SummaryQueries' hook: the non-empty summaries, oldest first, are the
+  // parts.
+  template <typename F>
+  auto WithParts(F&& f) const {
     std::vector<const Summary*> live;
     live.reserve(summaries_.size());
     for (const auto& s : summaries_) {
       if (!s->is_empty()) live.push_back(s.get());
     }
-    return live;
+    return f(live.data(), live.size());
   }
 
   // Closes out the active summary (it stays read-only) and opens the next

@@ -26,33 +26,11 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 
 #include "util/bits.h"
 #include "util/validation.h"
 
 namespace req {
-
-namespace detail {
-
-// Rejects NaN in a bulk-query point set before it reaches a sorting
-// kernel (NaN is incomparable under std::less, which would hand
-// std::sort a broken comparator -- undefined behavior, not just a
-// garbage answer). Shared by every surface exposing bulk GetRanks.
-template <typename T>
-inline void CheckBulkQueryPoints(const T* ys, size_t count) {
-  if constexpr (std::is_floating_point_v<T>) {
-    for (size_t i = 0; i < count; ++i) {
-      util::CheckArg(!std::isnan(ys[i]),
-                     "bulk query points must not be NaN");
-    }
-  } else {
-    (void)ys;
-    (void)count;
-  }
-}
-
-}  // namespace detail
 
 // Which end of the rank range gets the multiplicative guarantee.
 // kHighRanks (HRA) protects items near the maximum (latency p99/p99.9 use

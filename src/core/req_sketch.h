@@ -33,14 +33,16 @@
 // core/relative_compactor.h); schedule, coin flips, per-level multisets
 // and query answers do not depend on it.
 //
-// Query engine: GetRank sums per-level binary-search counts. Every other
-// query -- GetQuantile(s), GetRanks, GetCDF/GetPMF -- reads the levels
-// through one query-local index (LevelIndex below: the stored sorted
-// prefix of each level plus a sorted copy of its insert tail), which a
-// sliding window also builds over its live buckets. No query builds a
-// sorted view or leaves memory behind, so a query right after a write
-// pays no view rebuild. GetSortedView builds a caller-owned view on
-// demand by the seed-era full path -- AppendWeightedItems into a
+// Query engine: the sketch answers through SummaryQueries
+// (core/summary_queries.h), the one query surface it shares with the
+// sliding window, the Section 5 chain and the sharded sketch, with itself
+// as the only part. GetRank sums per-level binary-search counts. Every
+// other query -- GetQuantile(s), GetRanks, GetCDF/GetPMF -- reads the
+// levels through one query-local index (LevelIndex below: the stored
+// sorted prefix of each level plus a sorted copy of its insert tail). No
+// query builds a sorted view or leaves memory behind, so a query right
+// after a write pays no view rebuild. GetSortedView builds a caller-owned
+// view on demand by the seed-era full path -- AppendWeightedItems into a
 // SortedView (collect + sort all weighted pairs) -- which is also the
 // reference that benches and equivalence tests compare against.
 //
@@ -66,7 +68,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <numeric>
 #include <optional>
 #include <type_traits>
 #include <utility>
@@ -75,6 +76,7 @@
 #include "core/relative_compactor.h"
 #include "core/req_common.h"
 #include "core/sorted_view.h"
+#include "core/summary_queries.h"
 #include "util/random.h"
 #include "util/validation.h"
 
@@ -84,7 +86,8 @@ template <typename T, typename Compare>
 struct ReqSerde;  // defined in core/req_serde.h; needs internal access
 
 template <typename T, typename Compare = std::less<T>>
-class ReqSketch {
+class ReqSketch
+    : public SummaryQueries<ReqSketch<T, Compare>, T, Compare> {
  public:
   using value_type = T;
   using Level = RelativeCompactor<T, Compare>;
@@ -172,7 +175,8 @@ class ReqSketch {
     for (Level& level : levels_) level.ShrinkToFit();
   }
 
-  // Exact stream minimum / maximum (tracked outside the buffers).
+  // Exact stream minimum / maximum (tracked outside the buffers). These
+  // hide SummaryQueries' folds, which read them.
   const T& MinItem() const {
     util::CheckState(n_ > 0, "MinItem() on an empty sketch");
     return *min_item_;
@@ -405,89 +409,7 @@ class ReqSketch {
     }
   }
 
-  // --- queries -------------------------------------------------------------
-
-  // Estimate-Rank(y) of Algorithm 2: sum over levels of 2^h times the
-  // number of stored items <= y (inclusive) or < y (exclusive). Each level
-  // answers by binary search over its sorted prefix plus a scan of its
-  // small insert tail: O(levels * log B) rather than O(RetainedItems).
-  uint64_t GetRank(const T& y,
-                   Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetRank() on an empty sketch");
-    uint64_t rank = 0;
-    for (size_t h = 0; h < levels_.size(); ++h) {
-      rank += levels_[h].CountRank(y, criterion) << h;
-    }
-    return rank;
-  }
-
-  double GetNormalizedRank(
-      const T& y, Criterion criterion = Criterion::kInclusive) const {
-    return static_cast<double>(GetRank(y, criterion)) /
-           static_cast<double>(n_);
-  }
-
-  // Bulk rank kernel: fills out[i] with the estimated absolute rank of
-  // ys[i], exactly GetRank(ys[i]). Sorts the query points once and
-  // answers all of them in one forward scan of the levels (LevelIndex).
-  // NaN query points are rejected up front (the kernel sorts the points,
-  // and NaN breaks the strict weak ordering std::sort requires).
-  void GetRanks(const T* ys, size_t count, uint64_t* out,
-                Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetRanks() on an empty sketch");
-    const ReqSketch* self = this;
-    LevelIndex::Ranks(&self, 1, ys, count, out, criterion);
-  }
-
-  // Batched rank queries (vector convenience form of the bulk kernel).
-  std::vector<uint64_t> GetRanks(
-      const std::vector<T>& ys,
-      Criterion criterion = Criterion::kInclusive) const {
-    std::vector<uint64_t> out(ys.size());
-    GetRanks(ys.data(), ys.size(), out.data(), criterion);
-    return out;
-  }
-
-  // Smallest item whose estimated rank reaches q * n (the target rule is
-  // detail::QuantileTarget, shared with SortedView::GetQuantile), selected
-  // from the levels (LevelIndex).
-  T GetQuantile(double q, Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetQuantile() on an empty sketch");
-    return GetQuantiles({q}, criterion).front();
-  }
-
-  // GetQuantile at each rank; the index is built once for the whole
-  // batch. q = 0 and q = 1 return the exactly tracked extremes (the
-  // extreme items themselves may have been compacted out of the buffers).
-  std::vector<T> GetQuantiles(
-      const std::vector<double>& qs,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetQuantiles() on an empty sketch");
-    const ReqSketch* self = this;
-    return LevelIndex::Quantiles(&self, 1, *min_item_, *max_item_, qs,
-                                 criterion);
-  }
-
-  // CDF at the given (ascending) split points: result[i] is the estimated
-  // normalized rank of split[i]; a final entry of 1.0 is appended. The
-  // ascending precondition makes this the sort-free case of the rank scan.
-  std::vector<double> GetCDF(
-      const std::vector<T>& splits,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(n_ > 0, "GetCDF() on an empty sketch");
-    const ReqSketch* self = this;
-    return LevelIndex::CDF(&self, 1, splits, criterion);
-  }
-
-  // PMF over the intervals defined by the split points (mass of
-  // (-inf, s0], (s0, s1], ..., (s_last, +inf) under inclusive semantics).
-  std::vector<double> GetPMF(
-      const std::vector<T>& splits,
-      Criterion criterion = Criterion::kInclusive) const {
-    std::vector<double> pmf = GetCDF(splits, criterion);
-    for (size_t i = pmf.size(); i-- > 1;) pmf[i] -= pmf[i - 1];
-    return pmf;
-  }
+  // --- queries: SummaryQueries (core/summary_queries.h) --------------------
 
   // Appends all stored items with their weights (2^level) to `out`; used by
   // GetSortedView and by the equivalence suites' seed-era references.
@@ -522,31 +444,16 @@ class ReqSketch {
     return params::RelativeStdErr(config_.k_base);
   }
 
-  // Rank confidence bounds at num_std_devs standard deviations (1, 2 or 3).
-  uint64_t GetRankLowerBound(const T& y, int num_std_devs,
-                             Criterion criterion =
-                                 Criterion::kInclusive) const {
-    return params::RankBound(static_cast<double>(GetRank(y, criterion)), n_,
-                             config_.k_base, config_.accuracy, num_std_devs,
-                             /*upper=*/false);
-  }
-  uint64_t GetRankUpperBound(const T& y, int num_std_devs,
-                             Criterion criterion =
-                                 Criterion::kInclusive) const {
-    return params::RankBound(static_cast<double>(GetRank(y, criterion)), n_,
-                             config_.k_base, config_.accuracy, num_std_devs,
-                             /*upper=*/true);
-  }
-
   // The query index: one query-local index over the levels of one or more
-  // sketches read as a single summary. A sketch indexes itself; a sliding
-  // window (window/windowed_req_sketch.h) indexes its live buckets, and
-  // the Section 5 chain (core/req_chain.h) its summaries.
-  // Estimate-Rank weighs a level-h item by 2^h, so the rank of y over
-  // several sketches is the sum of their weighted counts of items <= y --
-  // Theorem 3's mergeability used at query time, without building the
-  // merge -- and the quantile at target t is the smallest retained x whose
-  // count reaches t. Both are found inside the levels without merging them.
+  // sketches read as a single summary -- the parts SummaryQueries
+  // (core/summary_queries.h) gathers: a sketch itself, a sliding window's
+  // live buckets, the Section 5 chain's summaries or a sharded sketch's
+  // merged view. Estimate-Rank weighs a level-h item by 2^h, so the rank
+  // of y over several sketches is the sum of their weighted counts of
+  // items <= y -- Theorem 3's mergeability used at query time, without
+  // building the merge -- and the quantile at target t is the smallest
+  // retained x whose count reaches t. Both are found inside the levels
+  // without merging them.
   //
   // Each level contributes two sorted runs: its stored sorted prefix, read
   // in place, and a copy of its insert tail sorted in the same compaction
@@ -574,90 +481,12 @@ class ReqSketch {
   // (-0.0 and +0.0 under std::less) may come from a different level than
   // the view's pick.
   //
-  // The static entry points validate their arguments before building
-  // anything. Their sketches must be non-empty, share one rank-accuracy
-  // orientation and outlive the call; the first one's comparator orders
-  // the query.
+  // The index validates nothing: SummaryQueries checks emptiness and
+  // arguments before it builds one. Its sketches must be non-empty, share
+  // one rank-accuracy orientation and outlive it; the first one's
+  // comparator orders the query.
   class LevelIndex {
    public:
-    // Quantiles at normalized ranks qs of the summary whose exact extremes
-    // are min_item and max_item: q = 0 and q = 1 return them, and the
-    // index is built on the first other rank.
-    static std::vector<T> Quantiles(const ReqSketch* const* sketches,
-                                    size_t count, const T& min_item,
-                                    const T& max_item,
-                                    const std::vector<double>& qs,
-                                    Criterion criterion) {
-      // Validate every rank up front (NaN-rejecting), so a bad rank
-      // anywhere in the batch throws before any result is produced or any
-      // index built.
-      for (double q : qs) {
-        util::CheckArg(q >= 0.0 && q <= 1.0,
-                       "normalized rank must be in [0, 1]");
-      }
-      std::optional<LevelIndex> index;
-      std::vector<T> out;
-      out.reserve(qs.size());
-      for (double q : qs) {
-        if (q == 0.0) {
-          out.push_back(min_item);
-        } else if (q == 1.0) {
-          out.push_back(max_item);
-        } else {
-          if (!index) index.emplace(sketches, count);
-          out.push_back(index->Select(q, criterion));
-        }
-      }
-      return out;
-    }
-
-    // out[i] = the weighted count of items <= ys[i] (inclusive) or
-    // < ys[i] (exclusive), for points in any order.
-    static void Ranks(const ReqSketch* const* sketches, size_t count,
-                      const T* ys, size_t num_points, uint64_t* out,
-                      Criterion criterion) {
-      if (num_points == 0) return;
-      detail::CheckBulkQueryPoints(ys, num_points);
-      const Compare& comp = sketches[0]->comp_;
-      std::vector<size_t> order(num_points);
-      std::iota(order.begin(), order.end(), size_t{0});
-      std::sort(order.begin(), order.end(),
-                [&](size_t a, size_t b) { return comp(ys[a], ys[b]); });
-      std::vector<T> points;
-      points.reserve(num_points);
-      for (size_t i : order) points.push_back(ys[i]);
-      const std::vector<uint64_t> ranks =
-          LevelIndex(sketches, count).ScanRanks(points, criterion);
-      for (size_t i = 0; i < num_points; ++i) out[order[i]] = ranks[i];
-    }
-
-    // CDF at strictly ascending split points, with a final 1.0.
-    static std::vector<double> CDF(const ReqSketch* const* sketches,
-                                   size_t count,
-                                   const std::vector<T>& splits,
-                                   Criterion criterion) {
-      const Compare& comp = sketches[0]->comp_;
-      util::CheckArg(!splits.empty(), "split points must be non-empty");
-      for (size_t i = 0; i + 1 < splits.size(); ++i) {
-        util::CheckArg(comp(splits[i], splits[i + 1]),
-                       "split points must be strictly ascending");
-      }
-      if constexpr (std::is_floating_point_v<T>) {
-        for (const T& s : splits) {
-          util::CheckArg(!std::isnan(s), "split points must not be NaN");
-        }
-      }
-      const LevelIndex index(sketches, count);
-      const double denom = static_cast<double>(index.n_);
-      std::vector<double> cdf;
-      cdf.reserve(splits.size() + 1);
-      for (uint64_t rank : index.ScanRanks(splits, criterion)) {
-        cdf.push_back(static_cast<double>(rank) / denom);
-      }
-      cdf.push_back(1.0);
-      return cdf;
-    }
-
     LevelIndex(const ReqSketch* const* sketches, size_t count)
         : comp_(&sketches[0]->comp_) {
       size_t levels = 0;
@@ -687,6 +516,66 @@ class ReqSketch {
                  descending);
         }
       }
+    }
+
+    // The quantile at normalized rank q: the smallest retained item whose
+    // weighted count reaches detail::QuantileTarget(q, n). Narrows the
+    // runs' candidate windows, so an index runs one selection at a time.
+    T Select(double q, Criterion criterion) {
+      // Capping the target at n selects the largest retained item, which
+      // is what the view answers for a target above n.
+      const uint64_t target =
+          std::min(detail::QuantileTarget(q, n_, criterion), n_);
+      const Compare& comp = *comp_;
+      for (Run& run : runs_) {
+        run.lo = 0;
+        run.hi = run.size;
+      }
+      while (true) {
+        const Run* widest = nullptr;
+        size_t width = 0;
+        for (const Run& run : runs_) {
+          if (run.hi - run.lo > width) {
+            width = run.hi - run.lo;
+            widest = &run;
+          }
+        }
+        util::CheckState(widest != nullptr,
+                         "quantile selection found no item: sketch "
+                         "corrupted");
+        const T& x = widest->At(widest->lo + width / 2);
+        uint64_t below = 0;    // weighted count of items < x
+        uint64_t through = 0;  // weighted count of items <= x
+        for (Run& run : runs_) {
+          run.below = run.LowerBound(x, comp);
+          run.through = run.UpperBoundFrom(run.below, x, comp);
+          below += static_cast<uint64_t>(run.below) << run.shift;
+          through += static_cast<uint64_t>(run.through) << run.shift;
+        }
+        if (below >= target) {
+          for (Run& run : runs_) run.hi = run.below;
+        } else if (through < target) {
+          for (Run& run : runs_) run.lo = run.through;
+        } else {
+          return x;
+        }
+      }
+    }
+
+    // ranks[i] = weighted count of the items <= points[i] (inclusive) or
+    // < points[i] (exclusive), for points ascending under the comparator.
+    std::vector<uint64_t> ScanRanks(const std::vector<T>& points,
+                                    Criterion criterion) const {
+      std::vector<uint64_t> ranks(points.size(), 0);
+      const bool inclusive = criterion == Criterion::kInclusive;
+      for (const Run& run : runs_) {
+        size_t pos = 0;
+        for (size_t i = 0; i < points.size(); ++i) {
+          pos = run.Advance(pos, points[i], inclusive, *comp_);
+          ranks[i] += static_cast<uint64_t>(pos) << run.shift;
+        }
+      }
+      return ranks;
     }
 
    private:
@@ -780,63 +669,6 @@ class ReqSketch {
       }
     }
 
-    T Select(double q, Criterion criterion) {
-      // Capping the target at n selects the largest retained item, which
-      // is what the view answers for a target above n.
-      const uint64_t target =
-          std::min(detail::QuantileTarget(q, n_, criterion), n_);
-      const Compare& comp = *comp_;
-      for (Run& run : runs_) {
-        run.lo = 0;
-        run.hi = run.size;
-      }
-      while (true) {
-        const Run* widest = nullptr;
-        size_t width = 0;
-        for (const Run& run : runs_) {
-          if (run.hi - run.lo > width) {
-            width = run.hi - run.lo;
-            widest = &run;
-          }
-        }
-        util::CheckState(widest != nullptr,
-                         "quantile selection found no item: sketch "
-                         "corrupted");
-        const T& x = widest->At(widest->lo + width / 2);
-        uint64_t below = 0;    // weighted count of items < x
-        uint64_t through = 0;  // weighted count of items <= x
-        for (Run& run : runs_) {
-          run.below = run.LowerBound(x, comp);
-          run.through = run.UpperBoundFrom(run.below, x, comp);
-          below += static_cast<uint64_t>(run.below) << run.shift;
-          through += static_cast<uint64_t>(run.through) << run.shift;
-        }
-        if (below >= target) {
-          for (Run& run : runs_) run.hi = run.below;
-        } else if (through < target) {
-          for (Run& run : runs_) run.lo = run.through;
-        } else {
-          return x;
-        }
-      }
-    }
-
-    // ranks[i] = weighted count of the items <= points[i] (inclusive) or
-    // < points[i] (exclusive), for points ascending under the comparator.
-    std::vector<uint64_t> ScanRanks(const std::vector<T>& points,
-                                    Criterion criterion) const {
-      std::vector<uint64_t> ranks(points.size(), 0);
-      const bool inclusive = criterion == Criterion::kInclusive;
-      for (const Run& run : runs_) {
-        size_t pos = 0;
-        for (size_t i = 0; i < points.size(); ++i) {
-          pos = run.Advance(pos, points[i], inclusive, *comp_);
-          ranks[i] += static_cast<uint64_t>(pos) << run.shift;
-        }
-      }
-      return ranks;
-    }
-
     const Compare* comp_;
     uint64_t n_ = 0;  // total weight of the indexed sketches
     std::vector<Run> runs_;
@@ -845,6 +677,14 @@ class ReqSketch {
 
  private:
   friend struct ReqSerde<T, Compare>;
+  friend class SummaryQueries<ReqSketch, T, Compare>;
+
+  // SummaryQueries' hook: the sketch is its own only part.
+  template <typename F>
+  auto WithParts(F&& f) const {
+    const ReqSketch* self = this;
+    return f(&self, size_t{1});
+  }
 
   Level MakeLevel() {
     return Level(section_size_, num_sections_, config_.accuracy,

@@ -24,10 +24,11 @@
 // and encodes the ack; the worker then flushes that ack, applies the
 // batch, which releases the mutexes, and schedules any checkpoint due. A
 // closed-loop client's next request thus overlaps the sketch update, and
-// often arrives before the apply ends. So that such a client cannot hold
-// its worker, a read whose frames included an APPEND ends that
-// connection's turn: it goes on the worker's resume list and is read
-// again once the other ready connections have been served.
+// often arrives before the apply ends. So that such a client -- or any
+// peer that keeps its socket full -- cannot hold its worker, a read whose
+// frames were answered ends that connection's turn: it goes on the
+// worker's resume list and is read again once the other ready
+// connections have been served.
 //
 // What an ack promises still holds: the batch is in the WAL, the count is
 // the metric's count at the batch's log position, and every operation
@@ -446,9 +447,9 @@ class ReqdServer {
     std::vector<int> inbox;
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
     TimerWheel wheel;
-    // Connections that stopped reading after an APPEND's apply, to pump
-    // again once the worker's other ready connections had their turn
-    // (ResumeConnections); `resuming` is its recycled scratch.
+    // Connections whose turn ended after a read's frames were answered,
+    // to pump again once the worker's other ready connections had their
+    // turn (ResumeConnections); `resuming` is its recycled scratch.
     std::vector<int> resume;
     std::vector<int> resuming;
   };
@@ -635,9 +636,10 @@ class ReqdServer {
 
   // Drives one connection's read -> decode -> dispatch -> flush cycle
   // until the socket runs dry (edge-triggered epoll requires reading to
-  // EAGAIN), or until the frames of one read included an APPEND: its
-  // client's next request may arrive during the apply, and reading it
-  // right away would let one closed-loop client hold the worker, so the
+  // EAGAIN), or until one read's frames have all been answered. A peer
+  // that keeps its socket full -- one pipelining requests of any kind, or
+  // a closed-loop client whose next request arrives during an APPEND's
+  // apply -- would otherwise hold the worker, so after such a read the
   // connection goes on the resume list instead. Returns false when the
   // connection must close.
   bool PumpConn(Worker* w, Conn* c, std::vector<uint8_t>* payload) {
@@ -698,6 +700,7 @@ class ReqdServer {
         DeferredAppend deferred;
         HandleFrame(*payload, budget, &c->staging, &deferred);
         frames_.fetch_add(1, std::memory_order_relaxed);
+        yielded = true;  // the turn ends with this read's frames
         if (deferred.append) {
           // The ack is encoded: send it, then apply the batch. A peer
           // found gone still has its logged, counted batch applied
@@ -706,7 +709,6 @@ class ReqdServer {
           deferred.append->Apply();
           ScheduleCheckpoint(std::move(deferred.engine));
           if (!sent) return false;
-          yielded = true;
         }
       }
       if (config_.max_outbound_bytes > 0 &&
@@ -844,9 +846,8 @@ class ReqdServer {
     ScheduleTimers(w, c);
   }
 
-  // Pumps each connection that yielded after an APPEND once more: its
-  // socket may still hold input that edge-triggered epoll will not
-  // report again.
+  // Pumps each connection that yielded its turn once more: its socket may
+  // still hold input that edge-triggered epoll will not report again.
   void ResumeConnections(Worker* w, std::vector<uint8_t>* payload) {
     w->resuming.clear();
     w->resuming.swap(w->resume);

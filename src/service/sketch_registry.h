@@ -24,10 +24,11 @@
 // waits on the mutexes the handle holds.
 //
 // Query path: a query runs the sketch's or window's own query under the
-// state mutex, so every APPEND acknowledged before it is visible.
-// QUANTILES, RANK and CDF all read the levels -- a window's, its live
-// buckets' -- through a query-local index (ReqSketch::LevelIndex), so a
-// query after a write pays no view rebuild or merge, and no query leaves
+// state mutex, so every APPEND acknowledged before it is visible. Both
+// answer through the query surface every summary shares (SummaryQueries,
+// core/summary_queries.h): QUANTILES, RANK and CDF read the levels -- a
+// window's, its live buckets' -- through a query-local index, so a query
+// after a write pays no view rebuild or merge, and no query leaves
 // anything resident: there are no query caches.
 //
 // Tenancy spine (the million-metric refactor): the name->engine map is

@@ -26,11 +26,13 @@
 //     The sketch itself never reads a clock, which keeps every test and
 //     bench deterministic.
 //
-// Queries go through ReqSketch::LevelIndex over the live buckets (a
-// single rank sums the buckets' own GetRank). The index is built per
-// query and dropped with it, so no query leaves memory behind and any
-// number of threads may run const queries concurrently; mutations
-// (Update/Rotate) require exclusive access. The service's
+// Queries come from SummaryQueries (core/summary_queries.h), the query
+// surface every summary shares, over the live buckets as parts: a single
+// rank sums the buckets' weighted level counts, and every other query
+// reads them through one ReqSketch::LevelIndex, built per query and
+// dropped with it. No query leaves memory behind and any number of
+// threads may run const queries concurrently; mutations (Update/Rotate)
+// require exclusive access. The service's
 // WindowedReqEngine (service/sketch_registry.h) serves many producers and
 // readers on one window by serializing them on its state lock.
 //
@@ -57,6 +59,7 @@
 #include "core/req_common.h"
 #include "core/req_serde.h"
 #include "core/req_sketch.h"
+#include "core/summary_queries.h"
 #include "util/serde.h"
 #include "util/validation.h"
 
@@ -83,7 +86,8 @@ struct WindowedReqConfig {
 };
 
 template <typename T, typename Compare = std::less<T>>
-class WindowedReqSketch {
+class WindowedReqSketch
+    : public SummaryQueries<WindowedReqSketch<T, Compare>, T, Compare> {
  public:
   using Sketch = ReqSketch<T, Compare>;
   using value_type = T;
@@ -223,128 +227,12 @@ class WindowedReqSketch {
     ++rotations_;
   }
 
-  // --- queries (from the live buckets' levels) -----------------------------
+  // --- queries: SummaryQueries (core/summary_queries.h) --------------------
   //
-  // All estimates and confidence bounds are relative to the *window's*
-  // n() -- the live buckets summarize exactly the window -- so
-  // GetRankLowerBound/UpperBound margins scale with the window size, not
-  // the stream lifetime.
-
-  // Sum of the live buckets' Estimate-Rank (one binary search per level
-  // of each bucket).
-  uint64_t GetRank(const T& y,
-                   Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetRank() on an empty window");
-    uint64_t rank = 0;
-    for (const Sketch& bucket : buckets_) {
-      if (!bucket.is_empty()) rank += bucket.GetRank(y, criterion);
-    }
-    return rank;
-  }
-
-  double GetNormalizedRank(
-      const T& y, Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(),
-                     "GetNormalizedRank() on an empty window");
-    return static_cast<double>(GetRank(y, criterion)) /
-           static_cast<double>(window_n_);
-  }
-
-  std::vector<uint64_t> GetRanks(
-      const std::vector<T>& ys,
-      Criterion criterion = Criterion::kInclusive) const {
-    std::vector<uint64_t> out(ys.size());
-    GetRanks(ys.data(), ys.size(), out.data(), criterion);
-    return out;
-  }
-
-  // Bulk rank kernel: one forward scan of the live buckets' levels.
-  void GetRanks(const T* ys, size_t count, uint64_t* out,
-                Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetRanks() on an empty window");
-    const std::vector<const Sketch*> live = LiveBuckets();
-    Sketch::LevelIndex::Ranks(live.data(), live.size(), ys, count, out,
-                              criterion);
-  }
-
-  T GetQuantile(double q,
-                Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetQuantile() on an empty window");
-    return GetQuantiles({q}, criterion).front();
-  }
-
-  std::vector<T> GetQuantiles(
-      const std::vector<double>& qs,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetQuantiles() on an empty window");
-    const std::vector<const Sketch*> live = LiveBuckets();
-    return Sketch::LevelIndex::Quantiles(live.data(), live.size(),
-                                         MinItem(), MaxItem(), qs,
-                                         criterion);
-  }
-
-  std::vector<double> GetCDF(
-      const std::vector<T>& splits,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetCDF() on an empty window");
-    const std::vector<const Sketch*> live = LiveBuckets();
-    return Sketch::LevelIndex::CDF(live.data(), live.size(), splits,
-                                   criterion);
-  }
-
-  std::vector<double> GetPMF(
-      const std::vector<T>& splits,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(), "GetPMF() on an empty window");
-    std::vector<double> pmf = GetCDF(splits, criterion);
-    for (size_t i = pmf.size(); i-- > 1;) pmf[i] -= pmf[i - 1];
-    return pmf;
-  }
-
-  uint64_t GetRankLowerBound(
-      const T& y, int num_std_devs,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(),
-                     "GetRankLowerBound() on an empty window");
-    return params::RankBound(static_cast<double>(GetRank(y, criterion)),
-                             window_n_, config_.base.k_base,
-                             config_.base.accuracy, num_std_devs,
-                             /*upper=*/false);
-  }
-
-  uint64_t GetRankUpperBound(
-      const T& y, int num_std_devs,
-      Criterion criterion = Criterion::kInclusive) const {
-    util::CheckState(!is_empty(),
-                     "GetRankUpperBound() on an empty window");
-    return params::RankBound(static_cast<double>(GetRank(y, criterion)),
-                             window_n_, config_.base.k_base,
-                             config_.base.accuracy, num_std_devs,
-                             /*upper=*/true);
-  }
-
-  // Exact min/max of the window contents: each bucket tracks its extremes
-  // exactly, and these fold them.
-  T MinItem() const {
-    util::CheckState(!is_empty(), "MinItem() on an empty window");
-    const T* min = nullptr;
-    for (const Sketch* bucket : LiveBuckets()) {
-      if (min == nullptr || comp_(bucket->MinItem(), *min)) {
-        min = &bucket->MinItem();
-      }
-    }
-    return *min;
-  }
-  T MaxItem() const {
-    util::CheckState(!is_empty(), "MaxItem() on an empty window");
-    const T* max = nullptr;
-    for (const Sketch* bucket : LiveBuckets()) {
-      if (max == nullptr || comp_(*max, bucket->MaxItem())) {
-        max = &bucket->MaxItem();
-      }
-    }
-    return *max;
-  }
+  // The parts are the live buckets, oldest first. They summarize exactly
+  // the window, so every estimate and the GetRankLowerBound/UpperBound
+  // margins scale with the window's n(), not the stream lifetime, and
+  // MinItem()/MaxItem() are the window's exact extremes.
 
   // A standalone ReqSketch summarizing the current window: one N-way Merge
   // of the live buckets, oldest first, built on every call. Its answers
@@ -357,8 +245,9 @@ class WindowedReqSketch {
     ReqConfig merged_config = config_.base;
     merged_config.seed = config_.base.seed ^ 0x9e3779b97f4a7c15ULL;
     Sketch merged(merged_config, comp_);
-    const std::vector<const Sketch*> live = LiveBuckets();
-    merged.Merge(live.data(), live.size());
+    WithParts([&](const Sketch* const* live, size_t count) {
+      merged.Merge(live, count);
+    });
     return merged;
   }
 
@@ -453,6 +342,8 @@ class WindowedReqSketch {
   }
 
  private:
+  friend class SummaryQueries<WindowedReqSketch, T, Compare>;
+
   static constexpr uint32_t kMagic = 0x57524551;  // "WREQ" (little-endian)
   static constexpr uint8_t kVersion = 1;
 
@@ -483,16 +374,29 @@ class WindowedReqSketch {
     }
   }
 
-  // The non-empty buckets in ring order, oldest first: deterministic
-  // regardless of how often the ring has wrapped.
-  std::vector<const Sketch*> LiveBuckets() const {
-    std::vector<const Sketch*> live;
-    live.reserve(buckets_.size());
+  // SummaryQueries' hook: the parts are the non-empty buckets in ring
+  // order, oldest first -- deterministic regardless of how often the ring
+  // has wrapped. Up to 16 parts sit on the stack, so a single rank
+  // allocates nothing.
+  template <typename F>
+  auto WithParts(F&& f) const {
+    // Only the first slot is set up front: GCC cannot see that queries
+    // read the slots only when count >= 1, and zeroing all 16 slowed
+    // E15's window rank by 40-60%.
+    const Sketch* local[16];
+    local[0] = nullptr;
+    std::vector<const Sketch*> heap;
+    const Sketch** live = local;
+    if (buckets_.size() > 16) {
+      heap.resize(buckets_.size());
+      live = heap.data();
+    }
+    size_t count = 0;
     for (size_t i = 1; i <= buckets_.size(); ++i) {
       const Sketch& bucket = buckets_[(head_ + i) % buckets_.size()];
-      if (!bucket.is_empty()) live.push_back(&bucket);
+      if (!bucket.is_empty()) live[count++] = &bucket;
     }
-    return live;
+    return f(live, count);
   }
 
   WindowedReqConfig config_;

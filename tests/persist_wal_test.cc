@@ -13,8 +13,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -874,6 +876,86 @@ TEST(Durability, ShardedDataDirBootsAsPlainMetrics) {
     auto engine = registry.Require(kShardedDirMetrics[m].name);
     EXPECT_EQ(engine->Snapshot(), checkpointed[m]);
     EXPECT_EQ(engine->GetRanks(probes, Criterion::kInclusive), ranks[m]);
+  }
+}
+
+// --- the upgrade path for legacy data dirs ----------------------------------
+
+// Boots `dir` and shuts it down as reqd does on SIGTERM: drain the server,
+// then checkpoint every resident metric. Returns the snapshot of each
+// metric it checkpointed.
+std::map<std::string, std::vector<uint8_t>> BootAndShutDown(
+    const std::string& dir) {
+  DurabilityManager manager(dir, TestDurabilityOptions());
+  SketchRegistry registry;
+  manager.RecoverInto(&registry);
+  service::ReqdServer server(&registry);
+  server.Start();
+  server.Drain(/*timeout_ms=*/5000);
+  std::map<std::string, std::vector<uint8_t>> snapshots;
+  for (const std::string& name : *registry.List()) {
+    if (!registry.IsResident(name)) continue;
+    if (SketchRegistry::EnginePtr engine = registry.Find(name)) {
+      snapshots[name] = engine->Snapshot();
+      engine->ForceCheckpoint();
+    }
+  }
+  return snapshots;
+}
+
+// The engine kind of the blob a checkpoint slot holds; the slot must be a
+// whole checkpoint in format v2.
+EngineKind SlotBlobKind(const std::string& path) {
+  const auto header = ReadFileBytes(path, kCheckpointHeaderBytes);
+  EXPECT_TRUE(header && header->size() == kCheckpointHeaderBytes) << path;
+  uint32_t magic = 0, version = 0;
+  if (header && header->size() == kCheckpointHeaderBytes) {
+    std::memcpy(&magic, header->data(), 4);
+    std::memcpy(&version, header->data() + 4, 4);
+  }
+  EXPECT_EQ(magic, kCheckpointMagic) << path;
+  EXPECT_EQ(version, kCheckpointFormatVersion) << path;
+  const auto contents = ReadCheckpointFile(path);
+  EXPECT_TRUE(contents.has_value()) << path;
+  if (!contents) return EngineKind::kSharded;
+  return service::SnapshotBlobKind(contents->blob);
+}
+
+// The support window for legacy data dirs (README "Durability &
+// recovery"): a pre-fixed-layout or sharded data dir is upgraded by
+// booting it and shutting it down twice. One shutdown is not enough for
+// the sharded dir: its new plain checkpoint goes to the other slot, and
+// m0's older slot keeps the sharded blob until the second checkpoint
+// overwrites it.
+TEST(Durability, LegacyDataDirsUpgradeInTwoShutdowns) {
+  const std::set<std::string> current_files = {
+      kWalFileName, kSlotFileNames[0], kSlotFileNames[1]};
+  for (const char* legacy : {"old_layout_data_dir", "sharded_data_dir"}) {
+    SCOPED_TRACE(legacy);
+    const std::string dir = MakeTempDir(std::string("upgrade_") + legacy);
+    std::filesystem::copy(std::string(REQSKETCH_TEST_DATA_DIR "/") + legacy,
+                          dir, std::filesystem::copy_options::recursive);
+    const auto first = BootAndShutDown(dir);
+    ASSERT_FALSE(first.empty());
+    if (std::string(legacy) == "sharded_data_dir") {
+      EXPECT_EQ(SlotBlobKind(dir + "/m0/" + kSlotFileNames[0]),
+                EngineKind::kSharded);
+    }
+    // Nothing acknowledged is lost on the way.
+    EXPECT_EQ(BootAndShutDown(dir), first);
+
+    size_t metric_dirs = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      if (!entry.is_directory()) continue;
+      ++metric_dirs;
+      const std::string metric_dir = entry.path().string();
+      EXPECT_EQ(DirNames(metric_dir), current_files) << metric_dir;
+      for (const char* slot : kSlotFileNames) {
+        EXPECT_EQ(SlotBlobKind(metric_dir + "/" + slot), EngineKind::kPlain)
+            << metric_dir << "/" << slot;
+      }
+    }
+    EXPECT_EQ(metric_dirs, first.size());
   }
 }
 

@@ -9,8 +9,9 @@
 //     batch applied, and a durable server recovers them after a reboot;
 //   - APPENDs pipelined in one send(2) ack in order with increasing
 //     counts, and a query queued behind them answers over all of them;
-//   - a peer that floods APPENDs cannot hold its worker: another
-//     connection on that worker is served while the flood goes on;
+//   - a peer that floods APPENDs or QUANTILES cannot hold its worker:
+//     another connection on that worker is served while the flood goes
+//     on;
 //   - appends at full speed beside the background checkpointer, then a
 //     server dropped with no shutdown checkpoint, reboot bit-identically.
 // CI runs this suite under ThreadSanitizer and repeats it in Release.
@@ -363,13 +364,34 @@ TEST(AckPipelining, AppendsInOneSendAckInOrderAndTheQueryBehindSeesAll) {
 
 // --- fairness on one worker -----------------------------------------------
 
-TEST(AckFairness, APeerThatKeepsItsSocketFullCannotStarveAnother) {
-  // One worker serves both connections. The flooder writes APPEND frames
-  // faster than the worker can apply them, so its socket never runs dry,
-  // and a worker that read it until EAGAIN would never serve the other
-  // connection. After each read that held an APPEND the worker moves on
-  // to its other ready connections, so the PINGs are answered while the
-  // flood goes on, not once it stops.
+// The flood's frames: 64 APPENDs of 64 items, or 64 QUANTILES against the
+// metric's 4,096 items.
+std::vector<uint8_t> FloodBurst(Opcode op) {
+  util::Xoshiro256 rng(17);
+  std::vector<uint8_t> burst;
+  for (int i = 0; i < 64; ++i) {
+    if (op == Opcode::kAppend) {
+      AppendRequestFrame("m", Batch(&rng, 64), &burst);
+    } else {
+      Request query;
+      query.op = Opcode::kQuantiles;
+      query.metric = "m";
+      query.values = kRanks;
+      AppendFrame(&burst, EncodeRequest(query));
+    }
+  }
+  return burst;
+}
+
+class AckFairness : public ::testing::TestWithParam<Opcode> {};
+
+TEST_P(AckFairness, APeerThatKeepsItsSocketFullCannotStarveAnother) {
+  // One worker serves both connections. The flooder writes frames faster
+  // than the worker can answer them, so its socket never runs dry, and a
+  // worker that read it until EAGAIN would never serve the other
+  // connection. After each read whose frames it answered the worker moves
+  // on to its other ready connections, so the PINGs are answered while
+  // the flood goes on, not once it stops.
   SketchRegistry registry;
   ReqdServerConfig config;
   config.workers = 1;
@@ -377,9 +399,9 @@ TEST(AckFairness, APeerThatKeepsItsSocketFullCannotStarveAnother) {
   server.Start();
   ReqClient pinger = Connect(server);
   pinger.Create("m", SpecOf(EngineKind::kPlain));
-  util::Xoshiro256 rng(17);
-  std::vector<uint8_t> burst;
-  for (int i = 0; i < 64; ++i) AppendRequestFrame("m", Batch(&rng, 64), &burst);
+  util::Xoshiro256 seed_rng(5);
+  pinger.Append("m", Batch(&seed_rng, 4096));
+  const std::vector<uint8_t> burst = FloodBurst(GetParam());
 
   ScopedFd flood = RawConnect(server);
   std::atomic<bool> stop{false};
@@ -398,7 +420,7 @@ TEST(AckFairness, APeerThatKeepsItsSocketFullCannotStarveAnother) {
     }
     ::shutdown(flood.get(), SHUT_WR);
   });
-  // Drains the acks, so the flood never pauses on backpressure; the
+  // Drains the answers, so the flood never pauses on backpressure; the
   // server closes the connection once it has answered every frame.
   std::thread reader([&] {
     uint8_t chunk[1 << 16];
@@ -406,7 +428,11 @@ TEST(AckFairness, APeerThatKeepsItsSocketFullCannotStarveAnother) {
     }
   });
   ASSERT_TRUE(WaitFor([&] { return bursts.load() >= 4; }));
+  const auto pings_start = std::chrono::steady_clock::now();
   for (int i = 0; i < 20; ++i) pinger.Ping();
+  const auto pings_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            std::chrono::steady_clock::now() - pings_start)
+                            .count();
   // The flood stopped on its 20 s deadline only if the PINGs waited for
   // it.
   const bool starved = timed_out.load(std::memory_order_acquire);
@@ -415,10 +441,24 @@ TEST(AckFairness, APeerThatKeepsItsSocketFullCannotStarveAnother) {
   reader.join();
   EXPECT_FALSE(starved) << "PINGs were answered only after the flood of "
                         << bursts.load() << " bursts stopped";
+  // Each PING waits for about one read's frames (64 KiB of the flood):
+  // in the QUANTILES case the 20 took 0.2-0.3 s in Release and 2.8-3.5 s
+  // under ThreadSanitizer. A worker that served the flooder until EAGAIN
+  // answered them only once the flood stopped, 18.6-20.5 s in all.
+  EXPECT_LT(pings_ms, 10000) << "20 PINGs took " << pings_ms << " ms";
   EXPECT_EQ(pinger.Flush("m") % 64, 0u);
   pinger.Close();
   server.Stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(FloodOpcodes, AckFairness,
+                         ::testing::Values(Opcode::kAppend,
+                                           Opcode::kQuantiles),
+                         [](const auto& info) {
+                           return info.param == Opcode::kAppend
+                                      ? std::string("Append")
+                                      : std::string("Quantiles");
+                         });
 
 // --- a crash beside the checkpointer --------------------------------------
 

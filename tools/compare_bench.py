@@ -43,9 +43,21 @@ note but does not gate -- at that scale, timer granularity and
 scheduler jitter on shared runners produce >15% swings with no code
 change. Throughput metrics always gate.
 
+``--pairs`` applies the repo's pair rule instead. Its reports are runs
+of one bench from the parent and the change, given in pairs (parent,
+change, parent, change, ...) of runs made back to back, alternating which
+side went first. Per row and perf metric it prints both medians, the
+parent's interquartile range and the pairs the change won, and labels
+the row ``better`` or ``worse`` only when the change wins (or loses) at
+least 9 of every 10 pairs AND the gap between the medians exceeds the
+parent's IQR; every other row is ``unresolved``. Tied pairs count for
+neither side. Pairs mode reports; it never gates (exit 0).
+
 Usage: compare_bench.py BASELINE.json CURRENT.json [CURRENT2.json ...]
            [--threshold 0.15] [--warn-only] [--allow-smoke-mismatch]
            [--write-best FILE] [--latency-floor-us X]
+       compare_bench.py --pairs PARENT1.json CHANGE1.json
+           [PARENT2.json CHANGE2.json ...]
 """
 import argparse
 import json
@@ -258,6 +270,119 @@ def compare(baseline, current, threshold, latency_floor_us=0.0):
     return regressions, improvements, notes
 
 
+def quantile(values, q):
+    """The q-quantile of `values` by linear interpolation between the
+    closest ranks (numpy's default)."""
+    ordered = sorted(values)
+    pos = q * (len(ordered) - 1)
+    lo = int(pos)
+    hi = min(lo + 1, len(ordered) - 1)
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
+
+
+def pair_rule(parent_values, change_values, direction):
+    """Applies the pair rule to one metric's paired runs.
+
+    Returns a dict with both medians, the parent's IQR, the pairs the
+    change won and lost, and the verdict: 'better' or 'worse' when the
+    change wins (loses) at least 9 of every 10 pairs and the medians lie
+    more than the parent's IQR apart, 'unresolved' otherwise.
+    """
+    pairs = len(parent_values)
+    wins = losses = 0
+    for parent, change in zip(parent_values, change_values):
+        ahead = change > parent if direction == "up" else change < parent
+        behind = change < parent if direction == "up" else change > parent
+        wins += ahead
+        losses += behind
+    parent_median = quantile(parent_values, 0.5)
+    change_median = quantile(change_values, 0.5)
+    parent_iqr = (quantile(parent_values, 0.75)
+                  - quantile(parent_values, 0.25))
+    gap_clears_iqr = abs(change_median - parent_median) > parent_iqr
+    verdict = "unresolved"
+    if gap_clears_iqr and 10 * wins >= 9 * pairs:
+        verdict = "better"
+    elif gap_clears_iqr and 10 * losses >= 9 * pairs:
+        verdict = "worse"
+    return {"parent_median": parent_median, "change_median": change_median,
+            "parent_iqr": parent_iqr, "wins": wins, "losses": losses,
+            "pairs": pairs, "verdict": verdict}
+
+
+def compare_pairs(parents, changes):
+    """Pair-rule verdicts for every perf metric of every row that all
+    reports share. Returns (findings, notes); a finding is pair_rule's
+    dict plus 'label'."""
+    findings, notes = [], []
+    reports = parents + changes
+    for array_name, first_rows in parents[0].items():
+        if not isinstance(first_rows, list):
+            continue
+        indexed = []
+        for report in reports:
+            rows = report.get(array_name)
+            indexed.append({row_identity(r): r for r in rows
+                            if isinstance(r, dict)}
+                           if isinstance(rows, list) else {})
+        for row in first_rows:
+            if not isinstance(row, dict):
+                continue
+            ident = row_identity(row)
+            matched = [by_id.get(ident) for by_id in indexed]
+            if any(m is None for m in matched):
+                notes.append(f"{array_name} row {ident} is missing from "
+                             f"some reports")
+                continue
+            ident_text = ", ".join(f"{k}={v}" for k, v in ident)
+            for key, value in row.items():
+                direction = metric_direction(key, row)
+                values = [m.get(key) for m in matched]
+                if direction is None or not all(
+                        isinstance(v, (int, float))
+                        and not isinstance(v, bool) for v in values):
+                    continue
+                finding = pair_rule(values[:len(parents)],
+                                    values[len(parents):], direction)
+                finding["label"] = f"{array_name}[{ident_text}].{key}"
+                findings.append(finding)
+    return findings, notes
+
+
+def main_pairs(paths):
+    if len(paths) < 2 or len(paths) % 2:
+        print("--pairs needs an even number of reports: parent, change, "
+              "parent, change, ...", file=sys.stderr)
+        return 2
+    reports = []
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as f:
+            reports.append(json.load(f))
+    if any(r.get("experiment") != reports[0].get("experiment")
+           or bool(r.get("smoke")) != bool(reports[0].get("smoke"))
+           for r in reports):
+        print("incomparable: reports disagree on experiment/smoke",
+              file=sys.stderr)
+        return 2
+    findings, notes = compare_pairs(reports[0::2], reports[1::2])
+    for note in notes:
+        print(f"NOTE: {note}")
+    pairs = len(reports) // 2
+    print(f"{reports[0].get('experiment')} "
+          f"({'smoke' if reports[0].get('smoke') else 'full'}), "
+          f"{pairs} pair(s): parent median -> change median "
+          f"[parent IQR], pairs the change won")
+    for f in findings:
+        print(f"{f['verdict'].upper():>10}  {f['label']}: "
+              f"{f['parent_median']:.4g} -> {f['change_median']:.4g} "
+              f"[IQR {f['parent_iqr']:.4g}], won {f['wins']}/{f['pairs']}")
+    counts = {v: sum(f["verdict"] == v for f in findings)
+              for v in ("better", "worse", "unresolved")}
+    print(f"{counts['better']} better, {counts['worse']} worse, "
+          f"{counts['unresolved']} unresolved")
+    return 0
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         description=__doc__,
@@ -274,7 +399,13 @@ def main(argv):
         help="latency regressions whose BASELINE value is below this "
              "many microseconds are reported but not gated (timer "
              "granularity / scheduler jitter dominate down there)")
+    parser.add_argument(
+        "--pairs", action="store_true",
+        help="read the reports as parent/change pairs and apply the "
+             "pair rule (see above)")
     args = parser.parse_args(argv[1:])
+    if args.pairs:
+        return main_pairs([args.baseline] + args.current)
 
     with open(args.baseline, "r", encoding="utf-8") as f:
         baseline = json.load(f)

@@ -195,7 +195,9 @@ class MergeBestTest(unittest.TestCase):
         self.assertEqual(merged["results"][0]["append_mups"], 10.0)
 
 
-class MainGateTest(unittest.TestCase):
+class ReportFiles(unittest.TestCase):
+    """Writes reports to a scratch dir and runs main() on them."""
+
     def setUp(self):
         self.dir = tempfile.TemporaryDirectory()
         self.addCleanup(self.dir.cleanup)
@@ -213,6 +215,8 @@ class MainGateTest(unittest.TestCase):
             code = compare_bench.main(["compare_bench.py"] + list(argv))
         return code, sink.getvalue()
 
+
+class MainGateTest(ReportFiles):
     def test_regression_gates_with_exit_1(self):
         current = baseline_report()
         current["results"][0]["append_mups"] = 5.0
@@ -346,6 +350,105 @@ class MainGateTest(unittest.TestCase):
         self.assertEqual(code, 1)
         code, _ = self.run_main(base, cur, "--threshold", "0.15")
         self.assertEqual(code, 0)
+
+
+class PairRuleTest(unittest.TestCase):
+    """The pair rule: a verdict needs the change ahead (or behind) in at
+    least 9 of every 10 pairs AND a median gap above the parent's IQR."""
+
+    PARENT = [100, 102, 98, 101, 99, 103, 97, 100, 101, 99]
+
+    def test_nine_of_ten_wins_beyond_the_iqr_is_better(self):
+        change = [p - 10 for p in self.PARENT]
+        change[3] = self.PARENT[3] + 1  # one pair lost
+        finding = compare_bench.pair_rule(self.PARENT, change, "down")
+        self.assertEqual((finding["wins"], finding["losses"]), (9, 1))
+        self.assertEqual(finding["verdict"], "better")
+
+    def test_eight_of_ten_is_unresolved(self):
+        change = [p - 10 for p in self.PARENT]
+        change[3] = change[4] = 200
+        finding = compare_bench.pair_rule(self.PARENT, change, "down")
+        self.assertEqual(finding["wins"], 8)
+        self.assertEqual(finding["verdict"], "unresolved")
+
+    def test_a_gap_inside_the_parent_iqr_is_unresolved(self):
+        # The change wins every pair, by less than the parent's spread.
+        change = [p - 0.5 for p in self.PARENT]
+        finding = compare_bench.pair_rule(self.PARENT, change, "down")
+        self.assertEqual(finding["wins"], 10)
+        self.assertGreater(finding["parent_iqr"], 0.5)
+        self.assertEqual(finding["verdict"], "unresolved")
+
+    def test_direction_decides_which_side_wins(self):
+        change = [p + 10 for p in self.PARENT]
+        self.assertEqual(
+            compare_bench.pair_rule(self.PARENT, change, "down")["verdict"],
+            "worse")
+        self.assertEqual(
+            compare_bench.pair_rule(self.PARENT, change, "up")["verdict"],
+            "better")
+
+    def test_ties_count_for_neither_side(self):
+        finding = compare_bench.pair_rule(self.PARENT, list(self.PARENT),
+                                          "up")
+        self.assertEqual((finding["wins"], finding["losses"]), (0, 0))
+        self.assertEqual(finding["verdict"], "unresolved")
+
+    def test_medians_and_iqr(self):
+        finding = compare_bench.pair_rule([1, 2, 3, 4, 5], [2, 3, 4, 5, 6],
+                                          "up")
+        self.assertEqual(finding["parent_median"], 3)
+        self.assertEqual(finding["change_median"], 4)
+        self.assertEqual(finding["parent_iqr"], 2)  # 4 - 2
+
+
+class PairsModeTest(ReportFiles):
+    def reports(self, parent_mups, change_mups):
+        paths = []
+        for i, (p, c) in enumerate(zip(parent_mups, change_mups)):
+            parent, change = baseline_report(), baseline_report()
+            parent["results"][0]["append_mups"] = p
+            change["results"][0]["append_mups"] = c
+            paths += [self.write(f"p{i}.json", parent),
+                      self.write(f"c{i}.json", change)]
+        return paths
+
+    def test_labels_every_row_and_metric(self):
+        parent = [10.0, 10.2, 9.8, 10.1, 9.9, 10.3, 9.7, 10.0, 10.1, 9.9]
+        change = [v - 2 for v in parent]
+        code, out = self.run_main("--pairs", *self.reports(parent, change))
+        self.assertEqual(code, 0)  # pairs mode reports, never gates
+        self.assertIn("WORSE  results[clients=2, engine=plain].append_mups",
+                      out)
+        self.assertIn("won 0/10", out)
+        # Unchanged metrics tie in every pair.
+        self.assertIn("UNRESOLVED  results[clients=2, engine=plain]"
+                      ".query_p99_us", out)
+        self.assertIn("1 worse, 3 unresolved", out)
+
+    def test_an_odd_report_count_is_refused(self):
+        paths = self.reports([10.0], [11.0])
+        code, _ = self.run_main("--pairs", *paths,
+                                self.write("extra.json", baseline_report()))
+        self.assertEqual(code, 2)
+
+    def test_mixed_experiments_are_refused(self):
+        paths = self.reports([10.0], [11.0])
+        other = baseline_report()
+        other["experiment"] = "e16_query"
+        code, _ = self.run_main("--pairs", paths[0],
+                                self.write("other.json", other))
+        self.assertEqual(code, 2)
+
+    def test_a_row_missing_from_one_report_is_a_note(self):
+        paths = self.reports([10.0], [11.0])
+        short = baseline_report()
+        short["results"] = []
+        code, out = self.run_main("--pairs", paths[0],
+                                  self.write("short.json", short))
+        self.assertEqual(code, 0)
+        self.assertIn("missing from some reports", out)
 
 
 if __name__ == "__main__":
