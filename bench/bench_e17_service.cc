@@ -10,9 +10,9 @@
 // repeated on an unchanged metric pays the selection again), and (since
 // the epoll reactor) append latency survives high connection counts:
 // holding 1024+ open connections costs epoll registrations and
-// timer-wheel slots, not threads, so the p99 at 1024 connections stays
-// within 2x of the 8-connection p99 while the server runs a fixed worker
-// pool.
+// per-connection state, not threads, so the p99 at 1024 connections
+// stays within 2x of the 8-connection p99 while the server runs a fixed
+// worker pool.
 //
 // Setup: an in-process ReqdServer on an ephemeral loopback port.
 //   Sweep 1 (throughput): for each client count C: C threads, each with
@@ -204,8 +204,8 @@ struct HighConnResult {
 // fixed driver pool: each driver owns C/drivers blocking clients and
 // round-robins one APPEND round trip per client per round. Closed-loop
 // in-flight equals the driver count (bench CPU stays bounded), but the
-// server carries all C connections -- epoll registrations, timer-wheel
-// entries, per-connection buffers -- for the whole run, which is
+// server carries all C connections -- epoll registrations, deadline
+// fields, per-connection buffers -- for the whole run, which is
 // exactly the cost the flat-latency gate measures.
 HighConnResult RunHighConn(uint16_t port, size_t connections,
                            size_t rounds, size_t batch) {

@@ -61,7 +61,7 @@ int main() {
 
   // 4. Served quantiles, one round trip per metric.
   const std::vector<double> qs = {0.5, 0.9, 0.99};
-  for (const std::string& metric : *registry.List()) {
+  for (const std::string& metric : registry.List()) {
     const std::vector<double> q = client.GetQuantiles(metric, qs);
     std::printf("%-22s p50=%6.2f  p90=%6.2f  p99=%6.2f\n", metric.c_str(),
                 q[0], q[1], q[2]);

@@ -148,17 +148,30 @@ class DurabilityManager : public DirectoryHook {
   // its WAL at the recovered next LSN. The eviction checkpoint reset the
   // WAL to a bare header at that LSN, and the retired engine stopped
   // appending before it, so the rebuilt engine appends right after it.
+  // The mutex covers only the table lookups, not the disk reads and the
+  // WAL reopen: a slow rehydration must not stall OnCreate, which the
+  // registry calls under a shard's exclusive lock. The registry already
+  // serializes a metric's rehydration against its eviction and drop.
   RehydratedMetric OnRehydrate(const std::string& name) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = live_.find(name);
-    if (it == live_.end()) {
-      throw IoError("metric '" + name + "' is not manifest-live");
+    uint64_t id = 0;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      auto it = live_.find(name);
+      if (it == live_.end()) {
+        throw IoError("metric '" + name + "' is not manifest-live");
+      }
+      id = it->second.id;
     }
-    const std::string dir = MetricDirPath(it->second.id);
+    const std::string dir = MetricDirPath(id);
     RehydratedMetric rehydrated;
     rehydrated.state = ReadMetricState(dir, name);
     rehydrated.log = std::make_shared<MetricLog>(dir, name, rehydrated.state,
                                                  LogOptions());
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = live_.find(name);
+    if (it == live_.end() || it->second.id != id) {
+      throw IoError("metric '" + name + "' was dropped while rehydrating");
+    }
     it->second.log = rehydrated.log;
     return rehydrated;
   }
@@ -383,9 +396,9 @@ class DurabilityManager : public DirectoryHook {
 
   const std::string data_dir_;
   const DurabilityOptions options_;
-  // Serializes manifest writes and the live-metric table. The registry's
-  // exclusive lock already serializes OnCreate/OnDrop; this guards
-  // against direct DurabilityManager use in tests.
+  // Serializes manifest writes and the live-metric table. The registry
+  // calls OnCreate/OnDrop under one shard's exclusive lock, so calls for
+  // metrics in different shards meet here.
   std::mutex mutex_;
   FileWriter manifest_;
   bool manifest_failed_ = false;  // see AppendManifestRecord

@@ -6,17 +6,16 @@
 // Concurrency model: an epoll reactor (the C10K shape). One accept
 // thread distributes accepted fds round-robin over N event-loop workers
 // (default: hardware concurrency); each worker owns an epoll set, an
-// eventfd for wakeups/handoff, a timer wheel, and the full state of the
-// connections assigned to it -- no connection is ever touched by two
-// threads, which is what keeps the reactor trivially race-free under
-// TSan. Per connection the worker drives a small non-blocking state
-// machine:
+// eventfd for wakeups/handoff, and the full state of the connections
+// assigned to it -- no connection is ever touched by two threads, which
+// is what keeps the reactor trivially race-free under TSan. Per
+// connection the worker drives a small non-blocking state machine:
 //
 //   readable --> recv until EAGAIN --> FrameDecoder --> HandleFrame
 //      ^                                                   |
-//      |        (responses encode into a per-connection    v
-//   EPOLLOUT <-- output buffer; writev flushes both -- staging buffer
-//                halves in one syscall, EAGAIN arms EPOLLOUT)
+//      |                                                   v
+//   EPOLLOUT <-- send from the sent offset <-- responses encode into the
+//                (EAGAIN arms EPOLLOUT)        connection's output buffer
 //
 // An APPEND acks once its batch is logged, and takes one more step before
 // the next frame. HandleFrame only begins it (MetricEngine::BeginAppend:
@@ -41,19 +40,22 @@
 // fail) terminates the process rather than serve an acked batch missing,
 // and a restart replays the batch from the WAL.
 //
-// The output queue is a double buffer: `pending` is the run currently
-// being flushed (from an offset) and `staging` is where new responses
-// encode; one gather-write (WritevNonBlocking) sends both, and when
-// `pending` drains the two swap so allocations recycle. A peer that
-// queries faster than it reads answers trips max_outbound_bytes and has
-// its reads paused until the queue flushes -- backpressure, not OOM.
+// The output queue is one buffer per connection: responses encode at its
+// end and sends go out from its sent offset. A full flush clears it and
+// keeps its allocation; a partial one drops the sent prefix once that is
+// half the buffer, so a peer that never lets the queue drain cannot grow
+// it without bound. A peer that queries faster than it reads answers has
+// its reads paused once more than kMaxOutboundBytes (8 MiB) wait unsent,
+// until the queue flushes -- backpressure, not OOM.
 //
 // Hostile-network posture (exercised by tests/service_chaos_test.cc and
 // tests/service_reactor_test.cc via service/chaos_proxy.h):
-//   * Idle reaping now runs on a per-worker timer wheel (25ms ticks,
-//     lazy cancellation): re-arming on every delivered byte is a field
-//     write, and a slow loris mid-frame is reaped after idle_timeout_ms
-//     without the reactor ever polling per-connection.
+//   * A connection keeps its idle and write-stall deadlines in its own
+//     fields, so re-arming on every delivered byte is a field write. Each
+//     worker tracks the earliest deadline it may hold; once that passes,
+//     one pass over its connections (at most one per 25 ms tick) closes
+//     the expired ones, so a slow loris mid-frame is reaped after
+//     idle_timeout_ms without a timer per connection.
 //   * max_connections caps live connections. At the cap, a new
 //     connection is answered with a single kOverloaded frame and closed
 //     -- a typed rejection the client can back off on, never a silent
@@ -72,17 +74,17 @@
 //     the old thread-per-connection server blocked in send here).
 //   * Drain() finishes in-flight frames, answers them, then closes:
 //     the graceful half of shutdown, with Stop() as the hard half.
-//   * Transient accept failures (EMFILE/ENFILE/ENOBUFS) back off instead
-//     of hot-spinning: the listener stays readable, so retrying accept
-//     immediately would burn a core until an fd frees.
+//   * Transient accept failures (EMFILE/ENFILE/ENOBUFS) back off 50 ms
+//     instead of hot-spinning: the listener stays readable, so retrying
+//     accept immediately would burn a core until an fd frees.
 //
 // Error handling per frame:
 //   * A malformed payload inside a well-delimited frame (bad opcode, bad
 //     enum, truncated body) answers kBadRequest and the connection lives
 //     on -- framing is still in sync.
-//   * A corrupt length prefix (0 or > max payload) means the byte stream
-//     itself has lost sync: the server answers one kBadRequest frame
-//     best-effort and closes the connection once it flushes.
+//   * A corrupt length prefix (0 or > kMaxFramePayload) means the byte
+//     stream itself has lost sync: the server answers one kBadRequest
+//     frame best-effort and closes the connection once it flushes.
 //   * Registry/engine exceptions map to statuses: MetricNotFound ->
 //     kNotFound, MetricExists -> kExists, invalid_argument / logic_error /
 //     runtime_error -> kBadRequest, anything else -> kError. The server
@@ -122,7 +124,6 @@
 #include <sys/eventfd.h>
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -159,7 +160,6 @@ struct ReqdServerConfig {
   int backlog = 0;
   // Event-loop worker threads. 0 = hardware concurrency (min 1).
   uint32_t workers = 0;
-  uint32_t max_frame_payload = kMaxFramePayload;
   // Connection cap; above it new connections get one kOverloaded frame
   // and a close instead of a worker slot. 0 = uncapped.
   uint64_t max_connections = 0;
@@ -174,69 +174,6 @@ struct ReqdServerConfig {
   // while output is queued (a blackholed downstream must not hold its
   // buffers forever). 0 = unbounded.
   uint64_t send_timeout_ms = 30000;
-  // Pause reading a connection once its un-flushed responses exceed
-  // this many bytes; reads resume when the queue drains. 0 = unbounded.
-  uint64_t max_outbound_bytes = uint64_t{8} << 20;  // 8 MiB
-  // Backoff after a transient accept() failure under fd exhaustion.
-  uint64_t accept_backoff_ms = 50;
-};
-
-// A single-level timer wheel: kSlots slots of kTickMs, fds as entries.
-// Scheduling and re-arming are O(1); cancellation is lazy -- a fired fd
-// may be stale (connection closed or deadline moved), so the fire
-// callback re-checks the connection's real deadlines and either acts or
-// reschedules. Deadlines past the wheel's horizon park in the furthest
-// slot and cascade from there (the reschedule-on-fire path).
-class TimerWheel {
- public:
-  static constexpr uint64_t kTickMs = 25;
-  static constexpr uint64_t kSlots = 256;  // ~6.4s horizon
-
-  explicit TimerWheel(SocketDeadline now) : now_tick_(TickOf(now)) {}
-
-  bool empty() const { return entries_ == 0; }
-
-  // Schedules a fire for `fd` no later than `at` (clamped to the
-  // horizon, so possibly earlier); returns the actual fire time so the
-  // caller can track the earliest pending fire per connection.
-  SocketDeadline Schedule(int fd, SocketDeadline at) {
-    uint64_t tick = std::max(TickOf(at), now_tick_ + 1);
-    tick = std::min(tick, now_tick_ + kSlots - 1);
-    slots_[tick % kSlots].push_back(fd);
-    ++entries_;
-    return SocketDeadline() + std::chrono::milliseconds(tick * kTickMs);
-  }
-
-  // Advances the wheel to `now`, invoking on_fire(fd) for every entry
-  // whose slot has come due.
-  template <typename OnFire>
-  void Advance(SocketDeadline now, OnFire&& on_fire) {
-    const uint64_t target = TickOf(now);
-    while (now_tick_ < target && entries_ > 0) {
-      ++now_tick_;
-      std::vector<int>& slot = slots_[now_tick_ % kSlots];
-      if (slot.empty()) continue;
-      fired_.clear();
-      fired_.swap(slot);
-      entries_ -= fired_.size();
-      for (int fd : fired_) on_fire(fd);
-    }
-    now_tick_ = std::max(now_tick_, target);
-  }
-
- private:
-  static uint64_t TickOf(SocketDeadline t) {
-    return static_cast<uint64_t>(
-               std::chrono::duration_cast<std::chrono::milliseconds>(
-                   t.time_since_epoch())
-                   .count()) /
-           kTickMs;
-  }
-
-  uint64_t now_tick_;
-  uint64_t entries_ = 0;
-  std::vector<int> fired_;  // scratch, reused across Advance calls
-  std::array<std::vector<int>, kSlots> slots_;
 };
 
 class ReqdServer {
@@ -294,7 +231,7 @@ class ReqdServer {
     std::vector<std::unique_ptr<Worker>> workers;
     workers.reserve(n);
     for (uint32_t i = 0; i < n; ++i) {
-      auto w = std::make_unique<Worker>(SocketClock::now());
+      auto w = std::make_unique<Worker>();
       w->epoll_fd.Reset(::epoll_create1(EPOLL_CLOEXEC));
       if (!w->epoll_fd.valid()) {
         throw std::runtime_error(ErrnoMessage("epoll_create1"));
@@ -408,36 +345,33 @@ class ReqdServer {
     std::optional<MetricEngine::PendingAppend> append;
   };
 
-  // Per-connection state, owned by exactly one worker. The output queue
-  // is the double buffer described in the class comment: `pending` (from
-  // `pending_off`) is being flushed, `staging` receives new responses.
-  struct Conn {
-    Conn(int raw_fd, uint32_t max_payload)
-        : fd(raw_fd), decoder(max_payload) {}
+  // Unsent responses above which a connection's reads pause.
+  static constexpr size_t kMaxOutboundBytes = size_t{8} << 20;  // 8 MiB
+  // Backoff after a transient accept() failure under fd exhaustion.
+  static constexpr uint64_t kAcceptBackoffMs = 50;
+  // A worker with a deadline armed wakes at least once per tick, and
+  // runs at most one deadline pass per tick.
+  static constexpr uint64_t kTickMs = 25;
 
-    size_t OutboundBytes() const {
-      return (pending.size() - pending_off) + staging.size();
-    }
+  // Per-connection state, owned by exactly one worker. The output queue
+  // (see the class comment) is `out`, sent up to `out_sent`.
+  struct Conn {
+    explicit Conn(int raw_fd) : fd(raw_fd) {}
+
+    size_t OutboundBytes() const { return out.size() - out_sent; }
 
     ScopedFd fd;
     FrameDecoder decoder;
-    std::vector<uint8_t> pending;
-    size_t pending_off = 0;
-    std::vector<uint8_t> staging;
+    std::vector<uint8_t> out;
+    size_t out_sent = 0;
     bool want_write = false;       // EPOLLOUT armed
     bool close_after_flush = false;  // stream desynced; error queued
     bool paused_read = false;      // backpressure: outbound over the cap
     SocketDeadline idle_deadline = NoDeadline();
     SocketDeadline write_deadline = NoDeadline();
-    // Earliest pending wheel fire for this fd (NoDeadline = none): the
-    // wheel is re-entered only when a deadline moves EARLIER than this,
-    // so steady-state re-arms never touch the wheel.
-    SocketDeadline wheel_deadline = NoDeadline();
   };
 
   struct Worker {
-    explicit Worker(SocketDeadline now) : wheel(now) {}
-
     ScopedFd epoll_fd;
     ScopedFd event_fd;
     std::thread thread;
@@ -446,7 +380,11 @@ class ReqdServer {
     std::mutex inbox_mutex;
     std::vector<int> inbox;
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
-    TimerWheel wheel;
+    // No connection's deadline falls before `next_deadline` (NoDeadline:
+    // none armed). Once it passes, ReapExpired walks the connections,
+    // no sooner than `next_pass`.
+    SocketDeadline next_deadline = NoDeadline();
+    SocketDeadline next_pass;
     // Connections whose turn ended after a read's frames were answered,
     // to pump again once the worker's other ready connections had their
     // turn (ResumeConnections); `resuming` is its recycled scratch.
@@ -483,7 +421,7 @@ class ReqdServer {
         // back off before the next attempt.
         if (errno == EBADF || errno == EINVAL) break;
         accept_failures_.fetch_add(1, std::memory_order_relaxed);
-        SleepWhileRunning(config_.accept_backoff_ms);
+        SleepWhileRunning(kAcceptBackoffMs);
         continue;
       }
       SetNoDelay(conn);
@@ -540,8 +478,9 @@ class ReqdServer {
     constexpr int kMaxEvents = 128;
     epoll_event events[kMaxEvents];
     while (running_.load(std::memory_order_acquire)) {
-      int timeout_ms =
-          w->wheel.empty() ? 250 : static_cast<int>(TimerWheel::kTickMs);
+      int timeout_ms = w->next_deadline == NoDeadline()
+                           ? 250
+                           : static_cast<int>(kTickMs);
       if (draining_.load(std::memory_order_acquire)) timeout_ms = 10;
       if (!w->resume.empty()) timeout_ms = 0;
       const int n =
@@ -583,8 +522,8 @@ class ReqdServer {
       // event or resume for the dead connection must never be applied to
       // its successor.
       if (adopt) AdoptConnections(w, &payload);
-      w->wheel.Advance(SocketClock::now(),
-                       [this, w](int fd) { OnTimer(w, fd); });
+      const SocketDeadline now = SocketClock::now();
+      if (now >= w->next_deadline && now >= w->next_pass) ReapExpired(w, now);
       if (draining_.load(std::memory_order_acquire)) DrainSweep(w, &payload);
     }
     // Hard stop: every connection dies with its worker. Count buffered
@@ -617,9 +556,10 @@ class ReqdServer {
       fresh.swap(w->inbox);
     }
     for (int raw : fresh) {
-      auto conn = std::make_unique<Conn>(raw, config_.max_frame_payload);
+      auto conn = std::make_unique<Conn>(raw);
       Conn* c = conn.get();
       c->idle_deadline = DeadlineAfterMs(config_.idle_timeout_ms);
+      NoteDeadlines(w, c);
       w->conns.emplace(raw, std::move(conn));
       epoll_event ev{};
       ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
@@ -693,12 +633,12 @@ class ReqdServer {
           Response bad;
           bad.status = Status::kBadRequest;
           bad.error = e.what();
-          AppendResponseFrame(Opcode::kPing, bad, &c->staging);
+          AppendResponseFrame(Opcode::kPing, bad, &c->out);
           c->close_after_flush = true;
           break;
         }
         DeferredAppend deferred;
-        HandleFrame(*payload, budget, &c->staging, &deferred);
+        HandleFrame(*payload, budget, &c->out, &deferred);
         frames_.fetch_add(1, std::memory_order_relaxed);
         yielded = true;  // the turn ends with this read's frames
         if (deferred.append) {
@@ -711,8 +651,7 @@ class ReqdServer {
           if (!sent) return false;
         }
       }
-      if (config_.max_outbound_bytes > 0 &&
-          c->OutboundBytes() > config_.max_outbound_bytes) {
+      if (c->OutboundBytes() > kMaxOutboundBytes) {
         c->paused_read = true;  // backpressure; flushed at loop top
       }
     }
@@ -729,33 +668,27 @@ class ReqdServer {
       }
       return false;
     }
-    ScheduleTimers(w, c);
     return true;
   }
 
-  // Flushes the double buffer with gather-writes until done or EAGAIN
+  // Sends the output queue until it is empty or the socket is full
   // (which arms EPOLLOUT and the write-stall deadline). Returns false
   // when the connection must close: peer gone, or a desynced stream
   // whose final error frame has now fully flushed.
   bool FlushOutbound(Worker* w, Conn* c) {
     while (c->OutboundBytes() > 0) {
-      iovec iov[2];
-      size_t iovcnt = 0;
-      if (c->pending.size() > c->pending_off) {
-        iov[iovcnt].iov_base = c->pending.data() + c->pending_off;
-        iov[iovcnt].iov_len = c->pending.size() - c->pending_off;
-        ++iovcnt;
-      }
-      if (!c->staging.empty()) {
-        iov[iovcnt].iov_base = c->staging.data();
-        iov[iovcnt].iov_len = c->staging.size();
-        ++iovcnt;
-      }
-      const ssize_t sent = WritevNonBlocking(c->fd.get(), iov, iovcnt);
+      const ssize_t sent = SendNonBlocking(
+          c->fd.get(), c->out.data() + c->out_sent, c->OutboundBytes());
       if (sent < 0) return false;
       if (sent == 0) {
         // Socket buffer full: wait for EPOLLOUT, bounded by the
-        // write-stall deadline.
+        // write-stall deadline. Drop the sent prefix once it is half the
+        // buffer, so responses queued behind it cannot grow it forever.
+        if (c->out_sent * 2 >= c->out.size()) {
+          c->out.erase(c->out.begin(),
+                       c->out.begin() + static_cast<ptrdiff_t>(c->out_sent));
+          c->out_sent = 0;
+        }
         if (!c->want_write) {
           epoll_event ev{};
           ev.events = EPOLLIN | EPOLLRDHUP | EPOLLOUT | EPOLLET;
@@ -769,16 +702,18 @@ class ReqdServer {
         if (c->write_deadline == NoDeadline()) {
           c->write_deadline = DeadlineAfterMs(config_.send_timeout_ms);
         }
-        ScheduleTimers(w, c);
+        NoteDeadlines(w, c);
         return true;
       }
-      ConsumeOutbound(c, static_cast<size_t>(sent));
+      c->out_sent += static_cast<size_t>(sent);
       if (c->write_deadline != NoDeadline()) {
         // Progress re-arms the stall clock: only a peer taking NOTHING
         // for send_timeout_ms is reaped.
         c->write_deadline = DeadlineAfterMs(config_.send_timeout_ms);
       }
     }
+    c->out.clear();  // keeps the allocation for the next responses
+    c->out_sent = 0;
     c->write_deadline = NoDeadline();
     if (c->want_write) {
       epoll_event ev{};
@@ -790,60 +725,44 @@ class ReqdServer {
     return !c->close_after_flush;
   }
 
-  // Accounts `n` sent bytes against pending-then-staging; when the
-  // pending run drains, the buffers swap so the drained allocation is
-  // recycled as the next staging buffer.
-  static void ConsumeOutbound(Conn* c, size_t n) {
-    const size_t pending_left = c->pending.size() - c->pending_off;
-    if (n < pending_left) {
-      c->pending_off += n;
-      return;
-    }
-    n -= pending_left;
-    c->pending.clear();
-    std::swap(c->pending, c->staging);
-    c->pending_off = n;
-    if (c->pending_off >= c->pending.size()) {
-      c->pending.clear();
-      c->pending_off = 0;
-    }
+  // Lowers the worker's next deadline to the connection's. Only arming a
+  // deadline moves it earlier (the idle one at adoption, the write one at
+  // a stall); moving one later needs nothing, since the pass that finds it
+  // unexpired re-reads it.
+  static void NoteDeadlines(Worker* w, const Conn* c) {
+    w->next_deadline =
+        std::min({w->next_deadline, c->idle_deadline, c->write_deadline});
   }
 
-  // Ensures a wheel entry fires at-or-before the connection's earliest
-  // real deadline. Lazy cancellation makes re-arming free: moving a
-  // deadline LATER leaves the old entry to fire, re-check, and
-  // reschedule itself.
-  void ScheduleTimers(Worker* w, Conn* c) {
-    const SocketDeadline earliest =
-        std::min(c->idle_deadline, c->write_deadline);
-    if (earliest == NoDeadline()) return;
-    if (c->wheel_deadline <= earliest) return;
-    c->wheel_deadline = w->wheel.Schedule(c->fd.get(), earliest);
-  }
-
-  void OnTimer(Worker* w, int fd) {
-    auto it = w->conns.find(fd);
-    if (it == w->conns.end()) return;  // lazily cancelled
-    Conn* c = it->second.get();
-    c->wheel_deadline = NoDeadline();
-    const SocketDeadline now = SocketClock::now();
-    if (now >= c->idle_deadline) {
-      // Slow loris / dead peer: reap. A buffered partial frame is the
-      // signature of a client that sent a length prefix and stalled.
-      idle_reaped_.fetch_add(1, std::memory_order_relaxed);
-      if (c->decoder.buffered() > 0) {
+  // The deadline pass: closes, after one walk, every connection past its
+  // idle deadline (a slow loris or dead peer; a buffered partial frame is
+  // the signature of a client that sent a length prefix and stalled) or
+  // its write deadline (a peer that took no response bytes for
+  // send_timeout_ms), and recomputes the worker's next deadline. A reap
+  // is counted (with release order) once its connection is closed, so a
+  // reader that sees the count also sees the close.
+  void ReapExpired(Worker* w, SocketDeadline now) {
+    w->next_pass = now + std::chrono::milliseconds(kTickMs);
+    w->next_deadline = NoDeadline();
+    std::vector<int> expired;
+    for (const auto& [fd, c] : w->conns) {
+      if (now >= c->idle_deadline || now >= c->write_deadline) {
+        expired.push_back(fd);
+      } else {
+        NoteDeadlines(w, c.get());
+      }
+    }
+    for (int fd : expired) {
+      const Conn& c = *w->conns.at(fd);
+      const bool idle = now >= c.idle_deadline;
+      const bool partial = c.decoder.buffered() > 0;
+      CloseConn(w, fd);
+      if (!idle) continue;
+      if (partial) {
         aborted_partial_frames_.fetch_add(1, std::memory_order_relaxed);
       }
-      CloseConn(w, fd);
-      return;
+      idle_reaped_.fetch_add(1, std::memory_order_release);
     }
-    if (now >= c->write_deadline) {
-      // Write stalled past send_timeout_ms: the peer stopped taking
-      // response bytes entirely (blackholed downstream).
-      CloseConn(w, fd);
-      return;
-    }
-    ScheduleTimers(w, c);
   }
 
   // Pumps each connection that yielded its turn once more: its socket may
@@ -872,7 +791,7 @@ class ReqdServer {
     auto it = w->conns.find(fd);
     if (it == w->conns.end()) return;
     // Closing the fd (ScopedFd in the erased Conn) drops its epoll
-    // registration; wheel entries cancel lazily in OnTimer.
+    // registration.
     w->conns.erase(it);
     live_connections_.fetch_sub(1, std::memory_order_acq_rel);
   }
@@ -898,7 +817,7 @@ class ReqdServer {
   }
 
   // Parses one request payload and appends the framed response to
-  // `*out` (the connection's staging buffer). All throwing paths are
+  // `*out` (the connection's output buffer). All throwing paths are
   // caught here; see the class comment for the status mapping. An APPEND
   // that acks leaves its batch unapplied in `*deferred`.
   void HandleFrame(const std::vector<uint8_t>& payload, SocketDeadline budget,
@@ -1046,9 +965,7 @@ class ReqdServer {
               registry_->ListPage(request->list_prefix, request->list_offset,
                                   request->list_limit, &response.total);
         } else {
-          std::shared_ptr<const std::vector<std::string>> names =
-              registry_->List();
-          response.names = *names;
+          response.names = registry_->List();
         }
         break;
       }

@@ -34,10 +34,10 @@
 // Tenancy spine (the million-metric refactor): the name->engine map is
 // sharded by name hash into kRegistryShards independent mutex+map shards,
 // each with its own epoch and its own sorted-name snapshot cache. A
-// CREATE/DROP invalidates only its shard's listing; the global LIST is a
-// lazy k-way concatenation of the per-shard caches, and the paged
-// ListPage(prefix, offset, limit) form never materializes more than one
-// page. Lifecycle: EvictIdle() checkpoints and closes the WAL of metrics
+// CREATE/DROP invalidates only its shard's listing. Every LIST is one
+// ListPage(prefix, offset, limit): a k-way merge of the per-shard runs
+// that never materializes more than its page (the whole directory for
+// List()). Lifecycle: EvictIdle() checkpoints and closes the WAL of metrics
 // idle past a TTL (their engines are dropped from memory and rebuilt
 // bit-identically from the checkpoint on the next touch -- an acked item
 // is never lost), or trims allocator slack when running memory-only.
@@ -815,25 +815,9 @@ class SketchRegistry {
     return rehydration_stats_rehydrations_.load(std::memory_order_relaxed);
   }
 
-  // Monotone directory version: the sum of per-shard epochs, each bumped
-  // by every Create/Drop in that shard. Reads are sequential over
-  // monotone counters, so the sum observed by a later scan is never
-  // smaller than an earlier one -- staleness is always detected.
-  uint64_t Epoch() const {
-    uint64_t sum = 0;
-    for (const Shard& shard : shards_) {
-      sum += shard.epoch.load(std::memory_order_acquire);
-    }
-    return sum;
-  }
-
-  // Sorted metric-name snapshot, epoch-cached: while no metric is created
-  // or dropped, repeated LISTs are one lock-free atomic load; after a
-  // CREATE/DROP only the touched shard's sorted run is rebuilt and the
-  // global view re-merged lazily, on the next LIST.
-  std::shared_ptr<const std::vector<std::string>> List() const {
-    return list_cache_.Get([this] { return Epoch(); },
-                           [this] { return MergeAllNames(); });
+  // Every metric name, sorted: the whole directory as one ListPage.
+  std::vector<std::string> List() const {
+    return ListPage("", 0, 0, nullptr);
   }
 
   // One page of the directory, sorted: names matching `prefix` (empty =
@@ -1028,35 +1012,6 @@ class SketchRegistry {
         });
   }
 
-  // Full sorted directory: k-way merge of the per-shard runs.
-  std::vector<std::string> MergeAllNames() const {
-    std::vector<std::shared_ptr<const std::vector<std::string>>> parts;
-    parts.reserve(kRegistryShards);
-    size_t count = 0;
-    for (const Shard& shard : shards_) {
-      parts.push_back(ShardNames(shard));
-      count += parts.back()->size();
-    }
-    std::vector<std::string> merged;
-    merged.reserve(count);
-    std::vector<size_t> pos(parts.size(), 0);
-    auto greater = [&parts, &pos](size_t a, size_t b) {
-      return (*parts[a])[pos[a]] > (*parts[b])[pos[b]];
-    };
-    std::priority_queue<size_t, std::vector<size_t>, decltype(greater)>
-        heap(greater);
-    for (size_t i = 0; i < parts.size(); ++i) {
-      if (!parts[i]->empty()) heap.push(i);
-    }
-    while (!heap.empty()) {
-      const size_t i = heap.top();
-      heap.pop();
-      merged.push_back((*parts[i])[pos[i]]);
-      if (++pos[i] < parts[i]->size()) heap.push(i);
-    }
-    return merged;
-  }
-
   // Smallest string greater than every string with prefix `prefix`, or
   // empty when no finite bound exists (prefix all-0xff or empty).
   static std::string PrefixSuccessor(std::string prefix) {
@@ -1135,8 +1090,6 @@ class SketchRegistry {
   std::atomic<uint64_t> memory_bytes_{0};
   std::atomic<uint64_t> rehydration_stats_evictions_{0};
   std::atomic<uint64_t> rehydration_stats_rehydrations_{0};
-  // Whole-directory sorted view, keyed on the shard-epoch sum.
-  concurrency::EpochSnapshotCache<std::vector<std::string>> list_cache_;
 };
 
 }  // namespace service

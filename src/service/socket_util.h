@@ -16,7 +16,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -114,19 +113,15 @@ inline bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) >= 0;
 }
 
-// One gather-write (sendmsg over an iovec run) in non-blocking mode.
-// Returns bytes written (>= 1), 0 when the socket buffer is full
-// (EAGAIN -- the caller arms EPOLLOUT and waits), or -1 when the peer
-// is gone. MSG_NOSIGNAL for the same reason as SendAll; sendmsg rather
-// than writev because writev has no flags argument. The 0/EAGAIN
-// conflation is safe: callers never pass an empty iovec run, and a
-// successful write of a non-empty run returns at least one byte.
-inline ssize_t WritevNonBlocking(int fd, const iovec* iov, size_t iovcnt) {
-  msghdr msg{};
-  msg.msg_iov = const_cast<iovec*>(iov);
-  msg.msg_iovlen = iovcnt;
+// One send in non-blocking mode. Returns bytes written (>= 1), 0 when
+// the socket buffer is full (EAGAIN -- the caller arms EPOLLOUT and
+// waits), or -1 when the peer is gone. MSG_NOSIGNAL for the same reason
+// as SendAll. The 0/EAGAIN conflation is safe: callers never pass an
+// empty buffer, and a successful send of a non-empty one returns at
+// least one byte.
+inline ssize_t SendNonBlocking(int fd, const uint8_t* data, size_t size) {
   while (true) {
-    const ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    const ssize_t r = ::send(fd, data, size, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (r >= 0) return r;
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;

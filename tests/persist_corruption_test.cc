@@ -262,7 +262,7 @@ void RecoverOrReject(const std::string& dir) {
     manager.RecoverInto(&registry);
     // If recovery accepted the bytes, the registry must be fully
     // serviceable: every metric answers queries (or reports empty).
-    for (const std::string& name : *registry.List()) {
+    for (const std::string& name : registry.List()) {
       auto engine = registry.Require(name);
       try {
         engine->GetQuantiles({0.5}, Criterion::kInclusive);

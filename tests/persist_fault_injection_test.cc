@@ -6,9 +6,15 @@
 // suffix), bit-identical to a reference engine fed the same prefix.
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <future>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -163,6 +169,83 @@ TEST(FaultInjection, EngineAppendFailureAcknowledgesNothing) {
   engine->ForceCheckpoint();
   engine->Append(batch.data(), batch.size());
   EXPECT_EQ(engine->AcceptedN(), acked + batch.size());
+}
+
+// --- rehydration stays off the manager's mutex ------------------------------
+
+// Holds the first truncate after Arm() until Release(): a disk that stalls
+// in the middle of one metric's I/O.
+class StallingTruncateInjector : public IoInjector {
+ public:
+  void Arm() { armed_.store(true); }
+
+  bool WaitStalled() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [this] { return stalled_; });
+  }
+
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+  void BeforeTruncate() override {
+    if (!armed_.exchange(false)) return;
+    std::unique_lock<std::mutex> lock(mutex_);
+    stalled_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+  }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool stalled_ = false;
+  bool released_ = false;
+};
+
+TEST(FaultInjection, CreateCompletesWhileARehydrationStallsOnDisk) {
+  const std::string dir = MakeTempDir("rehydrate");
+  StallingTruncateInjector injector;
+  DurabilityOptions options;
+  options.fsync = FsyncPolicy::kNever;
+  options.io = &injector;
+  DurabilityManager manager(dir, options);
+  SketchRegistry registry;
+  manager.RecoverInto(&registry);
+  const std::vector<double> batch = ScriptBatch(0, 0);
+  registry.Create("slow", PlainSpec())->Append(batch.data(), batch.size());
+  ASSERT_EQ(registry.EvictIdle(0).evicted, 1u);
+
+  // Garbage after the eviction checkpoint's bare WAL header (the first
+  // CREATE in a fresh dir gets directory m0): the rehydration's WAL
+  // reopen cuts it, and the injector stalls that truncate.
+  {
+    std::ofstream wal(dir + "/m0/" + kWalFileName,
+                      std::ios::binary | std::ios::app);
+    ASSERT_TRUE(wal.good());
+    wal << "garbage";
+  }
+  injector.Arm();
+  auto rehydrated = std::async(std::launch::async, [&registry] {
+    return registry.Require("slow")->AcceptedN();
+  });
+  ASSERT_TRUE(injector.WaitStalled());
+
+  auto created = std::async(std::launch::async, [&registry] {
+    registry.Create("other", PlainSpec());
+  });
+  const bool created_meanwhile =
+      created.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  injector.Release();
+  created.get();
+  EXPECT_TRUE(created_meanwhile)
+      << "CREATE waited for another metric's rehydration I/O";
+  EXPECT_EQ(rehydrated.get(), batch.size());
+  EXPECT_EQ(registry.Require("slow")->AcceptedN(), batch.size());
 }
 
 // --- crash-point sweep ------------------------------------------------------

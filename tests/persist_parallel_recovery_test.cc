@@ -99,7 +99,7 @@ void AppendDropRecord(const std::string& metric_dir,
 
 uint64_t SumOfFootprints(SketchRegistry* registry) {
   uint64_t sum = 0;
-  for (const std::string& name : *registry->List()) {
+  for (const std::string& name : registry->List()) {
     sum += registry->Require(name)->MemoryFootprint();
   }
   return sum;
@@ -156,7 +156,7 @@ TEST(ParallelRecovery, MatchesInProcessReferencesForEveryMetricState) {
     manager.RecoverInto(&registry);
     EXPECT_EQ(manager.recovery_threads(), ExpectedThreads(kMetrics));
     ASSERT_EQ(registry.size(), kMetrics);
-    EXPECT_EQ(*registry.List(), names);
+    EXPECT_EQ(registry.List(), names);
     for (size_t i = 0; i < kMetrics; ++i) {
       auto engine = registry.Require(names[i]);
       auto twin = reference.Require(names[i]);

@@ -893,7 +893,7 @@ std::map<std::string, std::vector<uint8_t>> BootAndShutDown(
   server.Start();
   server.Drain(/*timeout_ms=*/5000);
   std::map<std::string, std::vector<uint8_t>> snapshots;
-  for (const std::string& name : *registry.List()) {
+  for (const std::string& name : registry.List()) {
     if (!registry.IsResident(name)) continue;
     if (SketchRegistry::EnginePtr engine = registry.Find(name)) {
       snapshots[name] = engine->Snapshot();

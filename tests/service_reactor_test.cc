@@ -2,16 +2,19 @@
 // ReqdServer, exercised at the connection-state-machine level. The
 // scenarios the thread-per-connection design never had to face:
 //
-//   * a thousand simultaneously-open idle connections reaped by the
-//     per-worker timer wheel without collateral damage to a live client
-//     (connections must cost fds and wheel entries, not threads);
+//   * a thousand simultaneously-open idle connections reaped by their
+//     worker's deadline pass without collateral damage to a live client
+//     (connections must cost fds and a deadline field, not threads);
 //   * a response larger than the peer's receive window: the partial
 //     write parks on EPOLLOUT, the worker keeps serving its other
 //     connections mid-stall, and the flush resumes to a byte-exact
 //     answer once the peer drains;
+//   * a peer that pipelines queries and does not read: its reads pause
+//     at the 8 MiB outbound cap, and once it reads it gets every answer
+//     in order;
 //   * a peer that stops taking bytes entirely: reaped at
-//     send_timeout_ms by the same wheel, without a partial-frame count
-//     (the inbound stream was clean -- it is the OUTBOUND side that
+//     send_timeout_ms by the same deadline pass, without a partial-frame
+//     count (the inbound stream was clean -- it is the OUTBOUND side that
 //     died);
 //   * Drain() with an un-answered frame in flight on EVERY worker:
 //     each one is answered kOk before its socket sees EOF;
@@ -304,6 +307,87 @@ TEST_F(ServiceReactorTest, StalledResponseMatchesHealthyPeerByteForByte) {
   const Response response = ParseResponse(Opcode::kQuantiles, payload);
   ASSERT_EQ(response.status, Status::kOk);
   EXPECT_EQ(response.values, expected);
+}
+
+// --- backpressure: the outbound cap pauses reads ----------------------------
+
+TEST_F(ServiceReactorTest, OutboundCapPausesReadsUntilThePeerReads) {
+  ReqdServerConfig config;
+  config.workers = 1;  // the paused peer shares its worker with the rest
+  StartServer(config);
+  ReqClient direct = ConnectDirect();
+  MetricSpec spec;
+  spec.base.k_base = 64;
+  direct.Create("reactor.cap", spec);
+  direct.Append("reactor.cap", Stream(41, 50000));
+
+  // 64 CDF frames of 64k split points, each frame's splits scaled a little
+  // differently: 32 MiB of distinct answers, far past the 8 MiB cap plus
+  // what the socket buffers hold.
+  constexpr size_t kFrames = 64;
+  constexpr size_t kSplits = (size_t{1} << 16) - 1;
+  constexpr size_t kCapFrames = (size_t{8} << 20) / ((kSplits + 1) * 8);
+  std::vector<std::vector<uint8_t>> frames(kFrames);
+  for (size_t f = 0; f < kFrames; ++f) {
+    Request request;
+    request.op = Opcode::kCdf;
+    request.metric = "reactor.cap";
+    request.values.resize(kSplits);
+    for (size_t i = 0; i < kSplits; ++i) {
+      request.values[i] = static_cast<double>(i + 1) * 15.0 *
+                          (1.0 - 0.001 * static_cast<double>(f));
+    }
+    AppendFrame(&frames[f], EncodeRequest(request));
+  }
+  // Reference answers: one round trip per frame on a healthy peer.
+  std::vector<std::vector<uint8_t>> expected(kFrames);
+  {
+    ScopedFd healthy = RawConnect();
+    FrameDecoder decoder;
+    for (size_t f = 0; f < kFrames; ++f) {
+      ASSERT_TRUE(SendAll(healthy.get(), frames[f].data(), frames[f].size()));
+      expected[f] = ReadFramePayload(healthy.get(), &decoder);
+    }
+  }
+
+  // The stalled peer pipelines every frame from a thread of its own: once
+  // its reads pause, the server stops draining its socket and the send
+  // blocks until the peer reads.
+  const uint64_t base = server_->FramesServed();
+  ScopedFd raw = RawConnect();
+  std::atomic<bool> sent_all{false};
+  std::thread sender([&] {
+    for (const std::vector<uint8_t>& frame : frames) {
+      if (!SendAll(raw.get(), frame.data(), frame.size())) return;
+    }
+    sent_all.store(true);
+  });
+  // Paused: at least the cap's worth of answers is queued and the count
+  // holds still across half a second, short of every frame.
+  uint64_t last = 0;
+  EXPECT_TRUE(WaitFor([&] {
+    const uint64_t served = server_->FramesServed() - base;
+    const bool held = served == last && served >= kCapFrames;
+    last = served;
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    return held;
+  }));
+  const uint64_t stalled = server_->FramesServed() - base;
+  EXPECT_LT(stalled, kFrames);
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  EXPECT_EQ(server_->FramesServed() - base, stalled);
+  EXPECT_EQ(direct.Ping(), kProtocolVersion);  // the worker still serves
+
+  // Reading resumes the flow: every answer arrives, in order, byte for
+  // byte as the healthy peer got it.
+  FrameDecoder decoder;
+  for (size_t f = 0; f < kFrames; ++f) {
+    const std::vector<uint8_t> payload = ReadFramePayload(raw.get(), &decoder);
+    EXPECT_TRUE(payload == expected[f]) << "answer " << f;
+  }
+  sender.join();
+  EXPECT_TRUE(sent_all.load());
+  EXPECT_EQ(server_->FramesServed() - base, kFrames + 1);  // + the PING
 }
 
 // --- send timeout: the outbound side of slow-loris --------------------------

@@ -103,34 +103,27 @@ TEST(SketchRegistry, RefusesShardedCreate) {
   }
   EXPECT_EQ(registry.size(), 1u);
   EXPECT_EQ(registry.Find("m"), nullptr);
-  EXPECT_EQ(registry.List()->size(), 1u);
+  EXPECT_EQ(registry.List().size(), 1u);
 }
 
-TEST(SketchRegistry, ListIsSortedAndEpochCached) {
+TEST(SketchRegistry, ListIsSorted) {
   SketchRegistry registry;
   MetricSpec spec;
   registry.Create("zeta", spec);
   registry.Create("alpha", spec);
   registry.Create("mid.dle", spec);
 
-  auto names = registry.List();
-  ASSERT_EQ(names->size(), 3u);
-  EXPECT_EQ((*names)[0], "alpha");
-  EXPECT_EQ((*names)[1], "mid.dle");
-  EXPECT_EQ((*names)[2], "zeta");
+  const std::vector<std::string> names = registry.List();
+  ASSERT_EQ(names.size(), 3u);
+  EXPECT_EQ(names[0], "alpha");
+  EXPECT_EQ(names[1], "mid.dle");
+  EXPECT_EQ(names[2], "zeta");
 
-  // Same epoch -> the identical snapshot object (lock-free fast path).
-  auto again = registry.List();
-  EXPECT_EQ(names.get(), again.get());
-
-  // Create/Drop bump the epoch -> fresh snapshot; the old one survives.
-  const uint64_t before = registry.Epoch();
+  // A drop shows in the next list; the list taken before it survives.
   registry.Drop("mid.dle");
-  EXPECT_GT(registry.Epoch(), before);
-  auto after = registry.List();
-  EXPECT_NE(names.get(), after.get());
-  EXPECT_EQ(after->size(), 2u);
-  EXPECT_EQ(names->size(), 3u);
+  const std::vector<std::string> after = registry.List();
+  EXPECT_EQ(after.size(), 2u);
+  EXPECT_EQ(names.size(), 3u);
 }
 
 // --- plain engine ----------------------------------------------------------

@@ -195,9 +195,8 @@ int main(int argc, char** argv) {
     // replays nothing.
     server.Drain(/*timeout_ms=*/5000);
     if (durability) {
-      std::shared_ptr<const std::vector<std::string>> names =
-          registry.List();
-      for (const std::string& name : *names) {
+      const std::vector<std::string> names = registry.List();
+      for (const std::string& name : names) {
         // Evicted metrics already sit on their eviction checkpoint;
         // rehydrating one here just to re-checkpoint it would be wasted
         // replay on the shutdown path.
@@ -207,7 +206,7 @@ int main(int argc, char** argv) {
         if (!engine) continue;
         engine->ForceCheckpoint();
       }
-      std::printf("checkpointed %zu metric(s)\n", names->size());
+      std::printf("checkpointed %zu metric(s)\n", names.size());
     }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "reqd: %s\n", e.what());
